@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dfield
 
 from .cubical import CubSet, TruncationTooLow
 from .exactfield import Echelon, FieldTag, Matrix, solve_in_image
-from .nerves import SimplicialSet, rack_nerve
+from .nerves import BLOCK, GroupArith, cell_digits, cell_numbers, rack_nerve
 from .racks import FiniteGroup, PointedRack, conj_rack
 from .shuffles import Permutation
 
@@ -77,27 +77,20 @@ class ChainComplex:
         return self.pos_of_cell[n][cell_index]
 
 
-def _cubical_column(x: CubSet, n, c, pos_of, f):
-    col = {}
-    for i in range(1, n + 1):
-        sign = f.of_int(1 if i % 2 == 1 else -1)
-        for eps, s in ((1, sign), (0, f.neg(sign))):
-            t = pos_of[n - 1][x.face(n, i, eps, c)]
-            if t is None:
-                continue
-            w = f.add(col.get(t, f.zero()), s)
-            if w:
-                col[t] = w
-            elif t in col:
-                del col[t]
-    return col
+def _boundary_keys(n: int, cubical: bool):
+    """The faces summed in the degree-n boundary, in order: (i, eps) for
+    d_{i,eps} or (i,) for d_i, each with the sign (-1)^sum(key)."""
+    if cubical:
+        return [(i, eps) for i in range(1, n + 1) for eps in (1, 0)]
+    return [(i,) for i in range(n + 1)]
 
 
-def _simplicial_column(x: SimplicialSet, n, c, pos_of, f):
+def _signed_column(cells, signs, pos_of, f):
+    """The chain sum of the cells with their signs, without the degenerate
+    cells (pos_of[cell] is None) and the entries that cancel."""
     col = {}
-    for i in range(0, n + 1):
-        s = f.of_int(1 if i % 2 == 0 else -1)
-        t = pos_of[n - 1][x.face(n, i, c)]
+    for c, s in zip(cells, signs):
+        t = pos_of[c]
         if t is None:
             continue
         w = f.add(col.get(t, f.zero()), s)
@@ -131,12 +124,10 @@ def build_complex(x, field: FieldTag, flavor: str = "normalized") -> ChainComple
         labels.append([x.label(n, c) for c in cells])
     boundaries = []
     for n in range(1, N + 1):
-        cols = []
-        for c in cell_of[n]:
-            if cubical:
-                cols.append(_cubical_column(x, n, c, pos_of, field))
-            else:
-                cols.append(_simplicial_column(x, n, c, pos_of, field))
+        keys = _boundary_keys(n, cubical)
+        signs = [field.of_int((-1) ** sum(key)) for key in keys]
+        cols = [_signed_column([x.face(n, *key, c) for key in keys], signs,
+                               pos_of[n - 1], field) for c in cell_of[n]]
         boundaries.append(Matrix(field, len(cell_of[n - 1]), len(cell_of[n]), cols))
     return ChainComplex(field, labels, boundaries, flavor=flavor,
                         source_kind="cubical" if cubical else "simplicial",
@@ -732,8 +723,6 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
         if x.max_degree < max_n + 2:
             raise TruncationTooLow("gamma LES through %d needs cells through %d"
                                    % (max_n, max_n + 2))
-        from .cubical import CubSet as _CS
-
         gx, gproj = gamma_functor_with_projection(x)
         # truncate the total complex to the gamma range
         T_full = build_complex(x, field, "normalized")
@@ -881,8 +870,6 @@ def _certificate_tracker(dim: int, field: FieldTag, group_order: int):
     lower bound on the rational rank; a prime not dividing |G| is chosen so
     no rank is lost to torsion and saturation can actually occur."""
     if field.p:
-        if max(dim, 1) * field.p * field.p >= 2 ** 63:
-            raise ValueError("prime field too large for the streamed certificate")
         return _ModRank(dim, p=field.p), field.p
     p = 2
     while group_order % p == 0:
@@ -890,6 +877,16 @@ def _certificate_tracker(dim: int, field: FieldTag, group_order: int):
     if p == 2:
         return _F2Rank(dim), 2
     return _ModRank(dim, p=p), p
+
+
+def _stream_block(arith, order: int, top_degree: int, ks):
+    """Faces and degeneracy flags of the streamed cells ks: one list of
+    cell numbers (in the group nerve one degree down) per key of
+    _boundary_keys.  Cell k labels vertex m by the (m-1)th base-|G| digit
+    of k, least significant first."""
+    rows = cell_digits(ks, order, 2 ** top_degree - 1)[:, ::-1]
+    return ([cell_numbers(arith.face(rows, *key), order)
+             for key in _boundary_keys(top_degree, True)], arith.degenerate(rows))
 
 
 def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
@@ -902,80 +899,40 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
     a lower bound on the rational rank).  The image lies inside
     ker d_{top-1} (d^2 = 0, asserted per streamed column), so the moment the
     tracked rank reaches dim ker d_{top-1} we have im = ker exactly.
-    Returns (saturated, processed, total); the caller takes the kernel basis
-    as the image when saturated."""
+    Returns (saturated, processed, total, image); the caller takes the
+    kernel basis as the image when saturated, and image (the exhausted
+    tracker's echelon over the field's own prime) otherwise, when set."""
     from .exactfield import column_space_analysis
 
     n1 = top_degree
     N = n1 - 1
     f = field
-    order = g.order
     nverts = 2 ** n1 - 1
-    M = order ** nverts
+    M = g.order ** nverts
     dN = T.d(N)
     bound = T.dim(N) - column_space_analysis(dN).rank if N >= 1 else T.dim(0)
-    from .nerves import _insert_bit
-
-    tables = []
-    for i in range(1, n1 + 1):
-        for eps in (0, 1):
-            ins = [_insert_bit(m, i, eps) for m in range(2 ** N)]
-            sgn = 1 if i % 2 == 1 else -1
-            tables.append((ins, sgn if eps == 1 else -sgn))
-    idx = {lbl: c for c, lbl in enumerate(T.source.labels[N])}
+    arith = GroupArith(g)
+    signs = [(-1) ** sum(key) for key in _boundary_keys(n1, True)]
     pos_of = T.pos_of_cell[N]
-    elements = g.elements
-    tracker, _ = _certificate_tracker(T.dim(N), field, order)
+    tracker, _ = _certificate_tracker(T.dim(N), field, g.order)
     stride = _coprime_stride(M)
     processed = 0
     saturated = tracker.rank == bound  # bound 0: nothing to do
-    k = 0
-    mul = g.mul
-    inv = g.inv
-    unit = g.unit
     while not saturated and processed < M:
-        cellnum = k
-        k = (k + stride) % M
-        digits = []
-        v = cellnum
-        for _ in range(nverts):
-            v, r = divmod(v, order)
-            digits.append(r)
-        # skip degenerate labelings: independent of some coordinate i
-        degen = False
-        for i in range(1, n1 + 1):
-            bit = 1 << (i - 1)
-            same = True
-            for m in range(1, 2 ** n1):
-                if m & bit:
-                    low = m & ~bit
-                    if digits[m - 1] != (unit if low == 0 else digits[low - 1]):
-                        same = False
-                        break
-            if same:
-                degen = True
-                break
-        processed += 1
-        if degen:
-            continue
-        col = {}
-        for ins, sgn in tables:
-            o = unit if ins[0] == 0 else digits[ins[0] - 1]
-            oi = inv[o]
-            lbl = tuple(elements[mul[oi][unit if mm == 0 else digits[mm - 1]]]
-                        for mm in ins[1:])
-            p = pos_of[idx[lbl]]
-            if p is None:
+        ks = [j * stride % M for j in range(processed, min(processed + BLOCK, M))]
+        faces, degenerate = _stream_block(arith, g.order, n1, ks)
+        for j, degen in enumerate(degenerate):
+            processed += 1
+            if degen:
                 continue
-            col[p] = col.get(p, 0) + sgn
-            if not col[p]:
-                del col[p]
-        if N >= 1:
-            if dN.apply({r: f.of_int(c) for r, c in col.items()}):
-                raise ConstructionBug("d^2 != 0 on a streamed degree-%d cell" % n1)
-        tracker.add(col)
-        if tracker.rank == bound:
-            saturated = True
+            col = _signed_column([nums[j] for nums in faces], signs, pos_of, f)
+            if N >= 1:
+                if dN.apply(col):
+                    raise ConstructionBug("d^2 != 0 on a streamed degree-%d cell" % n1)
+            tracker.add(col)
+            if tracker.rank == bound:
+                saturated = True
+                break
     image = None
     if not saturated and field.p and processed == M:
         # over the field's own prime the exhausted tracker is the exact
@@ -1130,13 +1087,3 @@ def identity_map(C: ChainComplex, up_to=None) -> GradedMap:
     return GradedMap(C, C, {n: Matrix.identity(C.field, C.dim(n))
                             for n in range(up_to + 1)}, desc="id")
 
-
-def s_map(mode: str, group: FiniteGroup, field: FieldTag, up_to: int, **kw) -> GradedMap:
-    """Dispatch for the two constructions of the comparison map: "rack"
-    (signed permutation formula on rack chains) or "cubical" (pullbacks
-    along subset chains on the cubical nerve)."""
-    if mode == "rack":
-        return s_map_rack_formula(group, field, up_to, **kw)
-    if mode == "cubical":
-        return s_map_cubical(group, field, up_to, **kw)
-    raise ValueError("unknown mode %r" % (mode,))

@@ -3,7 +3,8 @@ map, both long exact sequences, law checks, the matrix suite, and the
 acceptance suites, all with machine-readable JSON reports.
 
 Exit codes: 0 all requested checks pass; 1 a check failed; 2 bad input
-(flags, files, presets); 3 cell budget exceeded.  Reports are JSON with
+(flags such as a negative --max-degree, files, presets, a prime too large
+for the streamed certificate); 3 cell budget exceeded.  Reports are JSON with
 sorted keys; apart from the timing block they are byte-stable for fixed
 flags and seed.
 """
@@ -36,6 +37,13 @@ def _field(text: str) -> FieldTag:
         except ValueError as exc:
             raise _CliError("bad field %r: %s" % (text, exc), 2)
     raise _CliError("field must be q or f<p>, got %r" % (text,), 2)
+
+
+def _degree(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("degree must be >= 0, got %d" % n)
+    return n
 
 
 def _emit(report: dict, args, started: float) -> None:
@@ -163,7 +171,10 @@ def cmd_les(args, started):
 
     g = _group_or_die(args.preset)
     field = _field(args.field)
-    res = les_for_group(args.kind, g, field, args.max_degree)
+    try:
+        res = les_for_group(args.kind, g, field, args.max_degree)
+    except ValueError as exc:  # a prime too large for the int64 certificate
+        raise _CliError(str(exc), 2)
     report = {"command": "les", "preset": args.preset, **res.to_jsonable(),
               "ok": res.all_exact}
     _emit(report, args, started)
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         if field:
             p.add_argument("--field", default="q", help="q or f<p>")
         if degree:
-            p.add_argument("--max-degree", type=int, default=3)
+            p.add_argument("--max-degree", type=_degree, default=3)
         p.add_argument("--budget", type=int, default=2_000_000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--csv", action="store_true")

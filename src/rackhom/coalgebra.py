@@ -29,6 +29,7 @@ from .chains import (
     ChainComplex,
     GradedMap,
     HomologySummary,
+    NotChainMap,
     TensorComplex,
     verify_chain_map,
 )
@@ -172,10 +173,6 @@ def coproduct_homotopy(C: ChainComplex, T: TensorComplex) -> GradedMap:
 # -- homology level -------------------------------------------------------------
 
 
-class NotChainMap(Exception):
-    pass
-
-
 def induced_on_homology(fmap: GradedMap, hs_src: HomologySummary,
                         hs_tgt: HomologySummary) -> GradedMap:
     """Pass a certified chain map to homology coordinates."""
@@ -216,7 +213,6 @@ def induced_coproduct_components(delta: GradedMap, hs: HomologySummary,
             cols = []
             for img in images:
                 block = T.component_block(img, n, (p, q))
-                left = {}
                 # project each factor: first collect rows of the block
                 # grouped by left index, then push through both projections
                 by_left = {}

@@ -157,10 +157,6 @@ class Matrix:
     def identity(cls, field: FieldTag, n: int) -> "Matrix":
         return cls(field, n, n, [{i: field.one()} for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, field: FieldTag, rows: int, columns) -> "Matrix":
-        return cls(field, rows, len(columns), [dict(c) for c in columns])
-
     # -- basic queries -----------------------------------------------------
 
     def column(self, j: int) -> dict:
@@ -171,13 +167,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(not c for c in self.cols_data)
-
-    def to_rows(self):
-        out = [[self.field.zero()] * self.cols for _ in range(self.rows)]
-        for j, col in enumerate(self.cols_data):
-            for i, v in col.items():
-                out[i][j] = v
-        return out
 
     def __eq__(self, other):
         return (
@@ -265,13 +254,6 @@ class Matrix:
             for i, v in col.items():
                 cols[i][j] = v
         return Matrix(self.field, self.cols, self.rows, cols)
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if self.rows != other.rows:
-            raise ShapeError("hstack row mismatch")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      list(self.cols_data) + list(other.cols_data))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; row/column index of the second factor varies

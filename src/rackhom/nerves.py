@@ -5,18 +5,39 @@ Cubical-nerve cells in degree n are functors from the subset poset of
 {1..n} into the group, encoded as vertex labelings v with v(empty) = e and
 F(A -> B) = v(A)^-1 v(B); this is a bijection with G^(2^n - 1), avoiding
 backtracking over edge labelings (cross-checked against brute force in the
-tests at small sizes).  Faces precompose with the coordinate insertions and
-renormalize so the new origin maps to the unit.
+tests at small sizes).
 
 Simplicial degeneracies are indexed 1..n+1, with s_i inserting the unit
 before position i (so s_1(g) = (e, g)); faces keep the usual 0..n indexing.
 The matching identities are documented on validate_simplicial.
+
+Cell numbering: a degree-n cell is a word of element indices, n long in the
+rack and bar nerves and 2^n - 1 long in the group nerve (entry m-1 is v(m)
+for the nonzero masks m), and its number is that word read as a base-|X|
+numeral, first entry most significant: the itertools.product order, so the
+labels are product(elements, repeat=width).  Every face and degeneracy map
+is arithmetic on blocks of digit rows (cell_digits, cell_numbers).  The
+rack nerve drops an entry, acting on the earlier ones first when eps = 1;
+the bar nerve drops an entry or multiplies two adjacent ones; the group
+nerve (GroupArith) prepends the unit column v(0), gathers the masks in the
+image of the coordinate insertion or deletion, and renormalizes faces so
+the new origin maps to the unit.  The streamed top-boundary certificate in
+chains runs the same GroupArith on blocks of its cells.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import product
+
+import numpy as np
+
 from .cubical import CubSet
 from .racks import FiniteGroup, PointedRack
+
+# Cells per block of digit rows: bounds the numpy temporaries, which the
+# allocator keeps resident after they are freed.
+BLOCK = 1024
 
 
 class BudgetExceeded(Exception):
@@ -101,47 +122,133 @@ def validate_simplicial(x: SimplicialSet):
     return bad
 
 
-# -- bar nerve ----------------------------------------------------------------
+# -- cell numbers and the face kernel -----------------------------------------
+
+
+def cell_digits(cells, order: int, width: int):
+    """Digit rows of cell numbers: row k lists the entries of cell cells[k],
+    first entry most significant."""
+    cells = np.asarray(cells, dtype=np.int64)
+    rows = np.empty((len(cells), width), dtype=np.int64)
+    for j in reversed(range(width)):
+        cells, rows[:, j] = np.divmod(cells, order)
+    return rows
+
+
+def cell_numbers(rows, order: int):
+    """The cell numbers of digit rows (inverse of cell_digits), as ints."""
+    cells = np.zeros(len(rows), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        cells = cells * order + rows[:, j]
+    return cells.tolist()
+
+
+def _insert(value, rows, i):
+    """s_i of the rack and bar nerves: insert value before entry i."""
+    return np.insert(rows, i - 1, value, axis=1)
+
+
+def _rack_face(op, rows, i, eps):
+    """d_{i,eps} of the rack nerve: drop entry i, after acting on the
+    earlier entries by <| x_i when eps = 1."""
+    out = np.delete(rows, i - 1, axis=1)
+    if eps:
+        out[:, :i - 1] = op[out[:, :i - 1], rows[:, i - 1:i]]
+    return out
+
+
+def _bar_face(mul, rows, i):
+    """d_i of the bar nerve: drop the first or last entry, or multiply
+    entries i and i+1."""
+    if i == 0:
+        return rows[:, 1:]
+    if i == rows.shape[1]:
+        return rows[:, :-1]
+    out = np.delete(rows, i, axis=1)
+    out[:, i - 1] = mul[rows[:, i - 1], rows[:, i]]
+    return out
+
+
+class GroupArith:
+    """Faces, degeneracies and the degeneracy test of the group cubical
+    nerve on digit rows.  With v(0) = e prepended, column m holds v(m).
+    Reshaped to (cell, m >> (i-1), low i-1 bits of m), the masks whose bit i
+    is eps (the image of the insertion delta_{i,eps}) are the middle rows
+    congruent to eps mod 2, and deleting bit i repeats each middle row."""
+
+    def __init__(self, g: FiniteGroup):
+        self.mul = np.array(g.mul, dtype=np.int64)
+        self.inv = np.array(g.inv, dtype=np.int64)
+        self.unit = g.unit
+
+    def _vertices(self, rows, i):
+        v = np.insert(rows, 0, self.unit, axis=1)
+        return v.reshape(len(v), -1, 2 ** (i - 1))
+
+    def face(self, rows, i, eps):
+        """d_{i,eps}: precompose with delta_{i,eps}, then renormalize so the
+        new origin maps to the unit."""
+        w = self._vertices(rows, i)[:, eps::2].reshape(len(rows), -1)
+        return self.mul[self.inv[w[:, :1]], w[:, 1:]]
+
+    def degen(self, rows, i):
+        """s_i: precompose with the deletion of coordinate i."""
+        return np.repeat(self._vertices(rows, i), 2, axis=1).reshape(len(rows), -1)[:, 1:]
+
+    def degenerate(self, rows):
+        """Flags of the degenerate cells: c = s_i d_{i,0} c for some i."""
+        flags = np.zeros(len(rows), dtype=bool)
+        for i in range(1, rows.shape[1].bit_length() + 1):
+            flags |= (self.degen(self.face(rows, i, 0), i) == rows).all(axis=1)
+        return flags
+
+
+def _tables(order, width, keys, fn):
+    """{key: images of every cell of the given width under fn(rows, *key[1:])},
+    computed BLOCK cells at a time."""
+    total = order ** width
+    cols = {key: [] for key in keys}
+    for start in range(0, total, BLOCK):
+        rows = cell_digits(np.arange(start, min(start + BLOCK, total)), order, width)
+        for key, col in cols.items():
+            col += cell_numbers(fn(rows, *key[1:]), order)
+    return {key: tuple(col) for key, col in cols.items()}
+
+
+def _build(kind, elements, max_degree, budget, width, face_keys, face, degen):
+    """Labels, face and degeneracy tables of a nerve whose degree-n cells
+    are the words of width(n) elements: face(rows, *key[1:]) for each key in
+    face_keys(n) maps degree n to n-1, degen(rows, i) maps n-1 to n."""
+    order = len(elements)
+    for n in range(max_degree + 1):
+        if order ** width(n) > budget:
+            raise BudgetExceeded("%s nerve degree %d needs %d cells"
+                                 % (kind, n, order ** width(n)), n)
+    faces, degens = {}, {}
+    for n in range(1, max_degree + 1):
+        faces.update(_tables(order, width(n), face_keys(n), face))
+        degens.update(_tables(order, width(n - 1), [(n, i) for i in range(1, n + 1)], degen))
+    labels = [list(product(elements, repeat=width(n))) for n in range(max_degree + 1)]
+    return labels, faces, degens
+
+
+def _cube_faces(n):
+    return [(n, i, eps) for i in range(1, n + 1) for eps in (0, 1)]
+
+
+# -- the three nerves ------------------------------------------------------------
 
 
 def bar_nerve(g: FiniteGroup, max_degree: int, budget: int = 2_000_000) -> SimplicialSet:
     """Degree-n cells are n-tuples of group elements; the three-case face
     formula drops, multiplies, or truncates; degeneracies insert the unit."""
-    cells = [[()]]
-    for n in range(1, max_degree + 1):
-        if g.order ** n > budget:
-            raise BudgetExceeded("bar nerve degree %d exceeds budget" % n, n)
-        cells.append([prev + (a,) for prev in cells[n - 1] for a in range(g.order)])
-    index = [{t: k for k, t in enumerate(cs)} for cs in cells]
-    face = {}
-    degen = {}
-    for n in range(1, max_degree + 1):
-        for i in range(0, n + 1):
-            col = []
-            for t in cells[n]:
-                if i == 0:
-                    out = t[1:]
-                elif i == n:
-                    out = t[:-1]
-                else:
-                    out = t[:i - 1] + (g.mul[t[i - 1]][t[i]],) + t[i + 1:]
-                col.append(index[n - 1][out])
-            face[(n, i)] = tuple(col)
-        for i in range(1, n + 1):
-            degen[(n, i)] = tuple(index[n][t[:i - 1] + (g.unit,) + t[i - 1:]]
-                                  for t in cells[n - 1])
-    labels = [[tuple(g.elements[a] for a in t) for t in cs] for cs in cells]
+    labels, face, degen = _build("bar", g.elements, max_degree, budget, lambda n: n,
+                                 lambda n: [(n, i) for i in range(n + 1)],
+                                 partial(_bar_face, np.array(g.mul)), partial(_insert, g.unit))
     x = SimplicialSet(max_degree, labels, face, degen)
     bad = validate_simplicial(x)
     assert not bad, "bar nerve failed simplicial identities: %s" % (bad[:3],)
     return x
-
-
-def bar_cell_index(g: FiniteGroup, nerve: SimplicialSet, tup):
-    return nerve.index(len(tup), tuple(g.elements[a] for a in tup))
-
-
-# -- rack nerve ----------------------------------------------------------------
 
 
 def rack_nerve(x: PointedRack, max_degree: int, budget: int = 2_000_000,
@@ -149,50 +256,13 @@ def rack_nerve(x: PointedRack, max_degree: int, budget: int = 2_000_000,
     """Nerve of a pointed rack: degree-n cells are n-tuples; the eps=1 face
     at i acts on the earlier entries by <| x_i and drops entry i, the eps=0
     face just drops it; degeneracies insert the neutral element."""
-    cells = [[()]]
-    for n in range(1, max_degree + 1):
-        if x.order ** n > budget:
-            raise BudgetExceeded("rack nerve degree %d exceeds budget" % n, n)
-        cells.append([prev + (a,) for prev in cells[n - 1] for a in range(x.order)])
-    index = [{t: k for k, t in enumerate(cs)} for cs in cells]
-    face = {}
-    degen = {}
-    for n in range(1, max_degree + 1):
-        for i in range(1, n + 1):
-            col0, col1 = [], []
-            for t in cells[n]:
-                col0.append(index[n - 1][t[:i - 1] + t[i:]])
-                conj = tuple(x.op[a][t[i - 1]] for a in t[:i - 1])
-                col1.append(index[n - 1][conj + t[i:]])
-            face[(n, i, 0)] = tuple(col0)
-            face[(n, i, 1)] = tuple(col1)
-            degen[(n, i)] = tuple(index[n][t[:i - 1] + (x.basepoint,) + t[i - 1:]]
-                                  for t in cells[n - 1])
-    labels = [[tuple(x.elements[a] for a in t) for t in cs] for cs in cells]
+    labels, face, degen = _build("rack", x.elements, max_degree, budget, lambda n: n,
+                                 _cube_faces, partial(_rack_face, np.array(x.op)),
+                                 partial(_insert, x.basepoint))
     out = CubSet(max_degree, labels, face, degen, is_lset=True)
     if validate:
         out.validate()
     return out
-
-
-def rack_cell_index(x: PointedRack, nerve: CubSet, tup):
-    return nerve.index(len(tup), tuple(x.elements[a] for a in tup))
-
-
-# -- cubical nerve of a group --------------------------------------------------
-
-
-def _insert_bit(mask: int, i: int, eps: int) -> int:
-    """Coordinate insertion {0,1}^(n-1) -> {0,1}^n at position i (1-based)."""
-    low = mask & ((1 << (i - 1)) - 1)
-    high = mask >> (i - 1)
-    return low | (eps << (i - 1)) | (high << i)
-
-
-def _delete_bit(mask: int, i: int) -> int:
-    low = mask & ((1 << (i - 1)) - 1)
-    high = mask >> i
-    return low | (high << (i - 1))
 
 
 def group_cubical_nerve(g: FiniteGroup, max_degree: int,
@@ -201,39 +271,9 @@ def group_cubical_nerve(g: FiniteGroup, max_degree: int,
     (v(0) = e implicitly), as tuples indexed by mask-1.  Faces precompose
     with the insertion delta_{i,eps} and renormalize so the new origin maps
     to the unit; degeneracies precompose with the coordinate deletion."""
-    order = g.order
-    for n in range(max_degree + 1):
-        if order ** (2 ** n - 1) > budget:
-            raise BudgetExceeded("cubical nerve degree %d needs %d cells"
-                                 % (n, order ** (2 ** n - 1)), n)
-    from itertools import product as iproduct
-
-    cells = []
-    for n in range(max_degree + 1):
-        cells.append([tuple(t) for t in iproduct(range(order), repeat=2 ** n - 1)])
-    index = [{t: k for k, t in enumerate(cs)} for cs in cells]
-
-    def vertex(v, mask):
-        return g.unit if mask == 0 else v[mask - 1]
-
-    face = {}
-    degen = {}
-    for n in range(1, max_degree + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                ins = [_insert_bit(m, i, eps) for m in range(2 ** (n - 1))]
-                base_inv = None
-                col = []
-                for v in cells[n]:
-                    o = vertex(v, ins[0])
-                    oi = g.inv[o]
-                    w = tuple(g.mul[oi][vertex(v, ins[m])] for m in range(1, 2 ** (n - 1)))
-                    col.append(index[n - 1][w])
-                face[(n, i, eps)] = tuple(col)
-            dels = [_delete_bit(m, i) for m in range(1, 2 ** n)]
-            degen[(n, i)] = tuple(index[n][tuple(vertex(v, dm) for dm in dels)]
-                                  for v in cells[n - 1])
-    labels = [[tuple(g.elements[a] for a in t) for t in cs] for cs in cells]
+    arith = GroupArith(g)
+    labels, face, degen = _build("cubical", g.elements, max_degree, budget,
+                                 lambda n: 2 ** n - 1, _cube_faces, arith.face, arith.degen)
     out = CubSet(max_degree, labels, face, degen, is_lset=False)
     if validate:
         out.validate()

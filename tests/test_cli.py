@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "rackhom", *argv],
@@ -56,6 +58,27 @@ def test_budget_exceeded_exit_3():
     proc = run_cli("nerve", "export", "--preset", "symmetric:3",
                    "--max-degree", "4", "--budget", "1000")
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("nerve", "export", "--preset", "conj:cyclic:2"),
+    ("nerve", "export", "--preset", "cyclic:2"),
+    ("verify", "lset-iso", "--group", "cyclic:2"),
+    ("rack-homology", "--preset", "conj:cyclic:2"),
+    ("group-homology", "--preset", "cyclic:2"),
+    ("les", "--preset", "cyclic:2"),
+])
+def test_negative_max_degree_exit_2(argv):
+    proc = run_cli(*argv, "--max-degree", "-1")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_les_prime_too_large_for_certificate_exit_2():
+    proc = run_cli("les", "--preset", "quaternion:8", "--field", "f2147483647",
+                   "--max-degree", "2")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_rack_file_exit_2(tmp_path):
