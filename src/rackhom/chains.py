@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .cubical import CubSet, TruncationTooLow
-from .exactfield import Echelon, FieldTag, Matrix, solve_in_image
+from .exactfield import ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, column_space_analysis
 from .nerves import BLOCK, GroupArith, cell_digits, cell_numbers, rack_nerve
 from .racks import FiniteGroup, PointedRack, conj_rack
 from .shuffles import Permutation
@@ -51,6 +51,7 @@ class ChainComplex:
         self.source = source
         self.pos_of_cell = pos_of_cell  # per degree: cell index -> basis pos or None
         self.cell_of_pos = cell_of_pos
+        self._analyses = {}
         if check:
             for n in range(2, self.max_degree + 1):
                 if not (self.d(n - 1) @ self.d(n)).is_zero():
@@ -69,6 +70,13 @@ class ChainComplex:
 
     def label(self, n: int, k: int):
         return self.labels[n][k]
+
+    def analysis(self, n: int) -> ColumnSpaceAnalysis:
+        """The one elimination of d_n: rank, ker d_n and im d_n all come
+        from it.  Callers read it and never add to its echelon."""
+        if n not in self._analyses:
+            self._analyses[n] = column_space_analysis(self.d(n))
+        return self._analyses[n]
 
     def cell_pos(self, n: int, cell_index: int):
         """Basis position of a source cell (None if the cell is degenerate)."""
@@ -285,51 +293,36 @@ def verify_homotopy(f: GradedMap, g: GradedMap, h: GradedMap):
 class HomologySummary:
     """Per-degree dimensions, representative cycles and exact projections.
 
-    projection(n) maps chains to homology coordinates: it kills boundaries
-    and the chosen complement of the cycles, and is the identity on the
-    stored representatives, so projection o inclusion = id.
+    echelons[n] holds the degree-n boundaries (untagged), then the
+    representatives (tagged ("r", j)); the first projection completes it
+    with unit vectors tagged ("a", i).  projection(n) therefore kills
+    boundaries and the chosen complement of the cycles, and is the identity
+    on the stored representatives, so projection o inclusion = id.
     """
 
-    def __init__(self, cx: ChainComplex, up_to: int, dims, reps, image_echelons):
+    def __init__(self, cx: ChainComplex, up_to: int, dims, reps, echelons):
         self.complex = cx
         self.up_to = up_to
         self.dims = dims
         self.reps = reps
-        self.image_echelons = image_echelons
-        self._proj_ech = {}
+        self.echelons = echelons
 
     def rep_matrix(self, n: int) -> Matrix:
         return Matrix(self.complex.field, self.complex.dim(n), self.dims[n], self.reps[n])
-
-    def _projection_echelon(self, n: int):
-        if n in self._proj_ech:
-            return self._proj_ech[n]
-        f = self.complex.field
-        ech = Echelon(f, self.complex.dim(n), track=True)
-        for k, col in enumerate(self.image_echelons[n].basis_columns()):
-            ech.add(col, tag=("b", k))
-        for j, col in enumerate(self.reps[n]):
-            if not ech.add(col, tag=("r", j)):
-                raise ConstructionBug("representative dependent on boundaries")
-        for i in range(self.complex.dim(n)):
-            ech.add({i: f.one()}, tag=("a", i))
-        self._proj_ech[n] = ech
-        return ech
 
     def project_vec(self, n: int, vec: dict) -> dict:
         """Homology coordinates of a chain (sparse dict in, sparse dict out)."""
         f = self.complex.field
         if self.dims[n] == 0:
             return {}
-        ech = self._projection_echelon(n)
-        rem, combo = ech._reduce(dict(vec), {})
-        if rem:
+        ech = self.echelons[n]
+        if ech.rank < self.complex.dim(n):
+            for i in range(self.complex.dim(n)):
+                ech.add({i: f.one()}, tag=("a", i))
+        coords = ech.coordinates(vec)
+        if coords is None:
             raise ConstructionBug("projection echelon does not span the chain space")
-        out = {}
-        for tag, v in combo.items():
-            if tag[0] == "r":
-                out[tag[1]] = f.neg(v)
-        return out
+        return {tag[1]: v for tag, v in coords.items() if tag[0] == "r"}
 
     def projection(self, n: int) -> Matrix:
         f = self.complex.field
@@ -339,9 +332,9 @@ class HomologySummary:
 
 def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> HomologySummary:
     """Homology through degree up_to; boundaries must exist through
-    up_to + 1, or an echelon of the image of the top boundary is supplied."""
-    from .exactfield import column_space_analysis
-
+    up_to + 1, or an echelon of the image of the top boundary is supplied.
+    Kernels and images come from the cached analyses of d_1 .. d_up_to;
+    d_{up_to+1} is reduced untracked, since only its image is needed."""
     if up_to is None:
         up_to = cx.max_degree - 1
     if up_to < 0:
@@ -354,26 +347,21 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     reps = []
     echs = []
     for n in range(up_to + 1):
-        kb = column_space_analysis(cx.d(n)).kernel_basis if n >= 1 else \
-            Matrix.identity(f, cx.dim(0))
-        if n < up_to or top_image is None:
-            img = Echelon(f, cx.dim(n))
-            dn1 = cx.d(n + 1)
-            for j in range(dn1.cols):
-                img.add(dn1.column(j))
+        if n < up_to:
+            ech = cx.analysis(n + 1).echelon.untracked_copy()
+        elif top_image is not None:
+            ech = top_image.untracked_copy()
         else:
-            img = top_image
+            ech = Echelon(f, cx.dim(n))
+            for col in cx.d(n + 1).cols_data:
+                ech.add(col)
         myreps = []
-        sel = Echelon(f, cx.dim(n))
-        for col in img.basis_columns():
-            sel.add(col)
-        for j in range(kb.cols):
-            col = kb.column(j)
-            if sel.add(col):
-                myreps.append(col)
+        for col in cx.analysis(n).kernel_basis.cols_data:
+            if ech.add(col, tag=("r", len(myreps))):
+                myreps.append(dict(col))
         dims.append(len(myreps))
         reps.append(myreps)
-        echs.append(img)
+        echs.append(ech)
     return HomologySummary(cx, up_to, dims, reps, echs)
 
 
@@ -570,13 +558,6 @@ class LESResult:
         }
 
 
-def _mat_rank(m: Matrix) -> int:
-    ech = Echelon(m.field, m.rows)
-    for j in range(m.cols):
-        ech.add(m.column(j))
-    return ech.rank
-
-
 def _induced(hs_src, hs_tgt, chain_mat, n, shift=0):
     """Homology-coordinate matrix of a chain map (given at degree n)."""
     f = hs_src.complex.field
@@ -595,15 +576,16 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
     notes = list(notes)
     # chain-level short exactness on the stored degrees
     avail = min(T.max_degree, max_n + 1 if top_T_image is None else max_n)
+    incl_an = []
     for n in range(avail + 1):
         if not (proj[n] @ incl[n]).is_zero():
             raise ConstructionBug("proj o incl != 0 at degree %d" % n)
         if S.dim(n) + Q.dim(n) != T.dim(n):
             raise ConstructionBug("dim S + dim Q != dim T at degree %d" % n)
-        if _mat_rank(incl[n]) != S.dim(n):
+        incl_an.append(column_space_analysis(incl[n]))
+        if incl_an[n].rank != S.dim(n):
             raise ConstructionBug("inclusion not injective at degree %d" % n)
-        if _mat_rank(proj[n]) != Q.dim(n):
-            raise ConstructionBug("projection not surjective at degree %d" % n)
+        # proj o section = id also certifies that proj is surjective
         if proj[n] @ section[n] != Matrix.identity(field, Q.dim(n)):
             raise ConstructionBug("section does not split proj at degree %d" % n)
     hs_S = homology(S, max_n)
@@ -619,7 +601,7 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
         for col in hs_Q.reps[n]:
             y = section[n].apply(col)
             dy = T.d(n).apply(y)
-            w = solve_in_image(incl[n - 1], dy)
+            w = incl_an[n - 1].solve(dy)
             if w is None:
                 raise ConstructionBug("snake lift failed at degree %d" % n)
             w = {j: v for j, v in enumerate(w) if v}
@@ -630,24 +612,24 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
         maps[("conn", n)] = Matrix(field, hs_S.dims[n - 1], hs_Q.dims[n], cols)
 
     nodes = []
+    ranks = {key: column_space_analysis(m).rank for key, m in maps.items()}
 
-    def node(at, degree, dim, fin, fout):
-        comp_zero = (fout @ fin).is_zero()
-        rin, rout = _mat_rank(fin), _mat_rank(fout)
+    def node(at, degree, dim, kin, kout):
+        # kout ("conn", 0) is absent: H_0(quotient) maps to zero
+        comp_zero = kout not in maps or (maps[kout] @ maps[kin]).is_zero()
+        rin, rout = ranks[kin], ranks.get(kout, 0)
         nodes.append(LESNode(at, degree, dim, rin, rout, comp_zero,
                              comp_zero and rin + rout == dim))
 
-    zero_to = lambda d: Matrix.zeros(field, 0, d)
     for n in range(max_n, -1, -1):
         # H_n(S): incoming conn_{n+1} (unavailable at n = max_n), outgoing incl_n
         if n < max_n:
-            node("H_%d(sub)" % n, n, hs_S.dims[n], maps[("conn", n + 1)], maps[("incl", n)])
+            node("H_%d(sub)" % n, n, hs_S.dims[n], ("conn", n + 1), ("incl", n))
         else:
             notes.append("node H_%d(sub) skipped: needs degree-%d quotient homology"
                          % (n, n + 1))
-        node("H_%d(total)" % n, n, hs_T.dims[n], maps[("incl", n)], maps[("proj", n)])
-        out = maps[("conn", n)] if n >= 1 else zero_to(hs_Q.dims[0])
-        node("H_%d(quotient)" % n, n, hs_Q.dims[n], maps[("proj", n)], out)
+        node("H_%d(total)" % n, n, hs_T.dims[n], ("incl", n), ("proj", n))
+        node("H_%d(quotient)" % n, n, hs_Q.dims[n], ("proj", n), ("conn", n))
     dims = {"sub": hs_S.dims, "total": hs_T.dims, "quotient": hs_Q.dims}
     res = LESResult(kind, max_n, field, dims, nodes, maps, notes)
     res.homologies = {"sub": hs_S, "total": hs_T, "quotient": hs_Q}
@@ -742,9 +724,8 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
                 cols.append({} if qp is None else {qp: f.one()})
             proj.append(Matrix(f, Q.dim(n), T.dim(n), cols))
         # kernel subcomplex
-        from .exactfield import column_space_analysis
-
         kerbases = [column_space_analysis(proj[n]).kernel_basis for n in range(N + 1)]
+        kernels = [column_space_analysis(kb) for kb in kerbases[:N]]
         s_labels = [["k%d_%d" % (n, j) for j in range(kerbases[n].cols)]
                     for n in range(N + 1)]
         s_bounds = []
@@ -752,7 +733,7 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
             cols = []
             for j in range(kerbases[n].cols):
                 dv = T.d(n).apply(kerbases[n].column(j))
-                w = solve_in_image(kerbases[n - 1], dv)
+                w = kernels[n - 1].solve(dv)
                 if w is None:
                     raise ConstructionBug("kernel not a subcomplex at degree %d" % n)
                 cols.append({i: v for i, v in enumerate(w) if v})
@@ -765,7 +746,9 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
             for k in range(Q.dim(n)):
                 cell = x.index(n, Q.label(n, k))
                 tp = T.cell_pos(n, cell)
-                assert tp is not None
+                if tp is None:
+                    raise ConstructionBug("quotient cell %r is degenerate in the total"
+                                          " complex" % (Q.label(n, k),))
                 cols.append({tp: f.one()})
             section.append(Matrix(f, T.dim(n), Q.dim(n), cols))
         return _les_assemble("gamma", field, max_n, S, T, Q, incl, proj, section)
@@ -902,15 +885,13 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
     Returns (saturated, processed, total, image); the caller takes the
     kernel basis as the image when saturated, and image (the exhausted
     tracker's echelon over the field's own prime) otherwise, when set."""
-    from .exactfield import column_space_analysis
-
     n1 = top_degree
     N = n1 - 1
     f = field
     nverts = 2 ** n1 - 1
     M = g.order ** nverts
     dN = T.d(N)
-    bound = T.dim(N) - column_space_analysis(dN).rank if N >= 1 else T.dim(0)
+    bound = T.dim(N) - T.analysis(N).rank
     arith = GroupArith(g)
     signs = [(-1) ** sum(key) for key in _boundary_keys(n1, True)]
     pos_of = T.pos_of_cell[N]
@@ -999,7 +980,8 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
             v = lnerve_inclusion_labels(g, tup)
             lbl = tuple(g.elements[a] for a in v)
             p = T.cell_pos(n, x.index(n, lbl))
-            assert p is not None, "rack cell mapped to a degenerate nerve cell"
+            if p is None:
+                raise ConstructionBug("rack cell mapped to a degenerate nerve cell")
             cols.append({p: f.one()})
             pos.add(p)
         incl.append(Matrix(f, T.dim(n), S.dim(n), cols))
@@ -1012,19 +994,17 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
     bad = verify_chain_map(gm)
     if bad:
         raise ConstructionBug("rack-chain inclusion is not a chain map: %s" % (bad[:3],))
-    _, Q, _, proj, section = _positional_ses(T, sub_positions, field)
+    # stream before building the quotient: the tracker sets the memory peak
     saturated, processed, total, exhausted_image = \
         stream_group_top_image(g, max_n + 1, T, field)
+    _, Q, _, proj, section = _positional_ses(T, sub_positions, field)
     if saturated:
         notes = ["top boundary streamed: %d of %d degree-%d cells processed,"
                  " rank saturated at dim ker d (im = ker certified)"
                  % (processed, total, max_n + 1)]
-        from .exactfield import column_space_analysis
-
-        kb = column_space_analysis(T.d(max_n)).kernel_basis
         t_img = Echelon(f, T.dim(max_n))
-        for j in range(kb.cols):
-            t_img.add(kb.column(j))
+        for col in T.analysis(max_n).kernel_basis.cols_data:
+            t_img.add(col)
     elif exhausted_image is not None:
         notes = ["top boundary streamed to exhaustion (%d cells): the top"
                  " homology is nonzero over %s; image taken from the"
@@ -1036,7 +1016,7 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
             " ker d over Q; this size needs the materialised path" % total)
     q_img = Echelon(f, Q.dim(max_n))
     qp = proj[max_n]
-    for col in t_img.basis_columns():
+    for _, col, _ in t_img.pivots:
         q_img.add(qp.apply(col))
     # the sub side has its own materialised top boundary through max_n+1
     return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section,

@@ -3,10 +3,13 @@ map, both long exact sequences, law checks, the matrix suite, and the
 acceptance suites, all with machine-readable JSON reports.
 
 Exit codes: 0 all requested checks pass; 1 a check failed; 2 bad input
-(flags such as a negative --max-degree, files, presets, a prime too large
-for the streamed certificate); 3 cell budget exceeded.  Reports are JSON with
-sorted keys; apart from the timing block they are byte-stable for fixed
-flags and seed.
+(flags such as a negative --max-degree or a flag the command does not take,
+files, presets, a prime too large for the streamed certificate); 3 cell
+budget exceeded; 4 an internal invariant was violated (a construction bug,
+reported on stderr).  Reports are JSON with sorted keys; apart from the
+timing block they are byte-stable for fixed flags and seed.  Only
+rack-homology and group-homology take --csv (a degree,dim table), and only
+gl verify and suite take --seed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import json
 import sys
 import time
 
-from .cubical import TruncationTooLow
+from .chains import ConstructionBug, NotChainMap
+from .cubical import InternalInvariantViolation, TruncationTooLow
 from .exactfield import QQ, FieldTag
 from .nerves import BudgetExceeded
 from .racks import UnknownPreset, preset
@@ -288,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         if degree:
             p.add_argument("--max-degree", type=_degree, default=3)
         p.add_argument("--budget", type=int, default=2_000_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--csv", action="store_true")
         p.add_argument("--out")
 
     p = sub.add_parser("rack", help="rack table utilities")
@@ -302,11 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rack-homology")
     p.add_argument("--preset", required=True)
     common(p)
+    p.add_argument("--csv", action="store_true", help="degree,dim table instead of JSON")
     p.set_defaults(fn=cmd_rack_homology)
 
     p = sub.add_parser("group-homology")
     p.add_argument("--preset", required=True)
     common(p)
+    p.add_argument("--csv", action="store_true", help="degree,dim table instead of JSON")
     p.set_defaults(fn=cmd_group_homology)
 
     p = sub.add_parser("nerve", help="nerve utilities")
@@ -346,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--nmax", type=int, default=3)
     pg.add_argument("--trials", type=int, default=50)
     common(pg, field=False, degree=False)
+    pg.add_argument("--seed", type=int, default=0)
     pg.set_defaults(fn=cmd_gl_verify)
 
     p = sub.add_parser("verify", help="named verifications")
@@ -358,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite")
     p.add_argument("name", choices=("all", "laws", "les", "gl", "nerves"))
     common(p, field=False, degree=False)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_suite)
     return ap
 
@@ -374,18 +380,15 @@ def main(argv=None) -> int:
     except _CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return exc.code
-    except UnknownPreset as exc:
+    except (UnknownPreset, FileNotFoundError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, TruncationTooLow) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 3
-    except FileNotFoundError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except TruncationTooLow as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 3
+    except (ConstructionBug, NotChainMap, InternalInvariantViolation) as exc:
+        sys.stderr.write("error: internal invariant violated: %s\n" % exc)
+        return 4
 
 
 if __name__ == "__main__":

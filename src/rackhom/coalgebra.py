@@ -33,7 +33,7 @@ from .chains import (
     TensorComplex,
     verify_chain_map,
 )
-from .exactfield import FieldTag, Matrix
+from .exactfield import Echelon, FieldTag, Matrix, column_space_analysis
 from .shuffles import All, FirstFixed, FirstIsPPlus1, Permutation, enumerate_shuffles, koszul_shuffle_sign
 
 
@@ -458,14 +458,15 @@ def primitive_analysis(g: GradedCoalgebra, max_degree: int) -> PrimitiveAnalysis
     """Primitives and the kernel filtration of the reduced coproduct, plus
     the free/cofree dimension count dim V_n = sum over compositions of
     products of primitive dimensions."""
-    from .exactfield import Echelon, column_space_analysis
-
     f = g.field
     # F_r per degree as a column-span matrix; quotient tests via echelons
     filt = []  # filt[r-1][n] = list of basis columns
     prev = None
     for r in range(1, max_degree + 2):
         cur = [[{0: f.one()}] if n == 0 else [] for n in range(max_degree + 1)]
+        if prev is not None:
+            # quotient by F_{r-1} x V + V x F_{r-1}: complement projections
+            comp = [_complement_projection(f, g.dims[p], prev[p]) for p in range(max_degree)]
         for n in range(1, max_degree + 1):
             conds = []
             for p in range(1, n):
@@ -474,11 +475,8 @@ def primitive_analysis(g: GradedCoalgebra, max_degree: int) -> PrimitiveAnalysis
                 if prev is None:
                     conds.append(m)
                     continue
-                # quotient by F_{r-1} x V + V x F_{r-1}: complement projections
-                qp = _complement_projection(f, g.dims[p], prev[p])
-                qq = _complement_projection(f, g.dims[q], prev[q])
-                conds.append(qp.kron(Matrix.identity(f, g.dims[q])) @ m)
-                conds.append(Matrix.identity(f, g.dims[p]).kron(qq) @ m)
+                conds.append(comp[p].kron(Matrix.identity(f, g.dims[q])) @ m)
+                conds.append(Matrix.identity(f, g.dims[p]).kron(comp[q]) @ m)
             if not conds:
                 cur[n] = [{i: f.one()} for i in range(g.dims[n])]
                 continue
@@ -512,29 +510,19 @@ def primitive_analysis(g: GradedCoalgebra, max_degree: int) -> PrimitiveAnalysis
 
 
 def _complement_projection(f, dim, span_cols):
-    """A matrix whose kernel is exactly the span of span_cols."""
-    from .exactfield import Echelon
-
-    ech = Echelon(f, dim, track=False)
-    basis = []
+    """A matrix whose kernel is exactly the span of span_cols: the
+    coordinates on the unit vectors that complete it to a basis, in the
+    order they were chosen."""
+    ech = Echelon(f, dim)
     for col in span_cols:
-        if ech.add(dict(col)):
-            basis.append(dict(col))
-    comp = []
+        ech.add(col)
+    comp = 0
     for i in range(dim):
-        if ech.add({i: f.one()}):
-            comp.append(i)
-    # coordinates on the complement: solve [basis | e_comp] decomposition
-    full = Matrix(f, dim, len(basis) + len(comp),
-                  basis + [{i: f.one()} for i in comp])
-    from .exactfield import solve_in_image
-
-    cols = []
-    for i in range(dim):
-        sol = solve_in_image(full, {i: f.one()})
-        assert sol is not None
-        cols.append({j: v for j, v in enumerate(sol[len(basis):]) if v})
-    return Matrix(f, len(comp), dim, cols)
+        if ech.add({i: f.one()}, tag=("a", comp)):
+            comp += 1
+    cols = [{k: v for (_, k), v in ech.coordinates({i: f.one()}).items()}
+            for i in range(dim)]
+    return Matrix(f, comp, dim, cols)
 
 
 # -- tensor-coalgebra reference model ---------------------------------------------

@@ -5,6 +5,11 @@ of boundary matrices over Q or F_p.  Matrices are stored column-sparse
 (dict row -> scalar per column); rationals are `fractions.Fraction`, prime
 field elements are ints in [0, p).  All values are canonical on entry, so
 equality is structural.
+
+One echelon per matrix: `column_space_analysis` eliminates a matrix once,
+and its rank, kernel, image and every solve are read from that `Echelon`.
+Tagged columns are tracked as combinations of the tagged inputs; untagged
+columns are reduced but not tracked, so coordinates are read modulo their span.
 """
 
 from __future__ import annotations
@@ -274,7 +279,7 @@ class Matrix:
 
 
 class Echelon:
-    """Incremental column echelon with optional combination tracking.
+    """Incremental column echelon with per-column combination tracking.
 
     Pivots are kept in insertion order: each stored column is fully reduced
     against the earlier ones, so its pivot row is untouched by them and a
@@ -284,10 +289,9 @@ class Echelon:
     materialising a matrix.
     """
 
-    def __init__(self, field: FieldTag, rows: int, track: bool = False):
+    def __init__(self, field: FieldTag, rows: int):
         self.field = field
         self.rows = rows
-        self.track = track
         self.pivots: list = []  # (pivot_row, reduced_col, combo or None), insertion order
         self.last_combo: Optional[dict] = None
 
@@ -316,22 +320,17 @@ class Echelon:
                             del combo[r]
         return col, combo
 
-    def reduce(self, col: dict) -> dict:
-        """Remainder of col modulo the current column span."""
-        rem, _ = self._reduce(col, None)
-        return rem
-
     def contains(self, col: dict) -> bool:
-        return not self.reduce(col)
+        return not self._reduce(col, None)[0]
 
     def add(self, col: dict, tag=None) -> bool:
         """Add a column; returns True iff it enlarged the span.
 
-        With track=True the invariant  reduced == sum combo[t] * column(t)
-        over the original tagged columns is maintained; for a dependent
-        column the dependency lands in self.last_combo.
+        For a tagged column the invariant  reduced == sum combo[t] * column(t)
+        over the tagged columns holds modulo the untagged ones; for a
+        dependent tagged column the dependency lands in self.last_combo.
         """
-        combo = {tag: self.field.one()} if self.track else None
+        combo = None if tag is None else {tag: self.field.one()}
         col, combo = self._reduce(col, combo)
         if not col:
             self.last_combo = combo
@@ -342,26 +341,67 @@ class Echelon:
         self.pivots.append((max(col), col, combo))
         return True
 
-    def basis_columns(self):
-        return [dict(p[1]) for p in self.pivots]
+    def coordinates(self, col: dict) -> Optional[dict]:
+        """The tagged combination equal to col modulo the untagged columns,
+        as tag -> coefficient; None when col is outside the span."""
+        f = self.field
+        rem, combo = self._reduce(col, {})
+        if rem:
+            return None
+        return {t: f.neg(c) for t, c in combo.items()}
+
+    def untracked_copy(self) -> "Echelon":
+        """A new echelon over the same span whose columns are untagged.  It
+        shares the reduced columns, which no echelon writes after insertion."""
+        ech = Echelon(self.field, self.rows)
+        ech.pivots = [(prow, pcol, None) for prow, pcol, _ in self.pivots]
+        return ech
 
 
 @dataclass
 class ColumnSpaceAnalysis:
+    """The one elimination of a matrix: its rank, kernel and image, and
+    solutions of m @ x == v read from the same tracked echelon."""
+
     rank: int
     kernel_basis: Matrix
     image_basis: Matrix
-    pivot_columns: list
+    echelon: Echelon
+
+    def solve(self, v) -> Optional[list]:
+        """Solve m @ x == v exactly; None when v is not in the image of m.
+
+        v may be a dense list or a sparse dict over row indices.
+        """
+        ech = self.echelon
+        f = ech.field
+        if isinstance(v, dict):
+            vec = v
+            for r, w in vec.items():
+                if w and not (0 <= r < ech.rows):
+                    raise ShapeError("rhs index out of range")
+        else:
+            v = list(v)
+            if len(v) != ech.rows:
+                raise ShapeError("rhs length %d != rows %d" % (len(v), ech.rows))
+            vec = {i: f.of_int(w) if isinstance(w, int) else w for i, w in enumerate(v)}
+        coords = ech.coordinates(vec)
+        if coords is None:
+            return None
+        x = [f.zero()] * self.kernel_basis.rows
+        for j, c in coords.items():
+            x[j] = c
+        return x
 
 
 def column_space_analysis(m: Matrix) -> ColumnSpaceAnalysis:
-    """Rank, exact kernel basis, image basis and pivot columns of m.
+    """Rank, exact kernel basis and image basis of m, from one elimination.
 
     rank + kernel dimension == cols; m @ kernel_basis == 0 entrywise.
     The image basis is the original columns at the pivot positions.
     """
     f = m.field
-    ech = Echelon(f, m.rows, track=True)
+    ech = Echelon(f, m.rows)
     kernel_cols = []
     pivot_columns = []
     for j in range(m.cols):
@@ -371,33 +411,9 @@ def column_space_analysis(m: Matrix) -> ColumnSpaceAnalysis:
             kernel_cols.append(ech.last_combo)
     kernel = Matrix(f, m.cols, len(kernel_cols), kernel_cols)
     image = Matrix(f, m.rows, len(pivot_columns), [m.column(j) for j in pivot_columns])
-    return ColumnSpaceAnalysis(len(pivot_columns), kernel, image, pivot_columns)
+    return ColumnSpaceAnalysis(len(pivot_columns), kernel, image, ech)
 
 
 def solve_in_image(m: Matrix, v) -> Optional[list]:
-    """Solve m @ x == v exactly; None when v is not in the image of m.
-
-    v may be a dense list or a sparse dict over row indices.
-    """
-    f = m.field
-    if isinstance(v, dict):
-        vec = {r: w for r, w in v.items() if w}
-        for r in vec:
-            if not (0 <= r < m.rows):
-                raise ShapeError("rhs index out of range")
-    else:
-        v = list(v)
-        if len(v) != m.rows:
-            raise ShapeError("rhs length %d != rows %d" % (len(v), m.rows))
-        vec = {i: f.of_int(w) if isinstance(w, int) else w for i, w in enumerate(v) if w}
-    ech = Echelon(f, m.rows, track=True)
-    for j in range(m.cols):
-        ech.add(m.column(j), tag=j)
-    col, combo = ech._reduce(dict(vec), {})
-    if col:
-        return None
-    x = [f.zero()] * m.cols
-    for j, c in combo.items():
-        x[j] = f.neg(c)
-    return x
-
+    """One-call form of `column_space_analysis(m).solve(v)`."""
+    return column_space_analysis(m).solve(v)

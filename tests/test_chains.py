@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -318,3 +319,41 @@ def test_les_over_prime_fields():
     res3 = les_for_group("lrel", preset("cyclic:2"), FieldTag(3), 3)
     assert res3.all_exact
     assert res3.dims["total"] == [1, 0, 0, 0]
+
+
+def _count_analyses(monkeypatch):
+    """Count column_space_analysis calls per matrix object; the matrices are
+    kept alive so that ids are not reused."""
+    from rackhom import chains, exactfield
+
+    seen = {}
+    orig = exactfield.column_space_analysis
+
+    def counting(m):
+        seen.setdefault(id(m), [m, 0])[1] += 1
+        return orig(m)
+
+    monkeypatch.setattr(exactfield, "column_space_analysis", counting)
+    monkeypatch.setattr(chains, "column_space_analysis", counting, raising=False)
+    return seen
+
+
+def test_each_matrix_is_eliminated_once(monkeypatch):
+    seen = _count_analyses(monkeypatch)
+    res = les_for_group("lrel", preset("cyclic:3"), QQ, 3)
+    assert res.all_exact
+    assert "saturated" in res.notes[0]
+    c = build_complex(rack_nerve(conj_rack(symmetric_group(3)), 4), QQ)
+    hs = homology(c, up_to=3)
+    cached = copy.deepcopy([c.analysis(n).echelon.pivots for n in range(1, 4)])
+    for n in range(4):
+        hs.projection(n)
+    assert hs.dims == [1, 2, 4, 8]
+    # completing the projections wrote nothing into the cached echelons
+    assert [c.analysis(n).echelon.pivots for n in range(1, 4)] == cached
+    twice = [(m, k) for m, k in seen.values() if k > 1]
+    assert not twice, twice
+    analysed = {id(m) for m, _ in seen.values()}
+    assert all(id(c.d(n)) in analysed for n in range(1, 4))
+    # only the image of the top boundary is needed: it is reduced untracked
+    assert id(c.d(4)) not in analysed

@@ -1,13 +1,21 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import rackhom
+
+# the CLI runs in a child process: hand it the package this session imported
+SRC = os.path.dirname(os.path.dirname(rackhom.__file__))
+
 
 def run_cli(*argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "rackhom", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     return proc
 
 
@@ -153,3 +161,27 @@ def test_suite_all_runs_every_criterion_and_exits_zero():
     doc = report_of(proc)
     assert doc["ok"] is True
     assert set(doc["criteria"]) == {"criterion_%d" % n for n in range(1, 12)}
+
+
+@pytest.mark.parametrize("argv", [
+    ("les", "--preset", "cyclic:2", "--max-degree", "1", "--csv"),
+    ("nerve", "export", "--preset", "cyclic:2", "--max-degree", "1", "--seed", "1"),
+])
+def test_flag_the_command_does_not_take_exit_2(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "unrecognized arguments" in proc.stderr
+
+
+def test_internal_invariant_violation_exit_4(monkeypatch, capsys):
+    from rackhom import chains, cli
+
+    def broken(*args, **kwargs):
+        raise chains.ConstructionBug("snake lift failed at degree 1")
+
+    monkeypatch.setattr(chains, "les_for_group", broken)
+    code = cli.main(["les", "--preset", "cyclic:2", "--max-degree", "1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == "error: internal invariant violated: snake lift failed at degree 1\n"

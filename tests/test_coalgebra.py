@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rackhom.chains import build_complex, homology, verify_chain_map, verify_homotopy
 from rackhom.coalgebra import (
@@ -8,6 +10,7 @@ from rackhom.coalgebra import (
     MissingStructure,
     NotAbelian,
     NotLSet,
+    _complement_projection,
     antisymmetrization_compare,
     bar_aw_coproduct,
     bar_shuffle_product,
@@ -23,7 +26,7 @@ from rackhom.coalgebra import (
     primitive_analysis,
     rack_half_coproduct_formula,
 )
-from rackhom.exactfield import QQ, Matrix
+from rackhom.exactfield import QQ, FieldTag, Matrix, column_space_analysis
 from rackhom.nerves import bar_nerve, group_cubical_nerve, rack_nerve
 from rackhom.racks import conj_rack, preset, symmetric_group
 
@@ -324,3 +327,35 @@ def test_cubical_coproduct_rejects_simplicial_source():
     c = build_complex(bar_nerve(preset("cyclic:2"), 3), QQ)
     with pytest.raises(NotCubical):
         cubical_coproduct(c)
+
+
+@st.composite
+def spans(draw):
+    dim = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    return dim, draw(st.lists(row, max_size=4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spans(), st.sampled_from([0, 3]))
+def test_complement_projection_kills_span_and_reads_complement(case, p):
+    f = FieldTag(p)
+    dim, rows = case
+    span = [{i: f.of_int(v) for i, v in enumerate(r) if v} for r in rows]
+    proj = _complement_projection(f, dim, span)
+
+    def rank(cols):
+        return column_space_analysis(Matrix(f, dim, len(cols), cols)).rank
+
+    for col in span:
+        assert not proj.apply(col)
+    assert column_space_analysis(proj).rank == dim - rank(span)
+    # the complement: unit vectors independent of the span and earlier choices
+    chosen = []
+    for i in range(dim):
+        units = [{j: f.one()} for j in chosen]
+        if rank(span + units + [{i: f.one()}]) > rank(span + units):
+            chosen.append(i)
+    assert proj.rows == len(chosen)
+    for k, i in enumerate(chosen):
+        assert proj.column(i) == {k: f.one()}

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rackhom.exactfield import (
     QQ,
@@ -159,3 +162,63 @@ def test_solve_random_consistency():
         x = solve_in_image(m, v)
         assert x is not None
         assert m.apply({j: c for j, c in enumerate(x) if c}) == v
+
+
+# -- property tests: one elimination against sympy as the independent oracle --
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def int_matrices(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+def _sympy_rank(rows):
+    return sympy.Matrix(rows).rank()
+
+
+@PROPERTY
+@given(int_matrices())
+def test_rank_over_q_equals_sympy_rank(rows):
+    assert column_space_analysis(Matrix.from_rows(QQ, rows)).rank == _sympy_rank(rows)
+
+
+@PROPERTY
+@given(int_matrices(), st.sampled_from([2, 3, 5]))
+def test_rank_over_fp_at_most_rank_over_q(rows, p):
+    rp = column_space_analysis(Matrix.from_rows(FieldTag(p), rows)).rank
+    assert rp <= column_space_analysis(Matrix.from_rows(QQ, rows)).rank
+
+
+@PROPERTY
+@given(int_matrices(), st.sampled_from([0, 2, 3, 5]))
+def test_kernel_basis_is_killed_and_rank_nullity_holds(rows, p):
+    m = Matrix.from_rows(FieldTag(p), rows)
+    a = column_space_analysis(m)
+    assert (m @ a.kernel_basis).is_zero()
+    assert a.rank + a.kernel_basis.cols == m.cols
+    assert column_space_analysis(a.kernel_basis).rank == a.kernel_basis.cols
+
+
+@PROPERTY
+@given(int_matrices(), st.data())
+def test_solve_matches_sympy_consistency(rows, data):
+    m = Matrix.from_rows(QQ, rows)
+    if data.draw(st.booleans()):  # a right-hand side in the image
+        y = [data.draw(st.integers(-3, 3)) for _ in range(m.cols)]
+        v = [sum(r[j] * y[j] for j in range(m.cols)) for r in rows]
+    else:
+        v = [data.draw(st.integers(-3, 3)) for _ in range(m.rows)]
+    augmented = [r + [w] for r, w in zip(rows, v)]
+    x = column_space_analysis(m).solve(v)
+    if _sympy_rank(augmented) == _sympy_rank(rows):
+        assert x is not None
+        assert m.apply({j: c for j, c in enumerate(x) if c}) == \
+            {i: Fraction(w) for i, w in enumerate(v) if w}
+    else:
+        assert x is None
+    assert solve_in_image(m, v) == x
