@@ -19,6 +19,9 @@ the larger groups).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from itertools import islice
+
+import numpy as np
 
 from .cubical import CubSet, TruncationTooLow
 from .exactfield import ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, column_space_analysis
@@ -568,21 +571,23 @@ def _induced(hs_src, hs_tgt, chain_mat, n, shift=0):
 
 
 def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
-                  top_T_image=None, top_Q_image=None, notes=()):
+                  top_T_image=None, top_Q_image=None, notes=(), incl_an=()):
     """Homology of the three complexes, the induced maps, the snake
     connecting map, and the exactness report (im = ker by rank at each
     node).  incl/proj/section are per-degree chain matrices; the section
-    satisfies proj @ section = id and is used for the snake lift."""
+    satisfies proj @ section = id and is used for the snake lift.  incl_an
+    holds the analyses of incl[0], incl[1], ... a caller already made; the
+    missing degrees are analysed here."""
     notes = list(notes)
     # chain-level short exactness on the stored degrees
     avail = min(T.max_degree, max_n + 1 if top_T_image is None else max_n)
-    incl_an = []
+    incl_an = list(incl_an[:avail + 1]) + [column_space_analysis(incl[n])
+                                          for n in range(len(incl_an), avail + 1)]
     for n in range(avail + 1):
         if not (proj[n] @ incl[n]).is_zero():
             raise ConstructionBug("proj o incl != 0 at degree %d" % n)
         if S.dim(n) + Q.dim(n) != T.dim(n):
             raise ConstructionBug("dim S + dim Q != dim T at degree %d" % n)
-        incl_an.append(column_space_analysis(incl[n]))
         if incl_an[n].rank != S.dim(n):
             raise ConstructionBug("inclusion not injective at degree %d" % n)
         # proj o section = id also certifies that proj is surjective
@@ -751,7 +756,8 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
                                           " complex" % (Q.label(n, k),))
                 cols.append({tp: f.one()})
             section.append(Matrix(f, T.dim(n), Q.dim(n), cols))
-        return _les_assemble("gamma", field, max_n, S, T, Q, incl, proj, section)
+        return _les_assemble("gamma", field, max_n, S, T, Q, incl, proj, section,
+                             incl_an=kernels)
     raise ValueError("unknown LES kind %r" % (kind,))
 
 
@@ -767,59 +773,120 @@ def _coprime_stride(M: int) -> int:
     return max(s % M, 1)
 
 
-class _ModRank:
-    """Incremental rank of integer columns modulo a prime, vectorised.
+# streamed columns reduced together: one product against the stored rows per
+# batch; the columns of a batch are then echelonised among themselves in order
+TRACKER_BATCH = 32
 
-    Maintains a fully reduced row space (unit pivots, zeros at the other
-    pivot positions), so reducing a new column is a single matrix-vector
-    product.  For a complex over Q the mod-p rank of integer columns is a
-    lower bound on the rational rank; over F_q (q = p) it is the rank.
-    The prime is capped so that a full int64 dot product cannot overflow:
-    rank <= dim and dim * p^2 < 2^63 is enforced."""
+
+class _ModRank:
+    """Rank of integer columns modulo a prime, reduced a batch at a time
+    (blocked elimination in the style of FFLAS-FFPACK: Dumas, Giorgi and
+    Pernet, ACM TOMS 35(3), 2008).
+
+    The stored rows span the columns added so far and are fully reduced:
+    each starts with a unit at its pivot (its first nonzero entry) and is
+    zero at every other pivot, so they are the reduced row echelon form of
+    the span, whatever the batching.  Only their entries on the free
+    (non-pivot) columns are stored, in `rows`.  `add` reduces a batch V
+    against them with one product  V[:, free] - V[:, pivots] @ rows,
+    echelonises the residuals R among themselves in stream order, and
+    clears the new pivot columns from the old rows with one product
+    rows - rows[:, new] @ R.
+
+    Exactness: entries live in [0, p), so every dot product is a sum of at
+    most dim terms below (p-1)^2.  A product runs in float64 (BLAS) only
+    when dim * (p-1)^2 < 2^53, where every partial sum is an integer that
+    float64 represents exactly; otherwise it runs in int64, which
+    dim * p^2 < 2^63 (enforced, ValueError) keeps free of overflow.
+    Results are reduced mod p in int64.
+
+    Stopping point: since the batch is echelonised in order, `add` knows
+    which column brings the rank to the bound; it stops there and returns
+    how many columns it consumed, so a caller counts exactly the columns a
+    one-at-a-time tracker would have read.
+
+    For a complex over Q the mod-p rank of integer columns is a lower bound
+    on the rational rank; over F_q (q = p) it is the rank."""
 
     def __init__(self, dim: int, p: int = 1_000_003):
-        import numpy
-
-        self.np = numpy
         self.dim = dim
         self.p = p
         if max(dim, 1) * p * p >= 2 ** 63:
             raise ValueError("modulus too large for overflow-free int64 dots")
-        self.rows = numpy.zeros((256, max(dim, 1)), dtype=numpy.int64)
+        self.float_products = max(dim, 1) * (p - 1) ** 2 < 2 ** 53
         self.pivots = []
+        self.free = np.arange(dim)  # the other columns, ascending
+        self.rows = np.zeros((0, dim), dtype=np.int64)  # stored rows on free
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add(self, sparse_col: dict) -> bool:
-        np = self.np
+    def _dot(self, a, b):
+        """a @ b in int64 for entries in [0, p); exact (see the class docstring)."""
+        if self.float_products:
+            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        return a @ b
+
+    def add(self, cols, bound: int) -> int:
+        """Add the sparse columns in order until the rank reaches bound;
+        returns how many columns were consumed."""
         p = self.p
         k = len(self.pivots)
-        if k == self.rows.shape[0]:
-            grown = np.zeros((min(self.rows.shape[0] * 2, max(self.dim, 1)),
-                              self.rows.shape[1]), dtype=np.int64)
-            grown[:k] = self.rows
-            self.rows = grown
-        v = np.zeros(self.dim, dtype=np.int64)
-        for r, val in sparse_col.items():
-            v[r] = int(val) % p
+        V = np.zeros((len(cols), self.dim), dtype=np.int64)
+        for i, col in enumerate(cols):
+            V[i, list(col)] = [int(val) % p for val in col.values()]
+        # the residuals are zero on the pivots: keep their free columns
+        R = np.take(V, self.free, axis=1)
         if k:
-            coeffs = v[self.pivots]
-            if coeffs.any():
-                v = (v - coeffs @ self.rows[:k]) % p
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
-            return False
-        piv = int(nz[0])
-        v = (v * pow(int(v[piv]), p - 2, p)) % p
+            R -= self._dot(V[:, self.pivots], self.rows)
+            R %= p
+        # the new rows collect in R[:m], each reduced against the earlier
+        # ones, with pivots `new` (positions in free); on those pivots they
+        # form a unit upper triangular matrix, whose inverse mod p is Uinv
+        new = []
+        Uinv = np.zeros((len(cols), len(cols)), dtype=np.int64)
+        used = len(cols)
+        for i in range(len(cols)):
+            v = R[i]
+            m = len(new)
+            if m:
+                c = v[new] @ Uinv[:m, :m] % p
+                v = (v - c @ R[:m]) % p
+            nz = v.nonzero()[0]
+            if not len(nz):
+                continue
+            piv = int(nz[0])
+            v = v * pow(int(v[piv]), p - 2, p) % p
+            if m:
+                Uinv[:m, m] = -(Uinv[:m, :m] @ R[:m, piv]) % p
+            Uinv[m, m] = 1
+            R[m] = v
+            new.append(piv)
+            if k + len(new) == bound:
+                used = i + 1
+                break
+        m = len(new)
+        if not m:
+            return used
+        R = Uinv[:m, :m] @ R[:m] % p  # fully reduced: the identity on new
         if k:
-            c = self.rows[:k, piv]
-            if c.any():
-                self.rows[:k] = (self.rows[:k] - np.outer(c, v)) % p
-        self.rows[k, :] = v
-        self.pivots.append(piv)
-        return True
+            self.rows -= self._dot(self.rows[:, new], R)
+        keep = np.delete(np.arange(len(self.free)), new)
+        self.rows = np.take(np.concatenate((self.rows, R)), keep, axis=1)
+        self.rows %= p
+        self.pivots.extend(self.free[new].tolist())
+        self.free = self.free[keep]
+        return used
+
+    def reduced_columns(self):
+        """The stored rows as sparse columns {row: value in [0, p)}."""
+        for piv, rest in zip(self.pivots, self.rows):
+            row = np.zeros(self.dim, dtype=np.int64)
+            row[self.free] = rest
+            row[piv] = 1
+            nz = np.flatnonzero(row)
+            yield dict(zip(nz.tolist(), row[nz].tolist()))
 
 
 class _F2Rank:
@@ -833,19 +900,23 @@ class _F2Rank:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add(self, sparse_col: dict) -> bool:
-        v = 0
-        for r, val in sparse_col.items():
-            if int(val) % 2:
-                v |= 1 << r
-        while v:
-            top = v.bit_length() - 1
-            piv = self.pivots.get(top)
-            if piv is None:
-                self.pivots[top] = v
-                return True
-            v ^= piv
-        return False
+    def add(self, cols, bound: int) -> int:
+        """As _ModRank.add, one column at a time."""
+        for used, sparse_col in enumerate(cols, 1):
+            v = 0
+            for r, val in sparse_col.items():
+                if int(val) % 2:
+                    v |= 1 << r
+            while v:
+                top = v.bit_length() - 1
+                piv = self.pivots.get(top)
+                if piv is None:
+                    self.pivots[top] = v
+                    break
+                v ^= piv
+            if self.rank == bound:
+                return used
+        return len(cols)
 
 
 def _certificate_tracker(dim: int, field: FieldTag, group_order: int):
@@ -853,13 +924,13 @@ def _certificate_tracker(dim: int, field: FieldTag, group_order: int):
     lower bound on the rational rank; a prime not dividing |G| is chosen so
     no rank is lost to torsion and saturation can actually occur."""
     if field.p:
-        return _ModRank(dim, p=field.p), field.p
+        return _ModRank(dim, p=field.p)
     p = 2
     while group_order % p == 0:
         p = {2: 3, 3: 5, 5: 7, 7: 11}.get(p, p + 2)
     if p == 2:
-        return _F2Rank(dim), 2
-    return _ModRank(dim, p=p), p
+        return _F2Rank(dim)
+    return _ModRank(dim, p=p)
 
 
 def _stream_block(arith, order: int, top_degree: int, ks):
@@ -882,6 +953,9 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
     a lower bound on the rational rank).  The image lies inside
     ker d_{top-1} (d^2 = 0, asserted per streamed column), so the moment the
     tracked rank reaches dim ker d_{top-1} we have im = ker exactly.
+    Columns go to the tracker in batches of TRACKER_BATCH; the tracker stops
+    at the column that reaches the bound, so `processed` counts the cells up
+    to and including that one, as a column-at-a-time stream would.
     Returns (saturated, processed, total, image); the caller takes the
     kernel basis as the image when saturated, and image (the exhausted
     tracker's echelon over the field's own prime) otherwise, when set."""
@@ -895,45 +969,39 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
     arith = GroupArith(g)
     signs = [(-1) ** sum(key) for key in _boundary_keys(n1, True)]
     pos_of = T.pos_of_cell[N]
-    tracker, _ = _certificate_tracker(T.dim(N), field, g.order)
+    tracker = _certificate_tracker(T.dim(N), field, g.order)
     stride = _coprime_stride(M)
+
+    def columns():
+        """(cells read so far, boundary column) per nondegenerate cell."""
+        for start in range(0, M, BLOCK):
+            ks = [j * stride % M for j in range(start, min(start + BLOCK, M))]
+            faces, degenerate = _stream_block(arith, g.order, n1, ks)
+            for j in np.flatnonzero(~degenerate).tolist():
+                col = _signed_column([nums[j] for nums in faces], signs, pos_of, f)
+                if N >= 1:
+                    if dN.apply(col):
+                        raise ConstructionBug("d^2 != 0 on a streamed degree-%d cell" % n1)
+                yield start + j + 1, col
+
+    stream = columns()
     processed = 0
     saturated = tracker.rank == bound  # bound 0: nothing to do
     while not saturated and processed < M:
-        ks = [j * stride % M for j in range(processed, min(processed + BLOCK, M))]
-        faces, degenerate = _stream_block(arith, g.order, n1, ks)
-        for j, degen in enumerate(degenerate):
-            processed += 1
-            if degen:
-                continue
-            col = _signed_column([nums[j] for nums in faces], signs, pos_of, f)
-            if N >= 1:
-                if dN.apply(col):
-                    raise ConstructionBug("d^2 != 0 on a streamed degree-%d cell" % n1)
-            tracker.add(col)
-            if tracker.rank == bound:
-                saturated = True
-                break
+        batch = list(islice(stream, TRACKER_BATCH))
+        if not batch:
+            processed = M  # the rest of the stream is degenerate
+            break
+        used = tracker.add([col for _, col in batch], bound)
+        processed = batch[used - 1][0]
+        saturated = tracker.rank == bound
     image = None
     if not saturated and field.p and processed == M:
         # over the field's own prime the exhausted tracker is the exact
         # image: hand its reduced columns back as a sparse echelon
         image = Echelon(f, T.dim(N))
-        if isinstance(tracker, _F2Rank):
-            for _, bits in sorted(tracker.pivots.items()):
-                col = {}
-                r = 0
-                while bits:
-                    if bits & 1:
-                        col[r] = f.one()
-                    bits >>= 1
-                    r += 1
-                image.add(col)
-        else:
-            for k in range(tracker.rank):
-                row = tracker.rows[k]
-                image.add({int(r): f.of_int(int(v))
-                           for r, v in enumerate(row) if v})
+        for col in tracker.reduced_columns():
+            image.add({r: f.of_int(v) for r, v in col.items()})
     return saturated, processed, M, image
 
 

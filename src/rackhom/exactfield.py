@@ -365,7 +365,6 @@ class ColumnSpaceAnalysis:
 
     rank: int
     kernel_basis: Matrix
-    image_basis: Matrix
     echelon: Echelon
 
     def solve(self, v) -> Optional[list]:
@@ -395,23 +394,18 @@ class ColumnSpaceAnalysis:
 
 
 def column_space_analysis(m: Matrix) -> ColumnSpaceAnalysis:
-    """Rank, exact kernel basis and image basis of m, from one elimination.
+    """Rank, exact kernel basis and image echelon of m, from one elimination.
 
     rank + kernel dimension == cols; m @ kernel_basis == 0 entrywise.
-    The image basis is the original columns at the pivot positions.
     """
     f = m.field
     ech = Echelon(f, m.rows)
     kernel_cols = []
-    pivot_columns = []
     for j in range(m.cols):
-        if ech.add(m.column(j), tag=j):
-            pivot_columns.append(j)
-        else:
+        if not ech.add(m.column(j), tag=j):
             kernel_cols.append(ech.last_combo)
     kernel = Matrix(f, m.cols, len(kernel_cols), kernel_cols)
-    image = Matrix(f, m.rows, len(pivot_columns), [m.column(j) for j in pivot_columns])
-    return ColumnSpaceAnalysis(len(pivot_columns), kernel, image, ech)
+    return ColumnSpaceAnalysis(ech.rank, kernel, ech)
 
 
 def solve_in_image(m: Matrix, v) -> Optional[list]:

@@ -2,9 +2,14 @@ import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rackhom import chains
 from rackhom.chains import (
+    TRACKER_BATCH,
     TensorComplex,
+    _ModRank,
     build_complex,
     eta_section,
     homology,
@@ -18,7 +23,7 @@ from rackhom.chains import (
     verify_homotopy,
 )
 from rackhom.cubical import TruncationTooLow, standard_model
-from rackhom.exactfield import QQ, FieldTag, Matrix
+from rackhom.exactfield import QQ, Echelon, FieldTag, Matrix
 from rackhom.nerves import bar_nerve, group_cubical_nerve, lnerve_inclusion_labels, rack_nerve
 from rackhom.racks import conj_rack, preset, symmetric_group
 
@@ -357,3 +362,109 @@ def test_each_matrix_is_eliminated_once(monkeypatch):
     assert all(id(c.d(n)) in analysed for n in range(1, 4))
     # only the image of the top boundary is needed: it is reduced untracked
     assert id(c.d(4)) not in analysed
+    # the gamma LES solves in its kernel-basis inclusions and checks them
+    # injective from the same analyses
+    seen.clear()
+    assert les_for_group("gamma", preset("cyclic:2"), QQ, 1).all_exact
+    twice = [(m, k) for m, k in seen.values() if k > 1]
+    assert not twice, twice
+
+
+# -- the blocked certificate tracker against a plain Echelon, one column at a
+# time, as the independent oracle --
+
+# 100000007 forces int64 products at every test dim: (p - 1)^2 >= 2^53
+TRACKER_PRIMES = [3, 5, 7, 100_000_007]
+
+
+@st.composite
+def column_streams(draw):
+    dim = draw(st.integers(1, 12))
+    col = st.dictionaries(st.integers(0, dim - 1),
+                          st.integers(-6, 6).filter(bool), max_size=4)
+    return dim, draw(st.lists(col, max_size=40))
+
+
+def _oracle_ranks(cols, dim, p):
+    """Rank of every prefix (cols[:0], cols[:1], ...) over F_p."""
+    f = FieldTag(p)
+    ech = Echelon(f, dim)
+    ranks = [0]
+    for col in cols:
+        ech.add({r: f.of_int(v) for r, v in col.items()})
+        ranks.append(ech.rank)
+    return ranks
+
+
+def _feed(tracker, cols, batch, bound):
+    """Feed cols in batches until the rank reaches bound; returns the
+    columns consumed and the rank after each batch."""
+    used, ranks = 0, []
+    while used < len(cols) and tracker.rank < bound:
+        chunk = cols[used:used + batch]
+        used += tracker.add(chunk, bound)
+        ranks.append((used, tracker.rank))
+    return used, ranks
+
+
+def test_tracker_product_route():
+    assert all(_ModRank(12, p).float_products for p in TRACKER_PRIMES[:-1])
+    assert not _ModRank(12, TRACKER_PRIMES[-1]).float_products
+    with pytest.raises(ValueError):
+        _ModRank(12, 2_147_483_647)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(column_streams(), st.sampled_from(TRACKER_PRIMES), st.data())
+@pytest.mark.parametrize("batch", [1, TRACKER_BATCH])
+def test_blocked_tracker_matches_echelon(batch, stream, p, data):
+    dim, cols = stream
+    oracle = _oracle_ranks(cols, dim, p)
+    # no bound: every column is consumed and the rank tracks the prefix rank
+    tracker = _ModRank(dim, p)
+    used, ranks = _feed(tracker, cols, batch, dim + 1)
+    assert used == len(cols)
+    assert all(rank == oracle[k] for k, rank in ranks)
+    # the rows are the reduced row echelon form, whatever the batch size
+    reduced = list(tracker.reduced_columns())
+    for piv, col in zip(tracker.pivots, reduced):
+        assert min(col) == piv and col[piv] == 1
+        assert not set(col) & set(tracker.pivots) - {piv}
+        assert all(0 < v < p for v in col.values())
+    single = _ModRank(dim, p)
+    _feed(single, cols, 1, dim + 1)
+    assert list(single.reduced_columns()) == reduced
+    # the exhausted image spans the same space as the oracle
+    f = FieldTag(p)
+    image = Echelon(f, dim)
+    for col in reduced:
+        image.add({r: f.of_int(v) for r, v in col.items()})
+    assert image.rank == oracle[-1]
+    assert all(image.contains({r: f.of_int(v) for r, v in col.items()}) for col in cols)
+    # with a bound, the tracker stops at the first prefix reaching it
+    if oracle[-1]:
+        bound = data.draw(st.integers(1, oracle[-1]))
+        used, _ = _feed(_ModRank(dim, p), cols, batch, bound)
+        assert used == oracle.index(bound)
+
+
+def test_stream_note_is_independent_of_batch_size(monkeypatch):
+    notes = []
+    for batch in (1, TRACKER_BATCH):
+        monkeypatch.setattr(chains, "TRACKER_BATCH", batch)
+        res = les_for_group("lrel", preset("dihedral:4"), FieldTag(5), 2)
+        assert res.all_exact
+        notes.append(res.notes)
+    assert notes[0] == notes[1]
+    assert "saturated" in notes[0][0]
+
+
+def test_les_z3_over_f5_through_3():
+    # 14348907 degree-4 cells; the stream saturates after 2197 of them, the
+    # tracker running at dim 2114
+    res = les_for_group("lrel", preset("cyclic:3"), FieldTag(5), 3)
+    assert res.all_exact
+    assert res.dims == {"sub": [1, 2, 4, 8], "total": [1, 0, 0, 0],
+                        "quotient": [0, 0, 2, 4]}
+    assert ("top boundary streamed: 2197 of 14348907 degree-4 cells processed,"
+            " rank saturated at dim ker d (im = ker certified)") in res.notes
