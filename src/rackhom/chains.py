@@ -25,7 +25,7 @@ import numpy as np
 
 from .cubical import CubSet, TruncationTooLow
 from .exactfield import ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, column_space_analysis
-from .nerves import BLOCK, GroupArith, cell_digits, cell_numbers, rack_nerve
+from .nerves import BLOCK, BudgetExceeded, GroupArith, cell_digits, cell_numbers, rack_nerve
 from .racks import FiniteGroup, PointedRack, conj_rack
 from .shuffles import Permutation
 
@@ -97,19 +97,14 @@ def _boundary_keys(n: int, cubical: bool):
 
 
 def _signed_column(cells, signs, pos_of, f):
-    """The chain sum of the cells with their signs, without the degenerate
-    cells (pos_of[cell] is None) and the entries that cancel."""
+    """The chain sum of the cells with their integer signs, without the
+    degenerate cells (pos_of[cell] is None) and the entries that cancel."""
     col = {}
     for c, s in zip(cells, signs):
         t = pos_of[c]
-        if t is None:
-            continue
-        w = f.add(col.get(t, f.zero()), s)
-        if w:
-            col[t] = w
-        elif t in col:
-            del col[t]
-    return col
+        if t is not None:
+            col[t] = col.get(t, 0) + s
+    return f.vector(col)
 
 
 def build_complex(x, field: FieldTag, flavor: str = "normalized") -> ChainComplex:
@@ -136,7 +131,7 @@ def build_complex(x, field: FieldTag, flavor: str = "normalized") -> ChainComple
     boundaries = []
     for n in range(1, N + 1):
         keys = _boundary_keys(n, cubical)
-        signs = [field.of_int((-1) ** sum(key)) for key in keys]
+        signs = [(-1) ** sum(key) for key in keys]
         cols = [_signed_column([x.face(n, *key, c) for key in keys], signs,
                                pos_of[n - 1], field) for c in cell_of[n]]
         boundaries.append(Matrix(field, len(cell_of[n - 1]), len(cell_of[n]), cols))
@@ -187,15 +182,9 @@ class TensorComplex(ChainComplex):
                             for r, v in da.cols_data[i].items():
                                 col[off + r * b.dim(q) + j] = v
                         if q >= 1:
-                            off = self._offsets[n - 1][(p, q - 1)]
-                            sgn = f.of_int(1 if p % 2 == 0 else -1)
-                            for r, v in db.cols_data[j].items():
-                                key = off + i * b.dim(q - 1) + r
-                                w = f.add(col.get(key, f.zero()), f.mul(sgn, v))
-                                if w:
-                                    col[key] = w
-                                elif key in col:
-                                    del col[key]
+                            off = self._offsets[n - 1][(p, q - 1)] + i * b.dim(q - 1)
+                            f.axpy(col, {off + r: v for r, v in db.cols_data[j].items()},
+                                   (-1) ** p)
                         cols.append(col)
             boundaries.append(Matrix(f, len(labels[n - 1]), len(labels[n]), cols))
         super().__init__(f, labels, boundaries, flavor="tensor",
@@ -396,18 +385,14 @@ def eta_section(x: CubSet, field: FieldTag, up_to=None) -> GradedMap:
         cols = []
         for k in range(norm.dim(n)):
             cell = norm.cell_of_pos[n][k]
-            vec = {cell: f.one()}
+            vec = {cell: 1}
             for i in range(n, 0, -1):
                 out = dict(vec)
                 for c, v in vec.items():
                     t = x.degen(n, i, x.face(n, i, 0, c))
-                    w = f.sub(out.get(t, f.zero()), v)
-                    if w:
-                        out[t] = w
-                    elif t in out:
-                        del out[t]
+                    out[t] = out.get(t, 0) - v
                 vec = out
-            cols.append(vec)
+            cols.append(f.vector(vec))
         mats[n] = Matrix(f, unnorm.dim(n), norm.dim(n), cols)
     gm = GradedMap(norm, unnorm, mats, desc="eta")
     gm.unnormalized = unnorm
@@ -459,14 +444,9 @@ def s_map_rack_formula(g: FiniteGroup, field: FieldTag, up_to: int,
             for sign, term in _sn_terms_rack(rack, tup):
                 cell = bar.source.index(n, tuple(g.elements[a] for a in term))
                 pos = bar.cell_pos(n, cell)
-                if pos is None:
-                    continue
-                w = f.add(col.get(pos, f.zero()), f.of_int(sign))
-                if w:
-                    col[pos] = w
-                elif pos in col:
-                    del col[pos]
-            cols.append(col)
+                if pos is not None:
+                    col[pos] = col.get(pos, 0) + sign
+            cols.append(f.vector(col))
         mats[n] = Matrix(f, bar.dim(n), rack_complex.dim(n), cols)
     return GradedMap(rack_complex, bar, mats, desc="S (rack formula)")
 
@@ -507,14 +487,9 @@ def s_map_cubical(g: FiniteGroup, field: FieldTag, up_to: int,
                     mask = nmask
                 cell = bar.source.index(n, tuple(g.elements[a] for a in term))
                 pos = bar.cell_pos(n, cell)
-                if pos is None:
-                    continue
-                w = f.add(col.get(pos, f.zero()), f.of_int(sigma.sign))
-                if w:
-                    col[pos] = w
-                elif pos in col:
-                    del col[pos]
-            cols.append(col)
+                if pos is not None:
+                    col[pos] = col.get(pos, 0) + sigma.sign
+            cols.append(f.vector(col))
         mats[n] = Matrix(f, bar.dim(n), nerve_complex.dim(n), cols)
     return GradedMap(nerve_complex, bar, mats, desc="S (cubical)")
 
@@ -711,13 +686,8 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
             raise TruncationTooLow("gamma LES through %d needs cells through %d"
                                    % (max_n, max_n + 2))
         gx, gproj = gamma_functor_with_projection(x)
-        # truncate the total complex to the gamma range
-        T_full = build_complex(x, field, "normalized")
         N = gx.max_degree
-        T = ChainComplex(field, T_full.labels[:N + 1], T_full.boundaries[:N],
-                         flavor="normalized", source_kind="cubical", source=x,
-                         pos_of_cell=T_full.pos_of_cell[:N + 1],
-                         cell_of_pos=T_full.cell_of_pos[:N + 1], check=False)
+        T = build_complex(x.truncated(N), field, "normalized")
         Q = build_complex(gx, field, "normalized")
         f = field
         proj = []
@@ -944,7 +914,7 @@ def _stream_block(arith, order: int, top_degree: int, ks):
 
 
 def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
-                           field: FieldTag):
+                           field: FieldTag, cell_budget: int = 40_000_000):
     """Certify the image of the top boundary of the normalized cubical-nerve
     complex by streaming cells without materialising the top degree.
 
@@ -955,7 +925,9 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
     tracked rank reaches dim ker d_{top-1} we have im = ker exactly.
     Columns go to the tracker in batches of TRACKER_BATCH; the tracker stops
     at the column that reaches the bound, so `processed` counts the cells up
-    to and including that one, as a column-at-a-time stream would.
+    to and including that one, as a column-at-a-time stream would.  Once
+    cell_budget cells are read without saturating while cells remain, it
+    raises BudgetExceeded.
     Returns (saturated, processed, total, image); the caller takes the
     kernel basis as the image when saturated, and image (the exhausted
     tracker's echelon over the field's own prime) otherwise, when set."""
@@ -988,6 +960,10 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
     processed = 0
     saturated = tracker.rank == bound  # bound 0: nothing to do
     while not saturated and processed < M:
+        if processed >= cell_budget:
+            raise BudgetExceeded(
+                "top boundary stream read %d of %d degree-%d cells without"
+                " saturating (cell budget %d)" % (processed, M, n1, cell_budget), n1)
         batch = list(islice(stream, TRACKER_BATCH))
         if not batch:
             processed = M  # the rest of the stream is degenerate
@@ -1005,12 +981,17 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
     return saturated, processed, M, image
 
 
+# the lrel LES streams its top boundary when the top degree has more cells
+MATERIALIZE_CELLS = 3000
+
+
 def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
-                  materialize_budget: int = 3000,
                   cell_budget: int = 40_000_000) -> LESResult:
     """LES front end for group cubical nerves.  The lrel side streams the
-    top boundary once the top degree exceeds materialize_budget cells; the
-    gamma side is materialised (it needs cells two degrees up)."""
+    top boundary once the top degree exceeds MATERIALIZE_CELLS cells, and
+    raises BudgetExceeded when the stream reads cell_budget cells without
+    saturating; the gamma side is materialised (it needs cells two degrees
+    up)."""
     from .nerves import group_cubical_nerve, lnerve_inclusion_labels
 
     if kind == "gamma":
@@ -1021,7 +1002,7 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
     if kind != "lrel":
         raise ValueError("unknown LES kind %r" % (kind,))
     top_cells = g.order ** (2 ** (max_n + 1) - 1)
-    if top_cells <= materialize_budget:
+    if top_cells <= MATERIALIZE_CELLS:
         x = group_cubical_nerve(g, max_n + 1, budget=cell_budget)
         return long_exact_sequence("lrel", x, field, max_n)
     if g.order ** (2 ** max_n - 1) > 6000:
@@ -1055,16 +1036,13 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
         incl.append(Matrix(f, T.dim(n), S.dim(n), cols))
         sub_positions.append(pos)
     # the inclusion is a chain map (certifies the explicit equalizer bijection)
-    gm = GradedMap(
-        ChainComplex(f, S.labels[:max_n + 1], S.boundaries[:max_n],
-                     flavor="normalized", source_kind="sub", check=False),
-        T, {n: incl[n] for n in range(max_n + 1)}, desc="CL inclusion")
+    gm = GradedMap(S, T, {n: incl[n] for n in range(max_n + 1)}, desc="CL inclusion")
     bad = verify_chain_map(gm)
     if bad:
         raise ConstructionBug("rack-chain inclusion is not a chain map: %s" % (bad[:3],))
     # stream before building the quotient: the tracker sets the memory peak
     saturated, processed, total, exhausted_image = \
-        stream_group_top_image(g, max_n + 1, T, field)
+        stream_group_top_image(g, max_n + 1, T, field, cell_budget)
     _, Q, _, proj, section = _positional_ses(T, sub_positions, field)
     if saturated:
         notes = ["top boundary streamed: %d of %d degree-%d cells processed,"

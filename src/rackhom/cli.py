@@ -5,11 +5,12 @@ acceptance suites, all with machine-readable JSON reports.
 Exit codes: 0 all requested checks pass; 1 a check failed; 2 bad input
 (flags such as a negative --max-degree or a flag the command does not take,
 files, presets, a prime too large for the streamed certificate); 3 cell
-budget exceeded; 4 an internal invariant was violated (a construction bug,
-reported on stderr).  Reports are JSON with sorted keys; apart from the
-timing block they are byte-stable for fixed flags and seed.  Only
-rack-homology and group-homology take --csv (a degree,dim table), and only
-gl verify and suite take --seed.
+budget exceeded (a nerve, or for les a streamed top boundary that reads
+--budget cells without saturating); 4 an internal invariant was violated
+(a construction bug, reported on stderr).  Reports are JSON with sorted
+keys; apart from the timing block they are byte-stable for fixed flags and
+seed.  Only rack-homology and group-homology take --csv (a degree,dim
+table), and only gl verify and suite take --seed.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def cmd_les(args, started):
     g = _group_or_die(args.preset)
     field = _field(args.field)
     try:
-        res = les_for_group(args.kind, g, field, args.max_degree)
+        res = les_for_group(args.kind, g, field, args.max_degree, cell_budget=args.budget)
     except ValueError as exc:  # a prime too large for the int64 certificate
         raise _CliError(str(exc), 2)
     report = {"command": "les", "preset": args.preset, **res.to_jsonable(),

@@ -75,11 +75,7 @@ def _coproduct_map(C: ChainComplex, which: str) -> GradedMap:
                 if lp is None or rp is None:
                     return
                 key = T.index(n, (p, q), lp, rp)
-                w = f.add(col.get(key, f.zero()), f.of_int(coeff))
-                if w:
-                    col[key] = w
-                elif key in col:
-                    del col[key]
+                col[key] = col.get(key, 0) + coeff
 
             if n == 0:
                 add(0, 0, cell, cell, 1)
@@ -101,7 +97,7 @@ def _coproduct_map(C: ChainComplex, which: str) -> GradedMap:
                         add(0, n,
                             x.face_word(n, [(i, 0) for i in range(1, n + 1)], cell),
                             cell, 1)
-            cols.append(col)
+            cols.append(f.vector(col))
         mats[n] = Matrix(f, T.dim(n), C.dim(n), cols)
     name = {"full": "Delta", "prec": "Delta_<", "succ": "Delta_>"}[which]
     gm = GradedMap(C, T, mats, desc=name)
@@ -220,26 +216,15 @@ def induced_coproduct_components(delta: GradedMap, hs: HomologySummary,
                     by_left.setdefault(i, {})[j] = v
                 acc = {}
                 for i, vec in by_left.items():
-                    right_h = hs.project_vec(q, vec)
-                    if not right_h:
-                        continue
-                    for hj, hv in right_h.items():
-                        key = (i, hj)
-                        acc[key] = f.add(acc.get(key, f.zero()), hv)
+                    f.axpy(acc, {(i, hj): hv for hj, hv in hs.project_vec(q, vec).items()})
                 # now project the left factor
                 by_right = {}
                 for (i, hj), v in acc.items():
                     by_right.setdefault(hj, {})[i] = v
                 col = {}
                 for hj, vec in by_right.items():
-                    left_h = hs.project_vec(p, vec)
-                    for hi, hv in left_h.items():
-                        key = hi * hs.dims[q] + hj
-                        w = f.add(col.get(key, f.zero()), hv)
-                        if w:
-                            col[key] = w
-                        elif key in col:
-                            del col[key]
+                    f.axpy(col, {hi * hs.dims[q] + hj: hv
+                                 for hi, hv in hs.project_vec(p, vec).items()})
                 cols.append(col)
             out[(p, q)] = Matrix(f, hs.dims[p] * hs.dims[q], hs.dims[n], cols)
     return out
@@ -559,7 +544,7 @@ def half_shuffle_model(generator_degrees, max_weight: int) -> GradedCoalgebra:
             L = len(w)
             # counital edge
             by_comp.setdefault((n, 0), [dict() for _ in words[n]])
-            by_comp[(n, 0)][k][k * 1 + 0] = f.one()
+            by_comp[(n, 0)][k][k * 1 + 0] = 1
             if L < 2:
                 continue
             wdegs = [degs[a] for a in w]
@@ -573,14 +558,9 @@ def half_shuffle_model(generator_degrees, max_weight: int) -> GradedCoalgebra:
                     q = n - p
                     comp = by_comp.setdefault((p, q), [dict() for _ in words[n]])
                     key = index[p][left] * dims[q] + index[q][right]
-                    w0 = comp[k].get(key, f.zero())
-                    w1 = f.add(w0, f.of_int(sign))
-                    if w1:
-                        comp[k][key] = w1
-                    elif key in comp[k]:
-                        del comp[k][key]
+                    comp[k][key] = comp[k].get(key, 0) + sign
         for (p, q), cols in by_comp.items():
-            prec[(p, q)] = Matrix(f, dims[p] * dims[q], dims[n], cols)
+            prec[(p, q)] = Matrix(f, dims[p] * dims[q], dims[n], [f.vector(c) for c in cols])
     for p in range(0, max_weight + 1):
         for q in range(0, max_weight - p + 1):
             cols = []
@@ -623,12 +603,8 @@ def antisymmetrization_compare(group, field: FieldTag, max_n: int) -> dict:
                 if pos is None:
                     continue
                 count += 1
-                w = f.add(want.get(pos, f.zero()), f.of_int(sigma.sign))
-                if w:
-                    want[pos] = w
-                elif pos in want:
-                    del want[pos]
-            if s.mat(n).column(k) != want:
+                want[pos] = want.get(pos, 0) + sigma.sign
+            if s.mat(n).column(k) != f.vector(want):
                 report["matches_antisymmetrization"] = False
         report["term_counts"][n] = count
         if n >= 2:
@@ -639,14 +615,7 @@ def antisymmetrization_compare(group, field: FieldTag, max_n: int) -> dict:
                     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
                     k2 = src.pos_of_cell[n][src.source.index(
                         n, tuple(group.elements[a] for a in swapped))]
-                    su = s.mat(n).column(k)
-                    for r, v in s.mat(n).column(k2).items():
-                        w = f.add(su.get(r, f.zero()), v)
-                        if w:
-                            su[r] = w
-                        elif r in su:
-                            del su[r]
-                    if su:
+                    if f.axpy(s.mat(n).column(k), s.mat(n).cols_data[k2]):
                         report["kills_symmetric"] = False
     return report
 
@@ -674,11 +643,7 @@ def rack_half_coproduct_formula(C: ChainComplex, rack) -> GradedMap:
                 if lp is None or rp is None:
                     return
                 key = T.index(n, (p, q), lp, rp)
-                w = f.add(col.get(key, f.zero()), f.of_int(coeff))
-                if w:
-                    col[key] = w
-                elif key in col:
-                    del col[key]
+                col[key] = col.get(key, 0) + coeff
 
             add(n, 0, tup, (), 1)
             for p in range(1, n):
@@ -693,7 +658,7 @@ def rack_half_coproduct_formula(C: ChainComplex, rack) -> GradedMap:
                             v = rack.op[v][tup[a - 1]]
                         right.append(v)
                     add(p, q, left, tuple(right), sign)
-            cols.append(col)
+            cols.append(f.vector(col))
         mats[n] = Matrix(f, T.dim(n), C.dim(n), cols)
     gm = GradedMap(C, T, mats, desc="Delta_< (tuple formula)")
     gm.tensor = T
@@ -731,14 +696,9 @@ def bar_shuffle_product(C: ChainComplex, group) -> GradedMap:
                     for word, sign in terms:
                         cell = nerve.index(n, tuple(group.elements[a] for a in word))
                         pos = C.cell_pos(n, cell)
-                        if pos is None:
-                            continue
-                        w = f.add(cols[src].get(pos, f.zero()), f.of_int(sign))
-                        if w:
-                            cols[src][pos] = w
-                        elif pos in cols[src]:
-                            del cols[src][pos]
-        mats[n] = Matrix(f, C.dim(n), T.dim(n), cols)
+                        if pos is not None:
+                            cols[src][pos] = cols[src].get(pos, 0) + sign
+        mats[n] = Matrix(f, C.dim(n), T.dim(n), [f.vector(col) for col in cols])
     star = GradedMap(T, C, mats, desc="bar shuffle product")
     star.tensor = T
     return star

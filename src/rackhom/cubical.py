@@ -89,6 +89,13 @@ class CubSet:
             out.update(self._degen[(n, i)])
         return out
 
+    def truncated(self, n: int) -> "CubSet":
+        """The cells and structure maps through degree n."""
+        return CubSet(n, self.labels[:n + 1],
+                      {k: t for k, t in self._face.items() if k[0] <= n},
+                      {k: t for k, t in self._degen.items() if k[0] <= n},
+                      is_lset=self.is_lset)
+
     # -- validation --------------------------------------------------------
 
     def validate(self):

@@ -6,6 +6,11 @@ of boundary matrices over Q or F_p.  Matrices are stored column-sparse
 field elements are ints in [0, p).  All values are canonical on entry, so
 equality is structural.
 
+One sparse-accumulate kernel: every  acc += a * vec  on sparse vectors is
+`FieldTag.axpy`, which reduces mod p and drops the entries that cancel, and
+every chain sum with integer coefficients is accumulated in plain ints and
+converted once by `FieldTag.vector`.  No other code adds sparse vectors.
+
 One echelon per matrix: `column_space_analysis` eliminates a matrix once,
 and its rank, kernel, image and every solve are read from that `Echelon`.
 Tagged columns are tracked as combinations of the tagged inputs; untagged
@@ -70,12 +75,6 @@ class FieldTag:
             return Fraction(s)
         return int(s) % self.p
 
-    def add(self, a, b):
-        return a + b if self.p == 0 else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p == 0 else (a - b) % self.p
-
     def mul(self, a, b):
         return a * b if self.p == 0 else (a * b) % self.p
 
@@ -91,6 +90,33 @@ class FieldTag:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def axpy(self, acc: dict, vec: dict, a=None) -> dict:
+        """acc += a * vec in place (a = 1 when None), reduced mod p, without
+        the entries that cancel; returns acc.  The entries of vec are field
+        elements; a may be any integer or field element."""
+        p = self.p
+        for k, v in vec.items():
+            if a is not None:
+                v = a * v
+            w = acc[k] + v if k in acc else v
+            if p:
+                w %= p
+            if w:
+                acc[k] = w
+            elif k in acc:
+                del acc[k]
+        return acc
+
+    def vector(self, ints: dict) -> dict:
+        """The sparse vector of integer coefficients ints, as field elements
+        without the zero entries."""
+        out = {}
+        for k, n in ints.items():
+            v = self.of_int(n)
+            if v:
+                out[k] = v
+        return out
 
     def to_str(self, a) -> str:
         return str(a)
@@ -196,29 +222,19 @@ class Matrix:
             raise FieldMismatch("%s vs %s" % (self.field, other.field))
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, None)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Matrix", a) -> "Matrix":
+        """self + a * other (a = 1 when None)."""
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("add shape mismatch")
         f = self.field
-        cols = []
-        for a, b in zip(self.cols_data, other.cols_data):
-            c = dict(a)
-            for r, v in b.items():
-                w = f.add(c.get(r, f.zero()), v)
-                if w:
-                    c[r] = w
-                elif r in c:
-                    del c[r]
-            cols.append(c)
-        return Matrix(f, self.rows, self.cols, cols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scaled(self.field.of_int(-1))
-
-    def scaled(self, a) -> "Matrix":
-        f = self.field
         return Matrix(f, self.rows, self.cols,
-                      [{r: f.mul(a, v) for r, v in c.items()} for c in self.cols_data])
+                      [f.axpy(dict(c), oc, a) for c, oc in zip(self.cols_data, other.cols_data)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -229,12 +245,7 @@ class Matrix:
         for bc in other.cols_data:
             acc: dict = {}
             for k, bv in bc.items():
-                for r, av in self.cols_data[k].items():
-                    w = f.add(acc.get(r, f.zero()), f.mul(av, bv))
-                    if w:
-                        acc[r] = w
-                    elif r in acc:
-                        del acc[r]
+                f.axpy(acc, self.cols_data[k], bv)
             out.append(acc)
         return Matrix(f, self.rows, other.cols, out)
 
@@ -245,12 +256,7 @@ class Matrix:
         for k, bv in vec.items():
             if not (0 <= k < self.cols):
                 raise ShapeError("vector index out of range")
-            for r, av in self.cols_data[k].items():
-                w = f.add(acc.get(r, f.zero()), f.mul(av, bv))
-                if w:
-                    acc[r] = w
-                elif r in acc:
-                    del acc[r]
+            f.axpy(acc, self.cols_data[k], bv)
         return acc
 
     def transpose(self) -> "Matrix":
@@ -304,20 +310,10 @@ class Echelon:
         col = {r: v for r, v in col.items() if v}
         for prow, pcol, pcombo in self.pivots:
             if prow in col:
-                factor = f.div(col[prow], pcol[prow])
-                for r, v in pcol.items():
-                    w = f.sub(col.get(r, f.zero()), f.mul(factor, v))
-                    if w:
-                        col[r] = w
-                    elif r in col:
-                        del col[r]
+                factor = -f.div(col[prow], pcol[prow])
+                f.axpy(col, pcol, factor)
                 if combo is not None and pcombo is not None:
-                    for r, v in pcombo.items():
-                        w = f.sub(combo.get(r, f.zero()), f.mul(factor, v))
-                        if w:
-                            combo[r] = w
-                        elif r in combo:
-                            del combo[r]
+                    f.axpy(combo, pcombo, factor)
         return col, combo
 
     def contains(self, col: dict) -> bool:

@@ -304,6 +304,19 @@ def test_les_gamma_z2():
     assert res.all_exact
 
 
+def test_gamma_les_builds_no_degree_above_max_n_plus_1(monkeypatch):
+    built = []
+    orig = chains.build_complex
+
+    def recording(x, *args, **kwargs):
+        built.append(x.max_degree)
+        return orig(x, *args, **kwargs)
+
+    monkeypatch.setattr(chains, "build_complex", recording)
+    assert les_for_group("gamma", preset("cyclic:2"), QQ, 1).all_exact
+    assert built and max(built) <= 2, built
+
+
 def test_les_generic_cubset_input():
     x = group_cubical_nerve(preset("cyclic:2"), 3)
     res = long_exact_sequence("lrel", x, QQ, 2)

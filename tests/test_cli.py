@@ -62,10 +62,15 @@ def test_group_preset_for_rack_homology_exit_2():
     assert proc.returncode == 2
 
 
-def test_budget_exceeded_exit_3():
-    proc = run_cli("nerve", "export", "--preset", "symmetric:3",
-                   "--max-degree", "4", "--budget", "1000")
+@pytest.mark.parametrize("argv", [
+    ("nerve", "export", "--preset", "symmetric:3", "--max-degree", "4", "--budget", "1000"),
+    # the streamed top boundary exhausts 16384 cells without saturating
+    ("les", "--preset", "cyclic:4", "--field", "f2", "--max-degree", "2", "--budget", "1000"),
+])
+def test_budget_exceeded_exit_3(argv):
+    proc = run_cli(*argv)
     assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,7 +28,7 @@ def test_field_tag_validation():
 
 def test_prime_field_ops():
     f5 = FieldTag(5)
-    assert f5.add(3, 4) == 2
+    assert f5.axpy({0: 3}, {0: 4}) == {0: 2}
     assert f5.inv(2) == 3
     assert f5.of_int(-1) == 4
 
@@ -217,3 +217,31 @@ def test_solve_matches_sympy_consistency(rows, data):
     else:
         assert x is None
     assert solve_in_image(m, v) == x
+
+
+# -- the sparse-accumulate kernel against a dense reference --------------------
+
+sparse_ints = st.dictionaries(st.integers(0, 7), st.integers(-4, 4), max_size=6)
+
+
+@PROPERTY
+@given(st.sampled_from([0, 2, 3, 100000007]), sparse_ints, sparse_ints,
+       st.none() | st.integers(-4, 4), st.booleans())
+def test_axpy_matches_dense_reference(p, acc_ints, vec_ints, a, a_in_field):
+    f = FieldTag(p)
+    acc, vec = f.vector(acc_ints), f.vector(vec_ints)
+    coeff = 1 if a is None else a
+    want = [f.of_int(acc_ints.get(k, 0) + coeff * vec_ints.get(k, 0)) for k in range(8)]
+    out = f.axpy(acc, vec, f.of_int(a) if a_in_field and a is not None else a)
+    assert out is acc
+    assert [out.get(k, f.zero()) for k in range(8)] == want
+    assert all(v for v in out.values())
+    assert all(isinstance(v, Fraction) if p == 0 else 0 < v < p for v in out.values())
+
+
+@PROPERTY
+@given(st.sampled_from([0, 2, 3, 100000007]), sparse_ints)
+def test_vector_is_of_int_without_zeros(p, ints):
+    f = FieldTag(p)
+    assert f.vector(ints) == {k: f.of_int(v) for k, v in ints.items() if f.of_int(v)}
+    assert all(f.vector(ints).values())
