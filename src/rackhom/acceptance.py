@@ -39,7 +39,7 @@ from .glstable import RingTag, pontryagin_rack_product, verify_matrix_lemmas
 from .nerves import (
     bar_nerve,
     group_cubical_nerve,
-    lnerve_inclusion_labels,
+    lnerve_inclusion,
     rack_nerve,
     validate_simplicial,
 )
@@ -124,19 +124,8 @@ def criterion_4(seed=0):
     for name, depth in cases:
         g = preset(name)
         r = conj_rack(g)
-        x = group_cubical_nerve(g, depth, budget=10 ** 7,
-                                validate=(g.order ** (2 ** depth - 1) <= 4096))
-        lx = l_functor(x)
-        rn = rack_nerve(r, depth)
-        maps = []
-        for n in range(depth + 1):
-            col = []
-            for c in range(rn.n_cells(n)):
-                tup = tuple(g.elements.index(e) for e in rn.label(n, c))
-                lbl = tuple(g.elements[a] for a in lnerve_inclusion_labels(g, tup))
-                col.append(lx.index(n, lbl))
-            maps.append(col)
-        good = verify_cubset_map(rn, lx, maps)
+        lx = l_functor(group_cubical_nerve(g, depth, budget=10 ** 7))
+        good = verify_cubset_map(rack_nerve(r, depth), lx, lnerve_inclusion(g, lx))
         results["%s depth %d" % (name, depth)] = good
         ok = ok and good
     return {"ok": ok, "cases": results}

@@ -14,12 +14,17 @@ requires boundaries through degree n+1; at the top degree that boundary may
 be supplied as a streamed column echelon instead of a matrix (the group
 cubical nerve grows like |G|^(2^n - 1), so the top is never materialised for
 the larger groups).
+
+A boundary and the comparison map S are both signed sums of cell maps: one
+table of target cells per face, or per permutation, read off whole tables
+(face tables, or numpy gathers on the digit rows of all source cells at
+once), then summed column by column by _signed_matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from itertools import islice
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -107,6 +112,15 @@ def _signed_column(cells, signs, pos_of, f):
     return f.vector(col)
 
 
+def _signed_matrix(tables, signs, pos_of, rows, f):
+    """The matrix with rows rows whose column j is _signed_column of the
+    cells tables[t][j], one table of target cells per term t, with the
+    integer signs[t]: a boundary (one term per face) or the comparison map
+    S (one term per permutation)."""
+    cols = [_signed_column(cells, signs, pos_of, f) for cells in zip(*tables)]
+    return Matrix(f, rows, len(cols), cols)
+
+
 def build_complex(x, field: FieldTag, flavor: str = "normalized") -> ChainComplex:
     """Chain complex of a cubical or simplicial set over the given field."""
     cubical = isinstance(x, CubSet)
@@ -131,10 +145,10 @@ def build_complex(x, field: FieldTag, flavor: str = "normalized") -> ChainComple
     boundaries = []
     for n in range(1, N + 1):
         keys = _boundary_keys(n, cubical)
-        signs = [(-1) ** sum(key) for key in keys]
-        cols = [_signed_column([x.face(n, *key, c) for key in keys], signs,
-                               pos_of[n - 1], field) for c in cell_of[n]]
-        boundaries.append(Matrix(field, len(cell_of[n - 1]), len(cell_of[n]), cols))
+        cells = np.asarray(cell_of[n], dtype=np.intp)
+        tables = [np.asarray(x._face[(n, *key)], dtype=np.intp)[cells].tolist() for key in keys]
+        boundaries.append(_signed_matrix(tables, [(-1) ** sum(key) for key in keys],
+                                         pos_of[n - 1], len(cell_of[n - 1]), field))
     return ChainComplex(field, labels, boundaries, flavor=flavor,
                         source_kind="cubical" if cubical else "simplicial",
                         source=x, pos_of_cell=pos_of, cell_of_pos=cell_of)
@@ -402,96 +416,60 @@ def eta_section(x: CubSet, field: FieldTag, up_to=None) -> GradedMap:
 # -- the comparison map S -----------------------------------------------------
 
 
-def _sn_terms_rack(rack: PointedRack, tup):
-    """Terms of S_n on a rack-nerve cell: for each permutation, position i
-    carries x_{sigma(i)} conjugated by the earlier-placed larger values, in
-    increasing order."""
-    from itertools import permutations as iperm
-
-    n = len(tup)
-    out = []
-    for images in iperm(range(1, n + 1)):
-        sigma = Permutation(images)
-        term = []
-        for i in range(1, n + 1):
-            v = tup[images[i - 1] - 1]
-            conj = sorted(a for a in images[:i - 1] if a > images[i - 1])
-            for a in conj:
-                v = rack.op[v][tup[a - 1]]
-            term.append(v)
-        out.append((sigma.sign, tuple(term)))
-    return out
+def _s_map(source, bar, order, width, term, desc):
+    """S_n = sum over the permutations sigma of sign(sigma) * term(rows,
+    sigma), where rows are the digit rows (width(n) digits) of the source
+    basis cells and term returns the digit rows of the bar cells, n digits
+    each.  Bar cells are numbered in itertools.product order as well."""
+    mats = {}
+    for n in range(source.max_degree + 1):
+        rows = cell_digits(source.cell_of_pos[n], order, width(n))
+        perms = list(permutations(range(n)))
+        signs = [Permutation(tuple(a + 1 for a in sigma)).sign for sigma in perms]
+        tables = [cell_numbers(term(rows, sigma), order) for sigma in perms]
+        mats[n] = _signed_matrix(tables, signs, bar.pos_of_cell[n], bar.dim(n), source.field)
+    return GradedMap(source, bar, mats, desc=desc)
 
 
-def s_map_rack_formula(g: FiniteGroup, field: FieldTag, up_to: int,
-                       bar=None, rack_complex=None) -> GradedMap:
-    """S: normalized rack chains of Conj(G) -> normalized bar chains."""
+def s_map_rack_formula(g: FiniteGroup, field: FieldTag, up_to: int, bar=None) -> GradedMap:
+    """S: normalized rack chains of Conj(G) -> normalized bar chains.  The
+    term of sigma carries x_{sigma(i)} at position i, acted on by the
+    earlier-placed larger values, in increasing order."""
     from .nerves import bar_nerve
 
     rack = conj_rack(g)
-    if rack_complex is None:
-        rack_complex = build_complex(rack_nerve(rack, up_to), field, "normalized")
     if bar is None:
         bar = build_complex(bar_nerve(g, up_to), field, "normalized")
-    f = field
-    mats = {}
-    for n in range(up_to + 1):
-        cols = []
-        for k in range(rack_complex.dim(n)):
-            lbl = rack_complex.label(n, k)
-            tup = tuple(rack.elements.index(e) for e in lbl)
-            col = {}
-            for sign, term in _sn_terms_rack(rack, tup):
-                cell = bar.source.index(n, tuple(g.elements[a] for a in term))
-                pos = bar.cell_pos(n, cell)
-                if pos is not None:
-                    col[pos] = col.get(pos, 0) + sign
-            cols.append(f.vector(col))
-        mats[n] = Matrix(f, bar.dim(n), rack_complex.dim(n), cols)
-    return GradedMap(rack_complex, bar, mats, desc="S (rack formula)")
+    op = np.array(rack.op)
+
+    def term(rows, sigma):
+        out = rows[:, list(sigma)]
+        for i, b in enumerate(sigma):
+            for a in sorted(a for a in sigma[:i] if a > b):
+                out[:, i] = op[out[:, i], rows[:, a]]
+        return out
+
+    return _s_map(build_complex(rack_nerve(rack, up_to), field, "normalized"), bar,
+                  g.order, lambda n: n, term, "S (rack formula)")
 
 
-def s_map_cubical(g: FiniteGroup, field: FieldTag, up_to: int,
-                  nerve_complex=None, bar=None) -> GradedMap:
-    """S: normalized cubical-nerve chains -> normalized bar chains,
-    S_n = sum over permutations of sign * (pullback along the chain of
-    subsets {sigma(1)}, {sigma(1),sigma(2)}, ...)."""
-    from itertools import permutations as iperm
-
+def s_map_cubical(g: FiniteGroup, field: FieldTag, up_to: int, bar=None) -> GradedMap:
+    """S: normalized cubical-nerve chains -> normalized bar chains; the term
+    of sigma pulls back along the chain of subsets {sigma(1)},
+    {sigma(1),sigma(2)}, ...: entry i is v(A_{i-1})^-1 v(A_i)."""
     from .nerves import bar_nerve, group_cubical_nerve
 
-    if nerve_complex is None:
-        nerve_complex = build_complex(group_cubical_nerve(g, up_to), field, "normalized")
     if bar is None:
         bar = build_complex(bar_nerve(g, up_to), field, "normalized")
-    x = nerve_complex.source
-    f = field
-    mats = {}
-    for n in range(up_to + 1):
-        cols = []
-        for k in range(nerve_complex.dim(n)):
-            lbl = nerve_complex.label(n, k)
-            v = tuple(g.elements.index(e) for e in lbl)  # mask-1 -> element
+    arith = GroupArith(g)
 
-            def vertex(mask):
-                return g.unit if mask == 0 else v[mask - 1]
+    def term(rows, sigma):
+        v = np.insert(rows, 0, g.unit, axis=1)  # column m holds v(m)
+        masks = np.cumsum([0] + [1 << a for a in sigma])
+        return arith.mul[arith.inv[v[:, masks[:-1]]], v[:, masks[1:]]]
 
-            col = {}
-            for images in iperm(range(1, n + 1)):
-                sigma = Permutation(images)
-                term = []
-                mask = 0
-                for i in range(n):
-                    nmask = mask | (1 << (images[i] - 1))
-                    term.append(g.mul[g.inv[vertex(mask)]][vertex(nmask)])
-                    mask = nmask
-                cell = bar.source.index(n, tuple(g.elements[a] for a in term))
-                pos = bar.cell_pos(n, cell)
-                if pos is not None:
-                    col[pos] = col.get(pos, 0) + sigma.sign
-            cols.append(f.vector(col))
-        mats[n] = Matrix(f, bar.dim(n), nerve_complex.dim(n), cols)
-    return GradedMap(nerve_complex, bar, mats, desc="S (cubical)")
+    return _s_map(build_complex(group_cubical_nerve(g, up_to), field, "normalized"), bar,
+                  g.order, lambda n: 2 ** n - 1, term, "S (cubical)")
 
 
 # -- long exact sequences ------------------------------------------------------
@@ -992,12 +970,11 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
     raises BudgetExceeded when the stream reads cell_budget cells without
     saturating; the gamma side is materialised (it needs cells two degrees
     up)."""
-    from .nerves import group_cubical_nerve, lnerve_inclusion_labels
+    from .nerves import group_cubical_nerve, lnerve_inclusion
 
     if kind == "gamma":
         # the quotient side needs cells two degrees up, all materialised
-        x = group_cubical_nerve(g, max_n + 2, budget=min(cell_budget, 200_000),
-                                validate=(g.order ** (2 ** (max_n + 2) - 1) <= 4096))
+        x = group_cubical_nerve(g, max_n + 2, budget=min(cell_budget, 200_000))
         return long_exact_sequence("gamma", x, field, max_n)
     if kind != "lrel":
         raise ValueError("unknown LES kind %r" % (kind,))
@@ -1012,23 +989,17 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
         raise TruncationTooLow(
             "degree %d of the cubical nerve of %s is beyond the cell budget"
             % (max_n, g.name or "G"))
-    x = group_cubical_nerve(g, max_n, budget=cell_budget,
-                            validate=(g.order ** (2 ** max_n - 1) <= 4096))
+    x = group_cubical_nerve(g, max_n, budget=cell_budget)
     T = build_complex(x, field, "normalized")
-    rack = conj_rack(g)
-    rn = rack_nerve(rack, max_n + 1)
-    S = build_complex(rn, field, "normalized")
+    S = build_complex(rack_nerve(conj_rack(g), max_n + 1), field, "normalized")
     f = field
     incl = []
     sub_positions = []
-    for n in range(max_n + 1):
+    for n, cells in enumerate(lnerve_inclusion(g, x)):
         cols = []
         pos = set()
-        for k in range(S.dim(n)):
-            tup = tuple(rack.elements.index(e) for e in S.label(n, k))
-            v = lnerve_inclusion_labels(g, tup)
-            lbl = tuple(g.elements[a] for a in v)
-            p = T.cell_pos(n, x.index(n, lbl))
+        for c in S.cell_of_pos[n]:
+            p = T.cell_pos(n, cells[c])
             if p is None:
                 raise ConstructionBug("rack cell mapped to a degenerate nerve cell")
             cols.append({p: f.one()})

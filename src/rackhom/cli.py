@@ -243,24 +243,14 @@ def cmd_gl_verify(args, started):
 
 def cmd_verify_lset_iso(args, started):
     from .cubical import l_functor, verify_cubset_map
-    from .nerves import group_cubical_nerve, lnerve_inclusion_labels, rack_nerve
+    from .nerves import group_cubical_nerve, lnerve_inclusion, rack_nerve
     from .racks import conj_rack
 
     g = _group_or_die(args.preset)
     depth = args.max_degree
-    x = group_cubical_nerve(g, depth, budget=args.budget,
-                            validate=(g.order ** (2 ** depth - 1) <= 4096))
-    lx = l_functor(x)
+    lx = l_functor(group_cubical_nerve(g, depth, budget=args.budget))
     rn = rack_nerve(conj_rack(g), depth)
-    maps = []
-    for n in range(depth + 1):
-        col = []
-        for c in range(rn.n_cells(n)):
-            tup = tuple(g.elements.index(e) for e in rn.label(n, c))
-            lbl = tuple(g.elements[a] for a in lnerve_inclusion_labels(g, tup))
-            col.append(lx.index(n, lbl))
-        maps.append(col)
-    ok = verify_cubset_map(rn, lx, maps)
+    ok = verify_cubset_map(rn, lx, lnerve_inclusion(g, lx))
     report = {"command": "verify lset-iso", "preset": args.preset,
               "max_degree": depth,
               "cells": [rn.n_cells(n) for n in range(depth + 1)], "ok": ok}

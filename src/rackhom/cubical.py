@@ -6,7 +6,11 @@ A CubSet stores cells per degree as indices 0..k-1 with a side table of
 human-readable labels, face tables d_{i,eps} (1 <= i <= n, eps in {0,1}) and
 degeneracy tables s_i (1 <= i <= n, mapping degree n-1 into degree n).  All
 structure maps honour the cubical identities; `validate_cubical` checks
-every instance exhaustively and returns a report.
+every instance on every cell and returns a report.  It reads only the
+tables: each identity is one comparison of two composed index arrays
+(tables_by_degree, mismatches), so it does not share code with the nerve
+kernel that builds them.  The simplicial validator and verify_cubset_map
+work the same way.
 
 Composition convention: "d_{i,eps} d_{j,omega}" etc. are written as function
 composition (right map applied first).  The identities checked are
@@ -23,6 +27,8 @@ from __future__ import annotations
 import json
 import warnings
 from itertools import combinations
+
+import numpy as np
 
 
 class InternalInvariantViolation(AssertionError):
@@ -106,60 +112,67 @@ class CubSet:
         return self
 
 
-def validate_cubical(x: CubSet):
-    """Exhaustively check every cubical identity instance on every cell.
+def tables_by_degree(x, up_to=None):
+    """Yield (n, faces, degens, faces of n-1, degens of n-1) for n = 1..up_to
+    (default x.max_degree), read from x._face and x._degen as index arrays:
+    faces[key] maps X_n -> X_{n-1} (key is (i, eps) on a cubical set, i on a
+    simplicial one) and degens[i] is s_i: X_{n-1} -> X_n.  Only two adjacent
+    degrees are held as arrays at a time, as int32 (half the memory of intp;
+    a materialised degree has far fewer than 2^31 cells)."""
+    prev = ({}, {})
+    for n in range(1, (x.max_degree if up_to is None else up_to) + 1):
+        cur = ({k[1:] if len(k) == 3 else k[1]: np.asarray(t, dtype=np.int32)
+                for k, t in x._face.items() if k[0] == n},
+               {i: np.asarray(x._degen[(n, i)], dtype=np.int32) for i in range(1, n + 1)})
+        yield (n,) + cur + prev
+        prev = cur
 
-    Returns a list of violations (degree, cell label, identity description);
+
+def mismatches(bad, x, n, lhs, rhs, desc):
+    """Append (n, label, desc) for every degree-n cell where the composed
+    tables lhs and rhs differ, in cell order."""
+    bad.extend((n, x.label(n, c), desc) for c in np.flatnonzero(lhs != rhs).tolist())
+
+
+def validate_cubical(x: CubSet):
+    """Check every cubical identity instance on every cell, one whole
+    composed table per identity.
+
+    Returns a list of violations (degree, cell label, identity description),
+    grouped by identity family (face-face, degeneracy-degeneracy, mixed,
+    first-face equalizer), then by degree and identity, then by cell; an
     empty list means the structure is a genuine truncated cubical set.
     """
-    bad = []
-    N = x.max_degree
-    # face-face: cells of degree n >= 2
-    for n in range(2, N + 1):
+    ff, ss, ds, eq = [], [], [], []
+    if x.is_lset and x.n_cells(0) != 1:
+        eq.append((0, None, "is_lset but |X_0| != 1"))
+    for n, d, s, d0, s0 in tables_by_degree(x):
         for i in range(1, n + 1):
             for k in range(i + 1, n + 1):
                 for eps in (0, 1):
                     for om in (0, 1):
-                        for c in range(x.n_cells(n)):
-                            lhs = x.face(n - 1, i, eps, x.face(n, k, om, c))
-                            rhs = x.face(n - 1, k - 1, om, x.face(n, i, eps, c))
-                            if lhs != rhs:
-                                bad.append((n, x.label(n, c),
-                                            "d_%d,%d d_%d,%d != d_%d,%d d_%d,%d" % (i, eps, k, om, k - 1, om, i, eps)))
-    # degen-degen: maps X_{n-1} -> X_{n+1}
-    for n in range(1, N):
-        for i in range(1, n + 2):
-            for k in range(i, n + 1):
-                for c in range(x.n_cells(n - 1)):
-                    lhs = x.degen(n + 1, i, x.degen(n, k, c))
-                    rhs = x.degen(n + 1, k + 1, x.degen(n, i, c))
-                    if lhs != rhs:
-                        bad.append((n - 1, x.label(n - 1, c),
-                                    "s_%d s_%d != s_%d s_%d" % (i, k, k + 1, i)))
-    # mixed: s_i : X_{n-1} -> X_n then d_{k,eps}
-    for n in range(1, N + 1):
+                        mismatches(ff, x, n, d0[i, eps][d[k, om]], d0[k - 1, om][d[i, eps]],
+                                   "d_%d,%d d_%d,%d != d_%d,%d d_%d,%d"
+                                   % (i, eps, k, om, k - 1, om, i, eps))
+        # s_i s_k = s_{k+1} s_i on X_{n-2} -> X_n
+        for i in range(1, n + 1):
+            for k in range(i, n):
+                mismatches(ss, x, n - 2, s[i][s0[k]], s[k + 1][s0[i]],
+                           "s_%d s_%d != s_%d s_%d" % (i, k, k + 1, i))
         for i in range(1, n + 1):
             for k in range(1, n + 1):
                 for eps in (0, 1):
-                    for c in range(x.n_cells(n - 1)):
-                        got = x.face(n, k, eps, x.degen(n, i, c))
-                        if i == k:
-                            want = c
-                        elif i < k:
-                            want = x.degen(n - 1, i, x.face(n - 1, k - 1, eps, c))
-                        else:
-                            want = x.degen(n - 1, i - 1, x.face(n - 1, k, eps, c))
-                        if got != want:
-                            bad.append((n - 1, x.label(n - 1, c),
-                                        "d_%d,%d s_%d violation" % (k, eps, i)))
-    if x.is_lset:
-        if x.n_cells(0) != 1:
-            bad.append((0, None, "is_lset but |X_0| != 1"))
-        for n in range(1, N + 1):
-            for c in range(x.n_cells(n)):
-                if x.face(n, 1, 0, c) != x.face(n, 1, 1, c):
-                    bad.append((n, x.label(n, c), "is_lset but d_1,0 != d_1,1"))
-    return bad
+                    if i == k:
+                        want = np.arange(len(s[i]))
+                    elif i < k:
+                        want = s0[i][d0[k - 1, eps]]
+                    else:
+                        want = s0[i - 1][d0[k, eps]]
+                    mismatches(ds, x, n - 1, d[k, eps][s[i]], want,
+                               "d_%d,%d s_%d violation" % (k, eps, i))
+        if x.is_lset:
+            mismatches(eq, x, n, d[1, 0], d[1, 1], "is_lset but d_1,0 != d_1,1")
+    return ff + ss + ds + eq
 
 
 # -- the cube category ------------------------------------------------------
@@ -184,10 +197,6 @@ def cube_morphisms(m: int, n: int):
                     out.append(tuple(word[p] for p in range(n)))
     out.sort()
     return out
-
-
-def morphism_source_degree(f) -> int:
-    return max((e[1] for e in f if e[0] == "v"), default=0)
 
 
 def precompose_delta(f, i: int, eps: int):
@@ -429,23 +438,17 @@ def gamma_functor_with_projection(x: CubSet):
 
 def verify_cubset_map(x: CubSet, y: CubSet, maps, up_to=None) -> bool:
     """Check that maps[n]: cells(x,n) -> cells(y,n) is a degreewise bijection
-    commuting with every face and degeneracy (cell-by-cell)."""
+    commuting with every face and degeneracy (whole tables at a time)."""
     N = min(x.max_degree, y.max_degree) if up_to is None else up_to
+    m = [np.asarray(maps[n], dtype=np.intp) for n in range(N + 1)]
     for n in range(N + 1):
-        if x.n_cells(n) != y.n_cells(n):
+        if x.n_cells(n) != y.n_cells(n) or \
+                not np.array_equal(np.sort(m[n]), np.arange(x.n_cells(n))):
             return False
-        if sorted(maps[n]) != list(range(x.n_cells(n))) or \
-                sorted(set(maps[n])) != list(range(y.n_cells(n))):
+    for (n, dx, sx, _, _), (_, dy, sy, _, _) in zip(tables_by_degree(x, N), tables_by_degree(y, N)):
+        if any((m[n - 1][dx[key]] != dy[key][m[n]]).any() for key in dx) or \
+                any((m[n][sx[i]] != sy[i][m[n - 1]]).any() for i in sx):
             return False
-    for n in range(1, N + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                for c in range(x.n_cells(n)):
-                    if maps[n - 1][x.face(n, i, eps, c)] != y.face(n, i, eps, maps[n][c]):
-                        return False
-            for c in range(x.n_cells(n - 1)):
-                if maps[n][x.degen(n, i, c)] != y.degen(n, i, maps[n - 1][c]):
-                    return False
     return True
 
 

@@ -69,12 +69,6 @@ class FieldTag:
     def of_int(self, n: int):
         return Fraction(n) if self.p == 0 else n % self.p
 
-    def of_str(self, s: str):
-        """Parse "a" or "a/b" (the JSON wire format for scalars)."""
-        if self.p == 0:
-            return Fraction(s)
-        return int(s) % self.p
-
     def mul(self, a, b):
         return a * b if self.p == 0 else (a * b) % self.p
 

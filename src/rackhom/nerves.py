@@ -23,6 +23,9 @@ nerve (GroupArith) prepends the unit column v(0), gathers the masks in the
 image of the coordinate insertion or deletion, and renormalizes faces so
 the new origin maps to the unit.  The streamed top-boundary certificate in
 chains runs the same GroupArith on blocks of its cells.
+
+Every nerve is validated as it is built (validate_cubical or
+validate_simplicial, whole tables at a time).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from itertools import product
 
 import numpy as np
 
-from .cubical import CubSet
+from .cubical import CubSet, mismatches, tables_by_degree
 from .racks import FiniteGroup, PointedRack
 
 # Cells per block of digit rows: bounds the numpy temporaries, which the
@@ -91,35 +94,29 @@ def validate_simplicial(x: SimplicialSet):
         S_A S_B = S_{B+1} S_A                    (A <= B)
         d_i S_J = S_{J-1} d_i   (i <= J-2) ; id  (i in {J-1, J}) ;
                   S_J d_{i-1}   (i >= J+1)
+
+    Each identity is checked on every cell as one comparison of composed
+    tables; violations are listed as in validate_cubical.
     """
-    bad = []
-    N = x.max_degree
-    for n in range(2, N + 1):
-        for i in range(0, n + 1):
+    ff, ss, ds = [], [], []
+    for n, d, s, d0, s0 in tables_by_degree(x):
+        for i in range(n if n > 1 else 0):  # X_n -> X_{n-2}: none at n = 1
             for k in range(i + 1, n + 1):
-                for c in range(x.n_cells(n)):
-                    if x.face(n - 1, i, x.face(n, k, c)) != x.face(n - 1, k - 1, x.face(n, i, c)):
-                        bad.append((n, x.label(n, c), "d_%d d_%d" % (i, k)))
-    for n in range(1, N):
-        for a in range(1, n + 2):
-            for b in range(a, n + 1):
-                for c in range(x.n_cells(n - 1)):
-                    if x.degen(n + 1, a, x.degen(n, b, c)) != x.degen(n + 1, b + 1, x.degen(n, a, c)):
-                        bad.append((n - 1, x.label(n - 1, c), "s_%d s_%d" % (a, b)))
-    for n in range(1, N + 1):
+                mismatches(ff, x, n, d0[i][d[k]], d0[k - 1][d[i]], "d_%d d_%d" % (i, k))
+        # S_A S_B = S_{B+1} S_A on X_{n-2} -> X_n
+        for a in range(1, n + 1):
+            for b in range(a, n):
+                mismatches(ss, x, n - 2, s[a][s0[b]], s[b + 1][s0[a]], "s_%d s_%d" % (a, b))
         for j in range(1, n + 1):
             for i in range(0, n + 1):
-                for c in range(x.n_cells(n - 1)):
-                    got = x.face(n, i, x.degen(n, j, c))
-                    if i in (j - 1, j):
-                        want = c
-                    elif i <= j - 2:
-                        want = x.degen(n - 1, j - 1, x.face(n - 1, i, c))
-                    else:
-                        want = x.degen(n - 1, j, x.face(n - 1, i - 1, c))
-                    if got != want:
-                        bad.append((n - 1, x.label(n - 1, c), "d_%d s_%d" % (i, j)))
-    return bad
+                if i in (j - 1, j):
+                    want = np.arange(len(s[j]))
+                elif i <= j - 2:
+                    want = s0[j - 1][d0[i]]
+                else:
+                    want = s0[j][d0[i - 1]]
+                mismatches(ds, x, n - 1, d[i][s[j]], want, "d_%d s_%d" % (i, j))
+    return ff + ss + ds
 
 
 # -- cell numbers and the face kernel -----------------------------------------
@@ -251,22 +248,18 @@ def bar_nerve(g: FiniteGroup, max_degree: int, budget: int = 2_000_000) -> Simpl
     return x
 
 
-def rack_nerve(x: PointedRack, max_degree: int, budget: int = 2_000_000,
-               validate: bool = True) -> CubSet:
+def rack_nerve(x: PointedRack, max_degree: int, budget: int = 2_000_000) -> CubSet:
     """Nerve of a pointed rack: degree-n cells are n-tuples; the eps=1 face
     at i acts on the earlier entries by <| x_i and drops entry i, the eps=0
     face just drops it; degeneracies insert the neutral element."""
     labels, face, degen = _build("rack", x.elements, max_degree, budget, lambda n: n,
                                  _cube_faces, partial(_rack_face, np.array(x.op)),
                                  partial(_insert, x.basepoint))
-    out = CubSet(max_degree, labels, face, degen, is_lset=True)
-    if validate:
-        out.validate()
-    return out
+    return CubSet(max_degree, labels, face, degen, is_lset=True).validate()
 
 
 def group_cubical_nerve(g: FiniteGroup, max_degree: int,
-                        budget: int = 2_000_000, validate: bool = True) -> CubSet:
+                        budget: int = 2_000_000) -> CubSet:
     """Degree-n cells: vertex labelings v of the nonzero masks of {0,1}^n
     (v(0) = e implicitly), as tuples indexed by mask-1.  Faces precompose
     with the insertion delta_{i,eps} and renormalize so the new origin maps
@@ -274,10 +267,7 @@ def group_cubical_nerve(g: FiniteGroup, max_degree: int,
     arith = GroupArith(g)
     labels, face, degen = _build("cubical", g.elements, max_degree, budget,
                                  lambda n: 2 ** n - 1, _cube_faces, arith.face, arith.degen)
-    out = CubSet(max_degree, labels, face, degen, is_lset=False)
-    if validate:
-        out.validate()
-    return out
+    return CubSet(max_degree, labels, face, degen, is_lset=False).validate()
 
 
 def lnerve_inclusion_labels(g: FiniteGroup, tup):
@@ -294,3 +284,13 @@ def lnerve_inclusion_labels(g: FiniteGroup, tup):
                 acc = g.mul[acc][tup[i]]
         v.append(acc)
     return tuple(v)
+
+
+def lnerve_inclusion(g: FiniteGroup, y: CubSet):
+    """maps[n][c]: the cell of y, the cubical nerve of g or its first-face
+    equalizer, that lnerve_inclusion_labels assigns to the degree-n cell c of
+    the rack nerve of conj_rack(g) (whose cells are in itertools.product
+    order), for n through y.max_degree."""
+    return [[y.index(n, tuple(g.elements[a] for a in lnerve_inclusion_labels(g, tup)))
+             for tup in product(range(g.order), repeat=n)]
+            for n in range(y.max_degree + 1)]

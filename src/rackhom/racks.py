@@ -83,9 +83,6 @@ class PointedRack:
     def order(self) -> int:
         return len(self.elements)
 
-    def act(self, a: int, b: int) -> int:
-        return self.op[a][b]
-
     def is_trivial(self) -> bool:
         n = self.order
         return all(self.op[a][b] == a for a in range(n) for b in range(n))
@@ -153,15 +150,6 @@ def conj_rack(g: FiniteGroup) -> PointedRack:
 def trivial_rack(n: int) -> PointedRack:
     op = tuple(tuple(a for _ in range(n)) for a in range(n))
     return PointedRack(tuple(range(n)), op, 0, name="trivial_rack:%d" % n)
-
-
-def rack_morphism_table(src: PointedRack, dst: PointedRack, images) -> bool:
-    """Is images (index map) a rack morphism src -> dst preserving e?"""
-    if images[src.basepoint] != dst.basepoint:
-        return False
-    n = src.order
-    return all(images[src.op[a][b]] == dst.op[images[a]][images[b]]
-               for a in range(n) for b in range(n))
 
 
 # -- group constructions -----------------------------------------------------
@@ -271,8 +259,3 @@ def preset(name: str):
 def rack_from_json(text: str) -> RackValidation:
     doc = json.loads(text)
     return validate_rack(doc["elements"], doc["op"], doc["basepoint"])
-
-
-def group_from_json(text: str) -> FiniteGroup:
-    doc = json.loads(text)
-    return FiniteGroup(doc["elements"], doc["mul"], doc["unit"])

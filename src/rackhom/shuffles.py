@@ -201,17 +201,6 @@ def beta(sigma: Permutation, gamma: Permutation, p: int, q: int, r: int) -> Perm
     return out
 
 
-def shuffle_bijection(which: str, *args):
-    """Dispatch front end: which in {"iota", "alpha", "beta"}."""
-    if which == "iota":
-        return iota(*args)
-    if which == "alpha":
-        return alpha(*args)
-    if which == "beta":
-        return beta(*args)
-    raise ValueError("unknown bijection %r" % (which,))
-
-
 def koszul_shuffle_sign(sigma: Permutation, degrees) -> int:
     """Sign of rearranging homogeneous factors (d_1,...,d_n) into
     (d_{sigma(1)},...,d_{sigma(n)}): product of (-1)^(d_a d_b) over the

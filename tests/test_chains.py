@@ -215,14 +215,46 @@ def test_s_abelian_is_antisymmetrization():
             assert s.mat(n).column(k) == want
 
 
-def test_s_cubical_and_rack_modes_agree_via_nerve_isomorphism():
-    g = preset("cyclic:2")
-    sc = s_map_cubical(g, QQ, 3)
-    sr = s_map_rack_formula(g, QQ, 3, bar=sc.target)
+@pytest.mark.parametrize("name,depth", [("symmetric:3", 3), ("quaternion:8", 3)])
+def test_s_rack_formula_matches_per_cell_terms(name, depth):
+    """Each column of S (rack formula) against the formula evaluated one
+    cell and one permutation at a time: position i carries x_sigma(i) acted
+    on by the earlier-placed larger values, in increasing order."""
+    from itertools import permutations
+
+    g = preset(name)
+    r = conj_rack(g)
+    s = s_map_rack_formula(g, QQ, depth)
+    src, tgt = s.source, s.target
+    for n in range(depth + 1):
+        for k in range(src.dim(n)):
+            tup = tuple(r.elements.index(e) for e in src.label(n, k))
+            want = {}
+            for im in permutations(range(n)):
+                sign = (-1) ** sum(im[x] > im[y] for x in range(n) for y in range(x + 1, n))
+                term = []
+                for i in range(n):
+                    v = tup[im[i]]
+                    for a in sorted(a for a in im[:i] if a > im[i]):
+                        v = r.op[v][tup[a]]
+                    term.append(v)
+                p = tgt.cell_pos(n, tgt.source.index(n, tuple(g.elements[a] for a in term)))
+                if p is not None:
+                    want[p] = want.get(p, 0) + sign
+            assert s.mat(n).column(k) == {p: QQ.of_int(v) for p, v in want.items() if v}
+
+
+@pytest.mark.parametrize("name,depth", [("cyclic:2", 3), ("symmetric:3", 2), ("quaternion:8", 2)])
+def test_s_cubical_and_rack_modes_agree_via_nerve_isomorphism(name, depth):
+    """S (cubical) restricted along the rack-nerve inclusion is S (rack
+    formula); the nonabelian groups exercise the conjugation terms."""
+    g = preset(name)
+    sc = s_map_cubical(g, QQ, depth)
+    sr = s_map_rack_formula(g, QQ, depth, bar=sc.target)
     rackC = sr.source
     nerveC = sc.source
     r = conj_rack(g)
-    for n in range(4):
+    for n in range(depth + 1):
         cols = []
         for k in range(rackC.dim(n)):
             tup = tuple(r.elements.index(e) for e in rackC.label(n, k))

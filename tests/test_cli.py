@@ -152,6 +152,14 @@ def test_out_flag(tmp_path):
     assert doc["chain_map"] is True
 
 
+def test_map_s_cubical_mode():
+    proc = run_cli("map", "s", "--mode", "cubical", "--preset", "symmetric:3",
+                   "--max-degree", "2")
+    assert proc.returncode == 0
+    doc = report_of(proc)
+    assert doc["chain_map"] is True and doc["mode"] == "cubical"
+
+
 def test_coalgebra_verify_rack_target():
     proc = run_cli("coalgebra", "verify", "--target", "conj:cyclic:3",
                    "--max-degree", "3")

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -17,7 +18,14 @@ from rackhom.cubical import (
     validate_cubical,
     verify_cubset_map,
 )
-from rackhom.nerves import group_cubical_nerve, rack_nerve
+from rackhom.nerves import (
+    SimplicialSet,
+    bar_nerve,
+    group_cubical_nerve,
+    lnerve_inclusion,
+    rack_nerve,
+    validate_simplicial,
+)
 from rackhom.racks import conj_rack, preset, symmetric_group
 
 
@@ -63,19 +71,155 @@ def test_precompose_generators_consistency():
     assert precompose_sigma(f, 1) == (("v", 2), ("c", 0), ("v", 3))
 
 
+def corrupted(x, table, key, cell):
+    """A copy of x with entry `cell` of x.<table>[key] moved to another cell."""
+    tables = {"face": dict(x._face), "degen": dict(x._degen)}
+    size = x.n_cells(key[0] - 1 if table == "face" else key[0])
+    col = list(tables[table][key])
+    col[cell] = (col[cell] + 1) % size
+    tables[table][key] = tuple(col)
+    if isinstance(x, SimplicialSet):
+        return SimplicialSet(x.max_degree, x.labels, tables["face"], tables["degen"])
+    return CubSet(x.max_degree, x.labels, tables["face"], tables["degen"], is_lset=x.is_lset)
+
+
+def nondegenerate(x, n):
+    return min(set(range(x.n_cells(n))) - x.degenerate_cells(n))
+
+
+def reported_cells(report):
+    return {(n, lbl) for n, lbl, _ in report}
+
+
 def test_mutation_is_detected():
+    """One corrupted table entry of a nondegenerate cell is reported, and
+    every violation names that cell."""
     c = standard_model("cube", 2, truncation=2)
-    face = dict(c._face)
-    col = list(face[(2, 1, 0)])
-    col[0] = (col[0] + 1) % c.n_cells(1)
-    face[(2, 1, 0)] = tuple(col)
-    broken = CubSet(c.max_degree, c.labels, face, dict(c._degen))
-    report = validate_cubical(broken)
-    assert report
-    mutated_label = c.label(2, 0)
-    assert all("d_" in desc or "s_" in desc for (_, _, desc) in report)
-    # the pristine object is clean
     assert validate_cubical(c) == []
+    top = nondegenerate(c, 2)
+    report = validate_cubical(corrupted(c, "face", (2, 1, 0), top))
+    assert report and reported_cells(report) == {(2, c.label(2, top))}
+    assert all(desc.startswith("d_") for _, _, desc in report)
+    # s_1 of a nondegenerate edge: its faces no longer match
+    edge = nondegenerate(c, 1)
+    report = validate_cubical(corrupted(c, "degen", (2, 1), edge))
+    assert report and reported_cells(report) == {(1, c.label(1, edge))}
+    assert all(desc.endswith("s_1 violation") for _, _, desc in report)
+    # the two first faces of an L-set cell
+    r = rack_nerve(conj_rack(preset("cyclic:3")), 2)
+    cell = nondegenerate(r, 2)
+    report = validate_cubical(corrupted(r, "face", (2, 1, 0), cell))
+    assert reported_cells(report) == {(2, r.label(2, cell))}
+    assert (2, r.label(2, cell), "is_lset but d_1,0 != d_1,1") in report
+    # a bar-nerve face
+    b = bar_nerve(symmetric_group(3), 3)
+    cell = nondegenerate(b, 3)
+    report = validate_simplicial(corrupted(b, "face", (3, 1), cell))
+    assert report and reported_cells(report) == {(3, b.label(3, cell))}
+
+
+def reference_cubical(x):
+    """validate_cubical one cell at a time through x.face and x.degen."""
+    N, ff, ss, ds, eq = x.max_degree, [], [], [], []
+    for n in range(2, N + 1):
+        for i in range(1, n + 1):
+            for k in range(i + 1, n + 1):
+                for eps in (0, 1):
+                    for om in (0, 1):
+                        ff += [(n, x.label(n, c), "d_%d,%d d_%d,%d != d_%d,%d d_%d,%d"
+                                % (i, eps, k, om, k - 1, om, i, eps))
+                               for c in range(x.n_cells(n))
+                               if x.face(n - 1, i, eps, x.face(n, k, om, c))
+                               != x.face(n - 1, k - 1, om, x.face(n, i, eps, c))]
+    for n in range(1, N):
+        for i in range(1, n + 2):
+            for k in range(i, n + 1):
+                ss += [(n - 1, x.label(n - 1, c), "s_%d s_%d != s_%d s_%d" % (i, k, k + 1, i))
+                       for c in range(x.n_cells(n - 1))
+                       if x.degen(n + 1, i, x.degen(n, k, c)) != x.degen(n + 1, k + 1, x.degen(n, i, c))]
+    for n in range(1, N + 1):
+        for i in range(1, n + 1):
+            for k in range(1, n + 1):
+                for eps in (0, 1):
+                    for c in range(x.n_cells(n - 1)):
+                        want = c if i == k else \
+                            x.degen(n - 1, i, x.face(n - 1, k - 1, eps, c)) if i < k else \
+                            x.degen(n - 1, i - 1, x.face(n - 1, k, eps, c))
+                        if x.face(n, k, eps, x.degen(n, i, c)) != want:
+                            ds.append((n - 1, x.label(n - 1, c), "d_%d,%d s_%d violation" % (k, eps, i)))
+    if x.is_lset:
+        eq += [(0, None, "is_lset but |X_0| != 1")] if x.n_cells(0) != 1 else []
+        eq += [(n, x.label(n, c), "is_lset but d_1,0 != d_1,1") for n in range(1, N + 1)
+               for c in range(x.n_cells(n)) if x.face(n, 1, 0, c) != x.face(n, 1, 1, c)]
+    return ff + ss + ds + eq
+
+
+def reference_simplicial(x):
+    """validate_simplicial one cell at a time through x.face and x.degen."""
+    N, ff, ss, ds = x.max_degree, [], [], []
+    for n in range(2, N + 1):
+        for i in range(0, n + 1):
+            for k in range(i + 1, n + 1):
+                ff += [(n, x.label(n, c), "d_%d d_%d" % (i, k)) for c in range(x.n_cells(n))
+                       if x.face(n - 1, i, x.face(n, k, c)) != x.face(n - 1, k - 1, x.face(n, i, c))]
+    for n in range(1, N):
+        for a in range(1, n + 2):
+            for b in range(a, n + 1):
+                ss += [(n - 1, x.label(n - 1, c), "s_%d s_%d" % (a, b)) for c in range(x.n_cells(n - 1))
+                       if x.degen(n + 1, a, x.degen(n, b, c)) != x.degen(n + 1, b + 1, x.degen(n, a, c))]
+    for n in range(1, N + 1):
+        for j in range(1, n + 1):
+            for i in range(0, n + 1):
+                for c in range(x.n_cells(n - 1)):
+                    want = c if i in (j - 1, j) else \
+                        x.degen(n - 1, j - 1, x.face(n - 1, i, c)) if i <= j - 2 else \
+                        x.degen(n - 1, j, x.face(n - 1, i - 1, c))
+                    if x.face(n, i, x.degen(n, j, c)) != want:
+                        ds.append((n - 1, x.label(n - 1, c), "d_%d s_%d" % (i, j)))
+    return ff + ss + ds
+
+
+@pytest.mark.parametrize("name", ["cube 3", "lcube 2", "group nerve cyclic:2", "rack nerve conj:quaternion:8",
+                                  "bar nerve symmetric:3"])
+def test_validators_match_cell_by_cell_reference(name):
+    """Same violation list, in the same order, as the per-cell reference, on
+    pristine tables and on corruptions of one face entry (for L-sets, at
+    times a first face), one degeneracy entry, or one of each."""
+    x = {"cube 3": lambda: standard_model("cube", 3),
+         "lcube 2": lambda: standard_model("lcube", 2, truncation=3),
+         "group nerve cyclic:2": lambda: group_cubical_nerve(preset("cyclic:2"), 3),
+         "rack nerve conj:quaternion:8": lambda: rack_nerve(preset("conj:quaternion:8"), 3),
+         "bar nerve symmetric:3": lambda: bar_nerve(symmetric_group(3), 3)}[name]()
+    validate, reference = (validate_simplicial, reference_simplicial) \
+        if isinstance(x, SimplicialSet) else (validate_cubical, reference_cubical)
+    assert validate(x) == reference(x) == []
+    rng = random.Random(name)
+    for trial in range(12):
+        y = x
+        for table in [("face",), ("degen",), ("face", "degen")][trial % 3]:
+            keys = sorted(getattr(y, "_" + table))
+            if table == "face" and trial % 2 and getattr(y, "is_lset", False):
+                keys = [k for k in keys if k[1:] == (1, 0)]
+            key = rng.choice(keys)
+            y = corrupted(y, table, key, rng.randrange(len(getattr(y, "_" + table)[key])))
+        assert validate(y) == reference(y)
+
+
+def test_verify_cubset_map_rejects_a_wrong_entry():
+    g = preset("cyclic:3")
+    rn = rack_nerve(conj_rack(g), 2)
+    lx = l_functor(group_cubical_nerve(g, 2))
+    maps = lnerve_inclusion(g, lx)
+    assert verify_cubset_map(rn, lx, maps)
+    # not a bijection
+    broken = [list(m) for m in maps]
+    broken[2][1] = broken[2][0]
+    assert not verify_cubset_map(rn, lx, broken)
+    # a bijection that no longer commutes with the faces: (1, 1) and (1, 2)
+    # are nondegenerate, so only the face tables can tell them apart
+    broken = [list(m) for m in maps]
+    broken[2][4], broken[2][5] = broken[2][5], broken[2][4]
+    assert not verify_cubset_map(rn, lx, broken)
 
 
 def test_rack_nerve_is_valid_to_degree_3():

@@ -185,7 +185,7 @@ def test_matrix_group_pontryagin_into_bigger_rack():
     r1, r2 = conj_rack(g1), conj_rack(g2)
     mu = [[idx2[interleave_mu(a, b)] for b in gl1] for a in gl1]
     c1 = build_complex(rack_nerve(r1, 3), QQ)
-    c2 = build_complex(rack_nerve(r2, 3, budget=10 ** 7, validate=False), QQ)
+    c2 = build_complex(rack_nerve(r2, 3, budget=10 ** 7), QQ)
     star = pontryagin_rack_product(c1, r1, mu, target=c2, target_rack=r2, up_to=2)
     assert verify_chain_map(star) == []
 

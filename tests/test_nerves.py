@@ -11,6 +11,7 @@ from rackhom.nerves import (
     cell_digits,
     cell_numbers,
     group_cubical_nerve,
+    lnerve_inclusion,
     lnerve_inclusion_labels,
     rack_nerve,
     validate_simplicial,
@@ -132,7 +133,7 @@ def test_lnerve_isomorphism_explicit_bijection():
     for name, depth in (("cyclic:2", 3), ("cyclic:3", 2), ("symmetric:3", 2)):
         g = preset(name)
         r = conj_rack(g)
-        x = group_cubical_nerve(g, depth, budget=10 ** 7, validate=(g.order <= 3))
+        x = group_cubical_nerve(g, depth, budget=10 ** 7)
         lx = l_functor(x)
         rn = rack_nerve(r, depth)
         maps = []
@@ -145,6 +146,7 @@ def test_lnerve_isomorphism_explicit_bijection():
                 col.append(lx.index(n, lbl))
             maps.append(col)
         assert verify_cubset_map(rn, lx, maps)
+        assert lnerve_inclusion(g, lx) == maps
 
 
 def test_lnerve_iso_z2_degree3_counts():
@@ -194,7 +196,7 @@ def test_group_kernel_and_stream_match_materialised_nerve(name):
     n = 1
     while n <= 4 and g.order ** (2 ** n - 1) <= 4096:
         w = 2 ** n - 1
-        x = group_cubical_nerve(g, n, validate=False)
+        x = group_cubical_nerve(g, n)
         degen = x.degenerate_cells(n)
         cells = range(x.n_cells(n))
         rows = cell_digits(cells, g.order, w)
