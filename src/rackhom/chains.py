@@ -15,10 +15,17 @@ be supplied as a streamed column echelon instead of a matrix (the group
 cubical nerve grows like |G|^(2^n - 1), so the top is never materialised for
 the larger groups).
 
-A boundary and the comparison map S are both signed sums of cell maps: one
-table of target cells per face, or per permutation, read off whole tables
-(face tables, or numpy gathers on the digit rows of all source cells at
-once), then summed column by column by _signed_matrix.
+Every map between cell bases is a signed sum of cell maps: one table of
+target rows for all source basis cells per term, with an integer sign,
+summed column by column by _signed_matrix.  The terms are the faces of a
+boundary, the permutations of the comparison map S, the shuffles of a
+coproduct or a shuffle product (coalgebra), the single cell map of a
+Pontryagin product (glstable) or of conjugation and its homotopy
+(rack_conjugation_data).  A table is read off whole face tables, or off
+numpy gathers on the digit rows of all source cells at once (cell_digits,
+cell_numbers); a cell is its number, and its label is used only to print
+it.  basis_rows and TensorComplex.pair_rows turn target cells into rows,
+with -1 for a term that lands on a degenerate cell and is dropped.
 """
 
 from __future__ import annotations
@@ -60,6 +67,9 @@ class ChainComplex:
         self.pos_of_cell = pos_of_cell  # per degree: cell index -> basis pos or None
         self.cell_of_pos = cell_of_pos
         self._analyses = {}
+        # basis_rows tables: cell -> basis position, -1 when degenerate
+        self._rows = None if pos_of_cell is None else [
+            np.array([-1 if p is None else p for p in pos], dtype=np.int64) for pos in pos_of_cell]
         if check:
             for n in range(2, self.max_degree + 1):
                 if not (self.d(n - 1) @ self.d(n)).is_zero():
@@ -92,6 +102,13 @@ class ChainComplex:
             return cell_index
         return self.pos_of_cell[n][cell_index]
 
+    def basis_rows(self, n: int, cells):
+        """Basis positions of an array of degree-n cells, -1 for each
+        degenerate one."""
+        if self._rows is None:
+            return np.asarray(cells, dtype=np.int64)
+        return self._rows[n][np.asarray(cells, dtype=np.int64)]
+
 
 def _boundary_keys(n: int, cubical: bool):
     """The faces summed in the degree-n boundary, in order: (i, eps) for
@@ -101,23 +118,22 @@ def _boundary_keys(n: int, cubical: bool):
     return [(i,) for i in range(n + 1)]
 
 
-def _signed_column(cells, signs, pos_of, f):
-    """The chain sum of the cells with their integer signs, without the
-    degenerate cells (pos_of[cell] is None) and the entries that cancel."""
+def _signed_column(targets, signs, f):
+    """The chain sum of the target rows with their integer signs, without
+    the dropped terms (row -1) and the entries that cancel."""
     col = {}
-    for c, s in zip(cells, signs):
-        t = pos_of[c]
-        if t is not None:
+    for t, s in zip(targets, signs):
+        if t >= 0:
             col[t] = col.get(t, 0) + s
     return f.vector(col)
 
 
-def _signed_matrix(tables, signs, pos_of, rows, f):
+def _signed_matrix(tables, signs, rows, f):
     """The matrix with rows rows whose column j is _signed_column of the
-    cells tables[t][j], one table of target cells per term t, with the
-    integer signs[t]: a boundary (one term per face) or the comparison map
-    S (one term per permutation)."""
-    cols = [_signed_column(cells, signs, pos_of, f) for cells in zip(*tables)]
+    rows tables[t][j], one table of target rows per term t (basis_rows or
+    pair_rows), with the integer signs[t]."""
+    cols = [_signed_column(targets, signs, f)
+            for targets in zip(*(np.asarray(t).tolist() for t in tables))]
     return Matrix(f, rows, len(cols), cols)
 
 
@@ -125,7 +141,7 @@ def build_complex(x, field: FieldTag, flavor: str = "normalized") -> ChainComple
     """Chain complex of a cubical or simplicial set over the given field."""
     cubical = isinstance(x, CubSet)
     N = x.max_degree
-    pos_of = []
+    rows_of = []  # per degree: cell -> basis position, -1 when degenerate
     cell_of = []
     labels = []
     for n in range(N + 1):
@@ -136,19 +152,20 @@ def build_complex(x, field: FieldTag, flavor: str = "normalized") -> ChainComple
             cells = list(range(x.n_cells(n)))
         else:
             raise ValueError("unknown flavor %r" % (flavor,))
-        pos = [None] * x.n_cells(n)
-        for k, c in enumerate(cells):
-            pos[c] = k
-        pos_of.append(pos)
+        rows = np.full(x.n_cells(n), -1, dtype=np.int64)
+        rows[cells] = np.arange(len(cells))
+        rows_of.append(rows)
         cell_of.append(cells)
         labels.append([x.label(n, c) for c in cells])
     boundaries = []
     for n in range(1, N + 1):
         keys = _boundary_keys(n, cubical)
         cells = np.asarray(cell_of[n], dtype=np.intp)
-        tables = [np.asarray(x._face[(n, *key)], dtype=np.intp)[cells].tolist() for key in keys]
+        tables = [rows_of[n - 1][np.asarray(x._face[(n, *key)], dtype=np.intp)[cells]]
+                  for key in keys]
         boundaries.append(_signed_matrix(tables, [(-1) ** sum(key) for key in keys],
-                                         pos_of[n - 1], len(cell_of[n - 1]), field))
+                                         len(cell_of[n - 1]), field))
+    pos_of = [[None if p < 0 else p for p in rows.tolist()] for rows in rows_of]
     return ChainComplex(field, labels, boundaries, flavor=flavor,
                         source_kind="cubical" if cubical else "simplicial",
                         source=x, pos_of_cell=pos_of, cell_of_pos=cell_of)
@@ -213,6 +230,15 @@ class TensorComplex(ChainComplex):
     def index(self, n, comp, i, j):
         p, q = comp
         return self._offsets[n][comp] + i * self.factors[1].dim(q) + j
+
+    def pair_rows(self, n, p, left, right):
+        """Rows of the basis pairs (left[k], right[k]) of component
+        (p, n - p), given as cell arrays of the two factors; -1 where either
+        cell is degenerate."""
+        a, b = self.factors
+        q = n - p
+        lp, rq = a.basis_rows(p, left), b.basis_rows(q, right)
+        return np.where((lp >= 0) & (rq >= 0), self.offset(n, (p, q)) + lp * b.dim(q) + rq, -1)
 
     def component_block(self, mat_col_or_vec, n, comp):
         """Extract the (p, q) block of a sparse vector at total degree n as a
@@ -426,8 +452,8 @@ def _s_map(source, bar, order, width, term, desc):
         rows = cell_digits(source.cell_of_pos[n], order, width(n))
         perms = list(permutations(range(n)))
         signs = [Permutation(tuple(a + 1 for a in sigma)).sign for sigma in perms]
-        tables = [cell_numbers(term(rows, sigma), order) for sigma in perms]
-        mats[n] = _signed_matrix(tables, signs, bar.pos_of_cell[n], bar.dim(n), source.field)
+        tables = [bar.basis_rows(n, cell_numbers(term(rows, sigma), order)) for sigma in perms]
+        mats[n] = _signed_matrix(tables, signs, bar.dim(n), source.field)
     return GradedMap(source, bar, mats, desc=desc)
 
 
@@ -641,22 +667,18 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
     kind "lrel":  (first-face equalizer subcomplex) -> C -> C/sub
     kind "gamma": ker(C -> C(quotient)) -> C -> C(quotient by first faces)
     """
-    from .cubical import gamma_functor_with_projection, l_functor
+    from .cubical import gamma_functor_with_projection, l_functor_with_inclusion
 
     if kind == "lrel":
         if x.max_degree < max_n + 1:
             raise TruncationTooLow("lrel LES through %d needs cells through %d"
                                    % (max_n, max_n + 1))
         T = build_complex(x, field, "normalized")
-        lx = l_functor(x)
+        _, cells = l_functor_with_inclusion(x)
         sub_positions = []
         for n in range(T.max_degree + 1):
-            pos = set()
-            for c in range(lx.n_cells(n)):
-                p = T.cell_pos(n, x.index(n, lx.label(n, c)))
-                if p is not None:
-                    pos.add(p)
-            sub_positions.append(pos)
+            rows = T.basis_rows(n, cells[n])
+            sub_positions.append(set(rows[rows >= 0].tolist()))
         S, Q, incl, proj, section = _positional_ses(T, sub_positions, field)
         return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section)
     if kind == "gamma":
@@ -695,11 +717,11 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
         incl = [kerbases[n] for n in range(N + 1)]
         section = []
         for n in range(N + 1):
+            # a class's smallest cell, its union-find root, comes first
+            _, reps = np.unique(gproj[n], return_index=True)
             cols = []
-            for k in range(Q.dim(n)):
-                cell = x.index(n, Q.label(n, k))
-                tp = T.cell_pos(n, cell)
-                if tp is None:
+            for k, tp in enumerate(T.basis_rows(n, reps[Q.cell_of_pos[n]]).tolist()):
+                if tp < 0:
                     raise ConstructionBug("quotient cell %r is degenerate in the total"
                                           " complex" % (Q.label(n, k),))
                 cols.append({tp: f.one()})
@@ -918,7 +940,7 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
     bound = T.dim(N) - T.analysis(N).rank
     arith = GroupArith(g)
     signs = [(-1) ** sum(key) for key in _boundary_keys(n1, True)]
-    pos_of = T.pos_of_cell[N]
+    row_of = [-1 if p is None else p for p in T.pos_of_cell[N]]
     tracker = _certificate_tracker(T.dim(N), field, g.order)
     stride = _coprime_stride(M)
 
@@ -928,7 +950,7 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
             ks = [j * stride % M for j in range(start, min(start + BLOCK, M))]
             faces, degenerate = _stream_block(arith, g.order, n1, ks)
             for j in np.flatnonzero(~degenerate).tolist():
-                col = _signed_column([nums[j] for nums in faces], signs, pos_of, f)
+                col = _signed_column([row_of[nums[j]] for nums in faces], signs, f)
                 if N >= 1:
                     if dN.apply(col):
                         raise ConstructionBug("d^2 != 0 on a streamed degree-%d cell" % n1)
@@ -996,16 +1018,11 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
     incl = []
     sub_positions = []
     for n, cells in enumerate(lnerve_inclusion(g, x)):
-        cols = []
-        pos = set()
-        for c in S.cell_of_pos[n]:
-            p = T.cell_pos(n, cells[c])
-            if p is None:
-                raise ConstructionBug("rack cell mapped to a degenerate nerve cell")
-            cols.append({p: f.one()})
-            pos.add(p)
-        incl.append(Matrix(f, T.dim(n), S.dim(n), cols))
-        sub_positions.append(pos)
+        rows = T.basis_rows(n, np.asarray(cells)[S.cell_of_pos[n]]).tolist()
+        if min(rows, default=0) < 0:
+            raise ConstructionBug("rack cell mapped to a degenerate nerve cell")
+        incl.append(Matrix(f, T.dim(n), S.dim(n), [{p: f.one()} for p in rows]))
+        sub_positions.append(set(rows))
     # the inclusion is a chain map (certifies the explicit equalizer bijection)
     gm = GradedMap(S, T, {n: incl[n] for n in range(max_n + 1)}, desc="CL inclusion")
     bad = verify_chain_map(gm)
@@ -1047,32 +1064,19 @@ def rack_conjugation_data(C: ChainComplex, rack: PointedRack, a: int):
         h_a(x_1,...,x_n) = (-1)^n (x_1,...,x_n,a),   d h + h d = c_a - id.
 
     (The degree sign and appending at the tail are forced by the boundary
-    convention; verified degree by degree in the tests.)"""
-    nerve = C.source
+    convention; verified degree by degree in the tests.)  Both are one cell
+    map on the digit rows of the basis cells."""
     f = C.field
-    N = C.max_degree
-
-    def chain_of(tup, n):
-        cell = nerve.index(n, tuple(rack.elements[i] for i in tup))
-        p = C.cell_pos(n, cell)
-        return {} if p is None else {p: f.one()}
-
+    op = np.array(rack.op)
     ca_mats = {}
-    for n in range(N + 1):
-        cols = []
-        for k in range(C.dim(n)):
-            tup = tuple(rack.elements.index(e) for e in C.label(n, k))
-            cols.append(chain_of(tuple(rack.op[x][a] for x in tup), n))
-        ca_mats[n] = Matrix(f, C.dim(n), C.dim(n), cols)
     h_mats = {}
-    for n in range(N):
-        sgn = f.of_int(1 if n % 2 == 0 else -1)
-        cols = []
-        for k in range(C.dim(n)):
-            tup = tuple(rack.elements.index(e) for e in C.label(n, k))
-            col = chain_of(tup + (a,), n + 1)
-            cols.append({kk: f.mul(sgn, v) for kk, v in col.items()})
-        h_mats[n] = Matrix(f, C.dim(n + 1), C.dim(n), cols)
+    for n in range(C.max_degree + 1):
+        rows = cell_digits(C.cell_of_pos[n], rack.order, n)
+        ca_mats[n] = _signed_matrix([C.basis_rows(n, cell_numbers(op[rows, a], rack.order))],
+                                    [1], C.dim(n), f)
+        if n < C.max_degree:
+            tail = cell_numbers(np.insert(rows, n, a, axis=1), rack.order)
+            h_mats[n] = _signed_matrix([C.basis_rows(n + 1, tail)], [(-1) ** n], C.dim(n + 1), f)
     c_a = GradedMap(C, C, ca_mats, desc="conjugation by %r" % (rack.elements[a],))
     h_a = GradedMap(C, C, h_mats, shift=1, desc="conjugation homotopy")
     return c_a, h_a

@@ -3,11 +3,12 @@ map, both long exact sequences, law checks, the matrix suite, and the
 acceptance suites, all with machine-readable JSON reports.
 
 Exit codes: 0 all requested checks pass; 1 a check failed; 2 bad input
-(flags such as a negative --max-degree or a flag the command does not take,
-files, presets, a prime too large for the streamed certificate); 3 cell
-budget exceeded (a nerve, or for les a streamed top boundary that reads
---budget cells without saturating); 4 an internal invariant was violated
-(a construction bug, reported on stderr).  Reports are JSON with sorted
+(flags such as a negative --max-degree, --nmax or --trials below 1, an
+unknown law, a product law for a target without a product, or a flag the
+command does not take; files, presets, a prime too large for the streamed
+certificate); 3 cell budget exceeded (a nerve, or for les a streamed top
+boundary that reads --budget cells without saturating); 4 an internal
+invariant was violated (a construction bug, reported on stderr).  Reports are JSON with sorted
 keys; apart from the timing block they are byte-stable for fixed flags and
 seed.  Only rack-homology and group-homology take --csv (a degree,dim
 table), and only gl verify and suite take --seed.
@@ -48,6 +49,13 @@ def _degree(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError("degree must be >= 0, got %d" % n)
+    return n
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % n)
     return n
 
 
@@ -188,19 +196,26 @@ def cmd_les(args, started):
 
 def cmd_coalgebra_verify(args, started):
     from .chains import build_complex, homology
-    from .coalgebra import (GradedCoalgebra, check_laws, delta_halves,
-                            half_shuffle_model, induced_coproduct_components,
-                            primitive_analysis)
+    from .coalgebra import (LAWS, GradedCoalgebra, MissingStructure, check_laws,
+                            delta_halves, half_shuffle_model,
+                            induced_coproduct_components, primitive_analysis)
     from .nerves import rack_nerve
 
     laws = args.laws.split(",") if args.laws else ["coZinbiel", "cocommutativeOfSum", "counit"]
+    unknown = [law for law in laws if law not in LAWS]
+    if unknown:
+        raise _CliError("unknown law %r (choose from %s)" % (unknown[0], ", ".join(LAWS)), 2)
     if args.target.startswith("tensor:"):
-        dim_v = int(args.target.split(":")[1])
+        try:
+            dim_v = int(args.target[len("tensor:"):])
+        except ValueError:
+            dim_v = -1
+        if dim_v < 0:
+            raise _CliError("tensor target needs tensor:<dimV> with dimV >= 0, got %r"
+                            % (args.target,), 2)
         g = half_shuffle_model([1] * dim_v, args.max_degree)
         if "semiHopf" not in laws and not args.laws:
             laws.append("semiHopf")
-        rep = check_laws(g, laws, args.max_degree)
-        pa = primitive_analysis(g, args.max_degree)
     else:
         rack = _rack_or_die(args.target)
         field = _field(args.field)
@@ -210,8 +225,11 @@ def cmd_coalgebra_verify(args, started):
         g = GradedCoalgebra(field, hs.dims,
                             induced_coproduct_components(prec, hs, args.max_degree),
                             delta_succ=induced_coproduct_components(succ, hs, args.max_degree))
+    try:
         rep = check_laws(g, laws, args.max_degree)
-        pa = primitive_analysis(g, args.max_degree)
+    except MissingStructure as exc:  # a product law on a target without a product
+        raise _CliError("target %r: %s" % (args.target, exc), 2)
+    pa = primitive_analysis(g, args.max_degree)
     ok = all(not v for v in rep.values())
     report = {"command": "coalgebra verify", "target": args.target,
               "laws": {k: {"ok": not v, "failures": [str(x) for x in v[:5]]}
@@ -242,15 +260,17 @@ def cmd_gl_verify(args, started):
 
 
 def cmd_verify_lset_iso(args, started):
-    from .cubical import l_functor, verify_cubset_map
+    from .cubical import l_functor_with_inclusion, subobject_cells, verify_cubset_map
     from .nerves import group_cubical_nerve, lnerve_inclusion, rack_nerve
     from .racks import conj_rack
 
     g = _group_or_die(args.preset)
     depth = args.max_degree
-    lx = l_functor(group_cubical_nerve(g, depth, budget=args.budget))
+    x = group_cubical_nerve(g, depth, budget=args.budget)
+    lx, incl = l_functor_with_inclusion(x)
     rn = rack_nerve(conj_rack(g), depth)
-    ok = verify_cubset_map(rn, lx, lnerve_inclusion(g, lx))
+    maps = subobject_cells(incl, lnerve_inclusion(g, x))
+    ok = maps is not None and verify_cubset_map(rn, lx, maps)
     report = {"command": "verify lset-iso", "preset": args.preset,
               "max_degree": depth,
               "cells": [rn.n_cells(n) for n in range(depth + 1)], "ok": ok}
@@ -338,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = p.add_subparsers(dest="glsub", required=True)
     pg = gsub.add_parser("verify")
     pg.add_argument("--ring", default="zmod:4")
-    pg.add_argument("--nmax", type=int, default=3)
-    pg.add_argument("--trials", type=int, default=50)
+    pg.add_argument("--nmax", type=_count, default=3)
+    pg.add_argument("--trials", type=_count, default=50)
     common(pg, field=False, degree=False)
     pg.add_argument("--seed", type=int, default=0)
     pg.set_defaults(fn=cmd_gl_verify)

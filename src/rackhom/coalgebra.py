@@ -25,15 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations as _perms
 
+import numpy as np
+
 from .chains import (
     ChainComplex,
     GradedMap,
     HomologySummary,
     NotChainMap,
     TensorComplex,
+    _signed_matrix,
     verify_chain_map,
 )
 from .exactfield import Echelon, FieldTag, Matrix, column_space_analysis
+from .nerves import cell_digits, cell_numbers
 from .shuffles import All, FirstFixed, FirstIsPPlus1, Permutation, enumerate_shuffles, koszul_shuffle_sign
 
 
@@ -56,49 +60,47 @@ class NotAbelian(Exception):
 # -- chain-level coproducts ----------------------------------------------------
 
 
+def _faces_at(faces, n, word, cells):
+    """The cells reached from degree-n cells by the faces at an index set,
+    applied largest index first so the remaining indices need no shifting:
+    one gather of a whole face table per face.  word: (i, eps) pairs."""
+    for i, eps in sorted(word, reverse=True):
+        cells = faces[(n, i, eps)][cells]
+        n -= 1
+    return cells
+
+
 def _coproduct_map(C: ChainComplex, which: str) -> GradedMap:
-    x = C.source
-    f = C.field
+    """Per shuffle, the left and right faces of all basis cells at once, as
+    compositions of whole face tables; summed by _signed_matrix."""
+    faces = {key: np.asarray(t, dtype=np.intp) for key, t in C.source._face.items()}
     T = TensorComplex(C, C, up_to=C.max_degree)
     mats = {}
     degrees = range(0, C.max_degree + 1) if which == "full" else range(1, C.max_degree + 1)
     kind = {"full": All, "prec": FirstFixed, "succ": FirstIsPPlus1}[which]
     for n in degrees:
-        cols = []
-        for k in range(C.dim(n)):
-            cell = C.cell_of_pos[n][k]
-            col = {}
-
-            def add(p, q, lc, rc, coeff):
-                lp = C.pos_of_cell[p][lc]
-                rp = C.pos_of_cell[q][rc]
-                if lp is None or rp is None:
-                    return
-                key = T.index(n, (p, q), lp, rp)
-                col[key] = col.get(key, 0) + coeff
-
-            if n == 0:
-                add(0, 0, cell, cell, 1)
-            else:
-                for p in range(0, n + 1):
-                    q = n - p
-                    if p >= 1 and q >= 1:
-                        for sigma, sign in enumerate_shuffles(kind(p, q)):
-                            first = [sigma(i) for i in range(1, p + 1)]
-                            second = [sigma(i) for i in range(p + 1, n + 1)]
-                            add(p, q,
-                                x.face_word(n, [(i, 0) for i in second], cell),
-                                x.face_word(n, [(i, 1) for i in first], cell),
-                                sign)
-                    elif q == 0 and which in ("full", "prec"):
-                        add(n, 0, cell,
-                            x.face_word(n, [(i, 1) for i in range(1, n + 1)], cell), 1)
-                    elif p == 0 and which in ("full", "succ"):
-                        add(0, n,
-                            x.face_word(n, [(i, 0) for i in range(1, n + 1)], cell),
-                            cell, 1)
-            cols.append(f.vector(col))
-        mats[n] = Matrix(f, T.dim(n), C.dim(n), cols)
+        cells = np.asarray(C.cell_of_pos[n], dtype=np.intp)
+        tables, signs = [], []
+        if n == 0:
+            tables.append(T.pair_rows(0, 0, cells, cells))
+            signs.append(1)
+        if n and which in ("full", "succ"):  # the counital edge pt (x) x
+            tables.append(T.pair_rows(
+                n, 0, _faces_at(faces, n, [(i, 0) for i in range(1, n + 1)], cells), cells))
+            signs.append(1)
+        for p in range(1, n):
+            for sigma, sign in enumerate_shuffles(kind(p, n - p)):
+                first = [sigma(i) for i in range(1, p + 1)]
+                second = [sigma(i) for i in range(p + 1, n + 1)]
+                tables.append(T.pair_rows(
+                    n, p, _faces_at(faces, n, [(i, 0) for i in second], cells),
+                    _faces_at(faces, n, [(i, 1) for i in first], cells)))
+                signs.append(sign)
+        if n and which in ("full", "prec"):  # the counital edge x (x) pt
+            tables.append(T.pair_rows(
+                n, n, cells, _faces_at(faces, n, [(i, 1) for i in range(1, n + 1)], cells)))
+            signs.append(1)
+        mats[n] = _signed_matrix(tables, signs, T.dim(n), C.field)
     name = {"full": "Delta", "prec": "Delta_<", "succ": "Delta_>"}[which]
     gm = GradedMap(C, T, mats, desc=name)
     gm.tensor = T
@@ -152,18 +154,10 @@ def compose_with_tau(delta: GradedMap) -> GradedMap:
 def coproduct_homotopy(C: ChainComplex, T: TensorComplex) -> GradedMap:
     """The degree-2 homotopy h(x) = d_{1,0}x (x) x from Delta_> to
     tau Delta_<."""
-    f = C.field
-    x = C.source
-    cols = []
-    for k in range(C.dim(2)):
-        cell = C.cell_of_pos[2][k]
-        left = C.pos_of_cell[1][x.face(2, 1, 0, cell)]
-        col = {}
-        if left is not None:
-            col[T.index(3, (1, 2), left, k)] = f.one()
-        cols.append(col)
-    return GradedMap(C, T, {2: Matrix(f, T.dim(3), C.dim(2), cols)}, shift=1,
-                     desc="h(x) = d_{1,0}x (x) x")
+    cells = np.asarray(C.cell_of_pos[2], dtype=np.intp)
+    left = np.asarray(C.source._face[(2, 1, 0)], dtype=np.intp)[cells]
+    h = _signed_matrix([T.pair_rows(3, 1, left, cells)], [1], T.dim(3), C.field)
+    return GradedMap(C, T, {2: h}, shift=1, desc="h(x) = d_{1,0}x (x) x")
 
 
 # -- homology level -------------------------------------------------------------
@@ -326,13 +320,17 @@ def _check_triple(g: GradedCoalgebra, lhs_fn, rhs_fn, max_total, reduced=True):
     return bad
 
 
+LAWS = ("coZinbiel", "codendriform", "cocommutativeOfSum", "counit", "Hopf", "semiHopf",
+        "associativeProduct", "commutativeProduct")
+
+
 def check_laws(g: GradedCoalgebra, laws, max_total: int) -> dict:
     """Assert the requested laws as exact matrix identities in every total
     degree <= max_total; returns {law: list of failures} (empty lists pass).
 
     Triple-coproduct laws run on the reduced components (all three factors
     in positive degree); counit and compatibility laws include the counital
-    edge components.
+    edge components.  The law names are LAWS.
     """
     report = {}
     eye = g.eye
@@ -587,36 +585,25 @@ def antisymmetrization_compare(group, field: FieldTag, max_n: int) -> dict:
         raise NotAbelian("antisymmetrization compare needs an abelian group")
     s = s_map_rack_formula(group, field, max_n)
     src, tgt = s.source, s.target
-    f = field
     report = {"matches_antisymmetrization": True, "kills_symmetric": True,
               "term_counts": {}}
     for n in range(1, max_n + 1):
-        count = 0
-        for k in range(src.dim(n)):
-            tup = tuple(group.elements.index(e) for e in src.label(n, k))
-            want = {}
-            for images in _perms(range(1, n + 1)):
-                sigma = Permutation(images)
-                term = tuple(tup[images[i] - 1] for i in range(n))
-                cell = tgt.source.index(n, tuple(group.elements[a] for a in term))
-                pos = tgt.cell_pos(n, cell)
-                if pos is None:
-                    continue
-                count += 1
-                want[pos] = want.get(pos, 0) + sigma.sign
-            if s.mat(n).column(k) != f.vector(want):
-                report["matches_antisymmetrization"] = False
-        report["term_counts"][n] = count
-        if n >= 2:
-            for k in range(src.dim(n)):
-                tup = tuple(group.elements.index(e) for e in src.label(n, k))
-                for i in range(n - 1):
-                    swapped = list(tup)
-                    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                    k2 = src.pos_of_cell[n][src.source.index(
-                        n, tuple(group.elements[a] for a in swapped))]
-                    if f.axpy(s.mat(n).column(k), s.mat(n).cols_data[k2]):
-                        report["kills_symmetric"] = False
+        rows = cell_digits(src.cell_of_pos[n], group.order, n)
+        perms = list(_perms(range(1, n + 1)))
+        tables = [tgt.basis_rows(n, cell_numbers(rows[:, [i - 1 for i in images]], group.order))
+                  for images in perms]
+        report["term_counts"][n] = sum(int((t >= 0).sum()) for t in tables)
+        m = s.mat(n)
+        if m != _signed_matrix(tables, [Permutation(images).sign for images in perms],
+                               tgt.dim(n), field):
+            report["matches_antisymmetrization"] = False
+        for i in range(n - 1):
+            swap = list(range(n))
+            swap[i], swap[i + 1] = i + 1, i
+            twins = src.basis_rows(n, cell_numbers(rows[:, swap], group.order)).tolist()
+            for k, k2 in enumerate(twins):
+                if field.axpy(m.column(k), m.cols_data[k2]):
+                    report["kills_symmetric"] = False
     return report
 
 
@@ -626,40 +613,32 @@ def rack_half_coproduct_formula(C: ChainComplex, rack) -> GradedMap:
     keeps the first-block letters; a right-block letter x_{sigma(i)} is
     conjugated by the first-block letters larger than sigma(i), in
     increasing order.  Must agree with the face-composition route exactly
-    (tested); the two constructions share only the shuffle enumeration."""
-    f = C.field
+    (tested); the two constructions share only the shuffle enumeration and
+    the signed sum, and this one reads only the digit rows and the rack
+    operation, never the nerve's face tables."""
     T = TensorComplex(C, C, up_to=C.max_degree)
-    nerve = C.source
+    op = np.array(rack.op)
     mats = {}
     for n in range(1, C.max_degree + 1):
-        cols = []
-        for k in range(C.dim(n)):
-            tup = tuple(rack.elements.index(e) for e in C.label(n, k))
-            col = {}
-
-            def add(p, q, left, right, coeff):
-                lp = C.cell_pos(p, nerve.index(p, tuple(rack.elements[a] for a in left)))
-                rp = C.cell_pos(q, nerve.index(q, tuple(rack.elements[a] for a in right)))
-                if lp is None or rp is None:
-                    return
-                key = T.index(n, (p, q), lp, rp)
-                col[key] = col.get(key, 0) + coeff
-
-            add(n, 0, tup, (), 1)
-            for p in range(1, n):
-                q = n - p
-                for sigma, sign in enumerate_shuffles(FirstFixed(p, q)):
-                    first = [sigma(i) for i in range(1, p + 1)]
-                    left = tuple(tup[i - 1] for i in first)
-                    right = []
-                    for i in range(p + 1, n + 1):
-                        v = tup[sigma(i) - 1]
-                        for a in sorted(x for x in first if x > sigma(i)):
-                            v = rack.op[v][tup[a - 1]]
-                        right.append(v)
-                    add(p, q, left, tuple(right), sign)
-            cols.append(f.vector(col))
-        mats[n] = Matrix(f, T.dim(n), C.dim(n), cols)
+        rows = cell_digits(C.cell_of_pos[n], rack.order, n)
+        # the counital edge term x (x) pt
+        tables = [T.pair_rows(n, n, cell_numbers(rows, rack.order),
+                              cell_numbers(rows[:, :0], rack.order))]
+        signs = [1]
+        for p in range(1, n):
+            for sigma, sign in enumerate_shuffles(FirstFixed(p, n - p)):
+                first = [sigma(i) for i in range(1, p + 1)]
+                right = []
+                for i in range(p + 1, n + 1):
+                    v = rows[:, sigma(i) - 1]
+                    for a in sorted(x for x in first if x > sigma(i)):
+                        v = op[v, rows[:, a - 1]]
+                    right.append(v)
+                tables.append(T.pair_rows(
+                    n, p, cell_numbers(rows[:, [i - 1 for i in first]], rack.order),
+                    cell_numbers(np.stack(right, axis=1), rack.order)))
+                signs.append(sign)
+        mats[n] = _signed_matrix(tables, signs, T.dim(n), C.field)
     gm = GradedMap(C, T, mats, desc="Delta_< (tuple formula)")
     gm.tensor = T
     return gm
@@ -670,35 +649,25 @@ def bar_shuffle_product(C: ChainComplex, group) -> GradedMap:
     sum over (p,q)-shuffles with sign, placing the letters at the shuffled
     positions.  A chain map exactly when the multiplication is a group
     morphism, i.e. for abelian groups."""
-    from .shuffles import All as _All
-
     f = C.field
     T = TensorComplex(C, C, up_to=C.max_degree)
-    nerve = C.source
+    digits = [cell_digits(C.cell_of_pos[n], group.order, n) for n in range(C.max_degree + 1)]
     mats = {}
     for n in range(C.max_degree + 1):
-        cols = [dict() for _ in range(T.dim(n))]
+        cols = []
         for (p, q) in T.components(n):
-            for i in range(C.dim(p)):
-                li = tuple(group.elements.index(v) for v in C.label(p, i))
-                for j in range(C.dim(q)):
-                    rj = tuple(group.elements.index(v) for v in C.label(q, j))
-                    letters = li + rj
-                    src = T.index(n, (p, q), i, j)
-                    if p == 0 or q == 0:
-                        terms = [(letters, 1)]
-                    else:
-                        terms = []
-                        for sigma, sign in enumerate_shuffles(_All(p, q)):
-                            inv = sigma.inverse()
-                            terms.append((tuple(letters[inv(t) - 1]
-                                                for t in range(1, n + 1)), sign))
-                    for word, sign in terms:
-                        cell = nerve.index(n, tuple(group.elements[a] for a in word))
-                        pos = C.cell_pos(n, cell)
-                        if pos is not None:
-                            cols[src][pos] = cols[src].get(pos, 0) + sign
-        mats[n] = Matrix(f, C.dim(n), T.dim(n), [f.vector(col) for col in cols])
+            # the letters of every basis pair, left factor outer
+            letters = np.concatenate((np.repeat(digits[p], C.dim(q), axis=0),
+                                      np.tile(digits[q], (C.dim(p), 1))), axis=1)
+            if p == 0 or q == 0:
+                terms = [(list(range(n)), 1)]
+            else:
+                terms = [([sigma.inverse()(t) - 1 for t in range(1, n + 1)], sign)
+                         for sigma, sign in enumerate_shuffles(All(p, q))]
+            tables = [C.basis_rows(n, cell_numbers(letters[:, word], group.order))
+                      for word, _ in terms]
+            cols += _signed_matrix(tables, [sign for _, sign in terms], C.dim(n), f).cols_data
+        mats[n] = Matrix(f, C.dim(n), T.dim(n), cols)
     star = GradedMap(T, C, mats, desc="bar shuffle product")
     star.tensor = T
     return star
@@ -707,24 +676,14 @@ def bar_shuffle_product(C: ChainComplex, group) -> GradedMap:
 def bar_aw_coproduct(C: ChainComplex) -> GradedMap:
     """Front-face/back-face (deconcatenation) coproduct on normalized bar
     chains; a chain map for any group."""
-    f = C.field
+    order = C.source.n_cells(1)  # the group order: bar cells are words
     T = TensorComplex(C, C, up_to=C.max_degree)
-    nerve = C.source
     mats = {}
     for n in range(C.max_degree + 1):
-        cols = []
-        for k in range(C.dim(n)):
-            lbl = C.label(n, k)
-            col = {}
-            for p in range(0, n + 1):
-                left, right = lbl[:p], lbl[p:]
-                lp = C.cell_pos(p, nerve.index(p, left))
-                rp = C.cell_pos(n - p, nerve.index(n - p, right))
-                if lp is None or rp is None:
-                    continue
-                col[T.index(n, (p, n - p), lp, rp)] = f.one()
-            cols.append(col)
-        mats[n] = Matrix(f, T.dim(n), C.dim(n), cols)
+        rows = cell_digits(C.cell_of_pos[n], order, n)
+        tables = [T.pair_rows(n, p, cell_numbers(rows[:, :p], order),
+                              cell_numbers(rows[:, p:], order)) for p in range(n + 1)]
+        mats[n] = _signed_matrix(tables, [1] * (n + 1), T.dim(n), C.field)
     gm = GradedMap(C, T, mats, desc="bar AW coproduct")
     gm.tensor = T
     return gm

@@ -2,10 +2,16 @@
 that cut a cubical set down to (or collapse it onto) a single-vertex object
 whose two first faces coincide ("L-sets").
 
-A CubSet stores cells per degree as indices 0..k-1 with a side table of
-human-readable labels, face tables d_{i,eps} (1 <= i <= n, eps in {0,1}) and
-degeneracy tables s_i (1 <= i <= n, mapping degree n-1 into degree n).  All
-structure maps honour the cubical identities; `validate_cubical` checks
+A CubSet stores cells per degree as indices 0..k-1 with face tables
+d_{i,eps} (1 <= i <= n, eps in {0,1}) and degeneracy tables s_i
+(1 <= i <= n, mapping degree n-1 into degree n).  A cell is its number: the
+side table of human-readable labels is for reports only, and no code maps a
+cell through its label (`index` is a linear search kept for tests).  The L
+and Gamma functors hand back their cell maps with the object they build:
+the inclusion of the kept cells (l_functor_with_inclusion) and the
+projection onto the classes (gamma_functor_with_projection).
+
+All structure maps honour the cubical identities; `validate_cubical` checks
 every instance on every cell and returns a report.  It reads only the
 tables: each identity is one comparison of two composed index arrays
 (tables_by_degree, mismatches), so it does not share code with the nerve
@@ -46,7 +52,7 @@ class TruncationTooLow(Exception):
 
 
 class CubSet:
-    __slots__ = ("max_degree", "sizes", "labels", "_face", "_degen", "is_lset", "_index")
+    __slots__ = ("max_degree", "sizes", "labels", "_face", "_degen", "is_lset")
 
     def __init__(self, max_degree, labels, face, degen, is_lset=False):
         """labels: list per degree of cell labels; face[(n,i,eps)] and
@@ -58,7 +64,6 @@ class CubSet:
         self._face = dict(face)
         self._degen = dict(degen)
         self.is_lset = is_lset
-        self._index = tuple({lbl: i for i, lbl in enumerate(lbls)} for lbls in self.labels)
 
     # -- structure maps --------------------------------------------------
 
@@ -76,15 +81,7 @@ class CubSet:
         return self.labels[n][c]
 
     def index(self, n: int, label) -> int:
-        return self._index[n][label]
-
-    def face_word(self, n: int, word, c: int) -> int:
-        """Apply faces at an index *set*, largest index first, so the
-        remaining indices need no shifting.  word: iterable of (i, eps)."""
-        for i, eps in sorted(word, reverse=True):
-            c = self.face(n, i, eps, c)
-            n -= 1
-        return c
+        return self.labels[n].index(label)
 
     def degenerate_cells(self, n: int):
         """Indices of degree-n cells in the image of some degeneracy."""
@@ -290,54 +287,61 @@ def standard_model(kind: str, n: int, truncation=None) -> CubSet:
 def l_functor(x: CubSet) -> CubSet:
     """Subobject of x on the cells whose iterated first-face words all agree,
     with a single 0-cell.  Raises if the 0-cell is not unique."""
+    lx, _ = l_functor_with_inclusion(x)
+    return lx
+
+
+def l_functor_with_inclusion(x: CubSet):
+    """l_functor plus its inclusion incl[n]: the kept cells of x in
+    ascending order, so cell c of the subobject is cell incl[n][c] of x."""
     N = x.max_degree
-    keep = [set(range(x.n_cells(0)))]
+    keep = [np.ones(x.n_cells(0), dtype=bool)]
     for n in range(1, N + 1):
-        good = set()
-        for c in range(x.n_cells(n)):
-            a = x.face(n, 1, 0, c)
-            b = x.face(n, 1, 1, c)
-            if a == b and a in keep[n - 1]:
-                good.add(c)
-        keep.append(good)
+        a = np.asarray(x._face[(n, 1, 0)], dtype=np.intp)
+        keep.append((a == np.asarray(x._face[(n, 1, 1)])) & keep[n - 1][a])
     # degree 0: the common endpoint of the kept 1-cells
-    if x.n_cells(0) == 1:
-        zero = {0}
-    else:
-        zero = {x.face(1, 1, 0, c) for c in keep[1]}
+    if x.n_cells(0) != 1:
+        zero = np.unique(np.asarray(x._face[(1, 1, 0)])[keep[1]])
         if len(zero) != 1:
             raise InternalInvariantViolation(
-                "L functor needs a unique 0-cell; found endpoints %r" % (sorted(zero),))
-    keep[0] = zero
-    new_index = []
-    labels = []
-    for n in range(N + 1):
-        order = sorted(keep[n])
-        new_index.append({c: i for i, c in enumerate(order)})
-        labels.append([x.label(n, c) for c in order])
-    face = {}
-    degen = {}
-    for n in range(1, N + 1):
-        order = sorted(keep[n])
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                col = []
-                for c in order:
-                    t = x.face(n, i, eps, c)
-                    if t not in new_index[n - 1]:
-                        raise InternalInvariantViolation(
-                            "face left the equalizer subset at degree %d" % n)
-                    col.append(new_index[n - 1][t])
-                face[(n, i, eps)] = tuple(col)
-            col = []
-            for c in sorted(keep[n - 1]):
-                t = x.degen(n, i, c)
-                if t not in new_index[n]:
-                    raise InternalInvariantViolation(
-                        "degeneracy image escaped the equalizer subset at degree %d" % n)
-                col.append(new_index[n][t])
-            degen[(n, i)] = tuple(col)
-    return CubSet(N, labels, face, degen, is_lset=True).validate()
+                "L functor needs a unique 0-cell; found endpoints %r" % (zero.tolist(),))
+        keep[0] = np.arange(x.n_cells(0)) == zero[0]
+    incl = [np.flatnonzero(k) for k in keep]
+    new = []  # cell of x -> cell of the subobject, -1 off it
+    for k in keep:
+        pos = np.full(len(k), -1, dtype=np.intp)
+        pos[k] = np.arange(np.count_nonzero(k))
+        new.append(pos)
+
+    def restrict(table, cells, tgt, message):
+        out = new[tgt][np.asarray(table, dtype=np.intp)[cells]]
+        if (out < 0).any():
+            raise InternalInvariantViolation(message)
+        return tuple(out.tolist())
+
+    face = {(n, i, eps): restrict(t, incl[n], n - 1,
+                                  "face left the equalizer subset at degree %d" % n)
+            for (n, i, eps), t in x._face.items()}
+    degen = {(n, i): restrict(t, incl[n - 1], n, "degeneracy image escaped the"
+                              " equalizer subset at degree %d" % n)
+             for (n, i), t in x._degen.items()}
+    labels = [[x.label(n, c) for c in incl[n].tolist()] for n in range(N + 1)]
+    lx = CubSet(N, labels, face, degen, is_lset=True).validate()
+    return lx, [cells.tolist() for cells in incl]
+
+
+def subobject_cells(incl, maps):
+    """maps[n] (cells of x) as cells of the subobject included by incl
+    (ascending cells of x, as l_functor_with_inclusion returns them), or
+    None when some cell lies outside it."""
+    out = []
+    for sub, cells in zip(incl, maps):
+        sub = np.asarray(sub, dtype=np.intp)
+        pos = np.searchsorted(sub, cells)
+        if (pos >= len(sub)).any() or (sub[pos] != cells).any():
+            return None
+        out.append(pos.tolist())
+    return out
 
 
 # -- the Gamma functor (coequalizer of the two first faces) ------------------
@@ -372,65 +376,50 @@ def gamma_functor(x: CubSet) -> CubSet:
 
 
 def gamma_functor_with_projection(x: CubSet):
-    """gamma_functor plus the projection tables proj[n][cell] = class index."""
+    """gamma_functor plus the projection tables proj[n][cell] = class index.
+    Classes are numbered by their smallest cell, the union-find root, so the
+    first cell of x that projects to class k is the representative of k."""
     N = x.max_degree
     if N < 1:
         raise TruncationTooLow("gamma needs at least degree 1")
     M = N - 1
-    uf = []
+    proj = []
     for n in range(M + 1):
         u = _UnionFind(x.n_cells(n))
-        for c in range(x.n_cells(n + 1)):
-            u.union(x.face(n + 1, 1, 0, c), x.face(n + 1, 1, 1, c))
-        uf.append(u)
-    reps = []
-    cls_index = []
-    for n in range(M + 1):
-        rep = sorted({uf[n].find(c) for c in range(x.n_cells(n))})
-        reps.append(rep)
-        cls_index.append({r: i for i, r in enumerate(rep)})
-    if len(reps[0]) != 1:
+        for a, b in zip(x._face[(n + 1, 1, 0)], x._face[(n + 1, 1, 1)]):
+            u.union(a, b)
+        roots = np.array([u.find(c) for c in range(x.n_cells(n))], dtype=np.intp)
+        proj.append(np.searchsorted(np.unique(roots), roots))
+    first = [np.unique(cls, return_index=True)[1] for cls in proj]
+    if len(first[0]) != 1:
         raise QuotientIllDefined(
             "degree-0 coequalizer is not a single class (disconnected input)",
-            witnesses=[x.label(0, r) for r in reps[0]])
+            witnesses=[x.label(0, r) for r in first[0].tolist()])
 
-    def cls(n, c):
-        return cls_index[n][uf[n].find(c)]
+    def induced(table, n, tgt, message):
+        """The class map of a structure map from degree n into degree tgt;
+        raises unless it is constant on every class."""
+        images = proj[tgt][np.asarray(table, dtype=np.intp)]
+        bad = np.flatnonzero(images != images[first[n]][proj[n]])
+        if len(bad):
+            k = proj[n][bad].min()
+            raise QuotientIllDefined(message, witnesses=[
+                x.label(n, c) for c in np.flatnonzero(proj[n] == k).tolist()])
+        return tuple(images[first[n]].tolist())
 
-    labels = [[x.label(n, r) for r in reps[n]] for n in range(M + 1)]
-    face = {}
-    degen = {}
+    face, degen = {}, {}
     for n in range(1, M + 1):
-        members = [[] for _ in range(len(reps[n]))]
-        for c in range(x.n_cells(n)):
-            members[cls(n, c)].append(c)
         for i in range(1, n + 1):
             for eps in (0, 1):
-                col = []
-                for k, ms in enumerate(members):
-                    images = {cls(n - 1, x.face(n, i, eps, c)) for c in ms}
-                    if len(images) != 1:
-                        raise QuotientIllDefined(
-                            "induced face d_%d,%d not constant on a class" % (i, eps),
-                            witnesses=[x.label(n, c) for c in ms])
-                    col.append(images.pop())
-                face[(n, i, eps)] = tuple(col)
+                face[(n, i, eps)] = induced(x._face[(n, i, eps)], n, n - 1,
+                                            "induced face d_%d,%d not constant on a class"
+                                            % (i, eps))
         for i in range(1, n + 1):
-            membs = [[] for _ in range(len(reps[n - 1]))]
-            for c in range(x.n_cells(n - 1)):
-                membs[cls(n - 1, c)].append(c)
-            col = []
-            for k, ms in enumerate(membs):
-                images = {cls(n, x.degen(n, i, c)) for c in ms}
-                if len(images) != 1:
-                    raise QuotientIllDefined(
-                        "induced degeneracy s_%d not constant on a class" % i,
-                        witnesses=[x.label(n - 1, c) for c in ms])
-                col.append(images.pop())
-            degen[(n, i)] = tuple(col)
+            degen[(n, i)] = induced(x._degen[(n, i)], n - 1, n,
+                                    "induced degeneracy s_%d not constant on a class" % i)
+    labels = [[x.label(n, r) for r in first[n].tolist()] for n in range(M + 1)]
     gx = CubSet(M, labels, face, degen, is_lset=True).validate()
-    proj = [tuple(cls(n, c) for c in range(x.n_cells(n))) for n in range(M + 1)]
-    return gx, proj
+    return gx, [tuple(cls.tolist()) for cls in proj]
 
 
 # -- comparisons -------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .exactfield import Matrix as FieldMatrix
 from .racks import PointedRack
 
@@ -315,7 +317,8 @@ def pontryagin_rack_product(C, rack: PointedRack, mu_table, target=None,
 
     For an abelian rack with mu the group addition this is concatenation.
     Returns a certified chain map from the tensor square."""
-    from .chains import GradedMap, TensorComplex
+    from .chains import GradedMap, TensorComplex, _signed_matrix
+    from .nerves import cell_digits, cell_numbers
 
     if target is None:
         target = C
@@ -328,21 +331,18 @@ def pontryagin_rack_product(C, rack: PointedRack, mu_table, target=None,
     f = C.field
     T = TensorComplex(C, C, up_to=up_to)
     e = rack.basepoint
+    mu = np.array(mu_table)
+    # each factor's letters pushed into the target rack: x -> mu(x, e), y -> mu(e, y)
+    left = [mu[cell_digits(C.cell_of_pos[p], rack.order, p), e] for p in range(up_to + 1)]
+    right = [mu[e, cell_digits(C.cell_of_pos[q], rack.order, q)] for q in range(up_to + 1)]
     mats = {}
     for n in range(up_to + 1):
-        cols = [dict() for _ in range(T.dim(n))]
+        cols = []
         for (p, q) in T.components(n):
-            for i in range(C.dim(p)):
-                li = tuple(rack.elements.index(v) for v in C.label(p, i))
-                for j in range(C.dim(q)):
-                    rj = tuple(rack.elements.index(v) for v in C.label(q, j))
-                    out = tuple(mu_table[x][e] for x in li) + \
-                        tuple(mu_table[e][y] for y in rj)
-                    cell = target.source.index(
-                        n, tuple(target_rack.elements[a] for a in out))
-                    pos = target.cell_pos(n, cell)
-                    if pos is not None:
-                        cols[T.index(n, (p, q), i, j)][pos] = f.one()
+            words = np.concatenate((np.repeat(left[p], C.dim(q), axis=0),
+                                    np.tile(right[q], (C.dim(p), 1))), axis=1)
+            cells = cell_numbers(words, target_rack.order)
+            cols += _signed_matrix([target.basis_rows(n, cells)], [1], target.dim(n), f).cols_data
         mats[n] = FieldMatrix(f, target.dim(n), T.dim(n), cols)
     star = GradedMap(T, target, mats, desc="Pontryagin product")
     star.tensor = T

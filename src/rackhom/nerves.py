@@ -26,6 +26,11 @@ chains runs the same GroupArith on blocks of its cells.
 
 Every nerve is validated as it is built (validate_cubical or
 validate_simplicial, whole tables at a time).
+
+A cell is its number; labels are for reports only.  Maps between nerves
+work on digit rows as well: lnerve_inclusion sends each rack nerve cell of
+conj(G) to the number of its cubical nerve cell, and the L and Gamma
+functors (cubical) return their cell inclusion and projection.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ class BudgetExceeded(Exception):
 
 
 class SimplicialSet:
-    __slots__ = ("max_degree", "sizes", "labels", "_face", "_degen", "_index")
+    __slots__ = ("max_degree", "sizes", "labels", "_face", "_degen")
 
     def __init__(self, max_degree, labels, face, degen):
         """face[(n,i)]: X_n -> X_{n-1} for 0 <= i <= n;
@@ -60,7 +65,6 @@ class SimplicialSet:
         self.sizes = tuple(len(l) for l in self.labels)
         self._face = dict(face)
         self._degen = dict(degen)
-        self._index = tuple({lbl: i for i, lbl in enumerate(lbls)} for lbls in self.labels)
 
     def n_cells(self, n):
         return self.sizes[n] if 0 <= n <= self.max_degree else 0
@@ -75,7 +79,7 @@ class SimplicialSet:
         return self.labels[n][c]
 
     def index(self, n, label):
-        return self._index[n][label]
+        return self.labels[n].index(label)
 
     def degenerate_cells(self, n):
         if n == 0:
@@ -270,27 +274,21 @@ def group_cubical_nerve(g: FiniteGroup, max_degree: int,
     return CubSet(max_degree, labels, face, degen, is_lset=False).validate()
 
 
-def lnerve_inclusion_labels(g: FiniteGroup, tup):
-    """Vertex labeling of the cubical-nerve cell corresponding to a rack
-    nerve cell (g_1,...,g_n): v(A) is the product of the g_i over i in A in
-    increasing order.  This realizes the explicit bijection between the
-    rack nerve and the first-face equalizer of the cubical nerve."""
-    n = len(tup)
-    v = []
-    for mask in range(1, 2 ** n):
-        acc = g.unit
-        for i in range(n):
-            if mask >> i & 1:
-                acc = g.mul[acc][tup[i]]
-        v.append(acc)
-    return tuple(v)
-
-
 def lnerve_inclusion(g: FiniteGroup, y: CubSet):
-    """maps[n][c]: the cell of y, the cubical nerve of g or its first-face
-    equalizer, that lnerve_inclusion_labels assigns to the degree-n cell c of
-    the rack nerve of conj_rack(g) (whose cells are in itertools.product
-    order), for n through y.max_degree."""
-    return [[y.index(n, tuple(g.elements[a] for a in lnerve_inclusion_labels(g, tup)))
-             for tup in product(range(g.order), repeat=n)]
-            for n in range(y.max_degree + 1)]
+    """maps[n][c]: the cell of y, the cubical nerve of g, that corresponds to
+    the degree-n cell c of the rack nerve of conj_rack(g), for n through
+    y.max_degree.  Cell (g_1,...,g_n) goes to the vertex labeling
+    v(A) = v(A minus max A) g_{max A}, the product of the g_i over i in A
+    in increasing order: the explicit bijection between the rack nerve and
+    the first-face equalizer of the cubical nerve."""
+    mul = np.array(g.mul, dtype=np.int64)
+    maps = []
+    for n in range(y.max_degree + 1):
+        rows = cell_digits(np.arange(g.order ** n), g.order, n)
+        v = np.empty((len(rows), 2 ** n), dtype=np.int64)
+        v[:, 0] = g.unit
+        for m in range(1, 2 ** n):
+            top = m.bit_length() - 1
+            v[:, m] = mul[v[:, m ^ (1 << top)], rows[:, top]]
+        maps.append(cell_numbers(v[:, 1:], g.order))
+    return maps

@@ -1,0 +1,293 @@
+"""Per-cell reference builders for the table maps in rackhom.
+
+Each function builds a map the slow way: one cell at a time, reading cells
+through their labels (`index`) and faces one `face` call at a time.  The
+table versions in the package must equal them entry by entry.
+"""
+
+from itertools import permutations, product
+
+from rackhom.chains import TensorComplex
+from rackhom.cubical import QuotientIllDefined, TruncationTooLow, _UnionFind
+from rackhom.exactfield import Matrix
+from rackhom.shuffles import All, FirstFixed, FirstIsPPlus1, Permutation, enumerate_shuffles
+
+
+def lnerve_inclusion_labels(g, tup):
+    """Vertex labeling of the cubical-nerve cell corresponding to a rack
+    nerve cell (g_1,...,g_n): v(A) is the product of the g_i over i in A in
+    increasing order."""
+    n = len(tup)
+    v = []
+    for mask in range(1, 2 ** n):
+        acc = g.unit
+        for i in range(n):
+            if mask >> i & 1:
+                acc = g.mul[acc][tup[i]]
+        v.append(acc)
+    return tuple(v)
+
+
+def lnerve_inclusion_reference(g, y):
+    """maps[n][c]: the cell of y (the cubical nerve of g, or its first-face
+    equalizer) with the label lnerve_inclusion_labels assigns to rack cell c."""
+    return [[y.index(n, tuple(g.elements[a] for a in lnerve_inclusion_labels(g, tup)))
+             for tup in product(range(g.order), repeat=n)]
+            for n in range(y.max_degree + 1)]
+
+
+def face_word(x, n, word, c):
+    """Faces at an index set applied to one cell, largest index first."""
+    for i, eps in sorted(word, reverse=True):
+        c = x.face(n, i, eps, c)
+        n -= 1
+    return c
+
+
+def coproduct_reference(C, which):
+    """The full or half shuffle coproduct, one cell and one shuffle at a time."""
+    x = C.source
+    f = C.field
+    T = TensorComplex(C, C, up_to=C.max_degree)
+    mats = {}
+    degrees = range(0, C.max_degree + 1) if which == "full" else range(1, C.max_degree + 1)
+    kind = {"full": All, "prec": FirstFixed, "succ": FirstIsPPlus1}[which]
+    for n in degrees:
+        cols = []
+        for k in range(C.dim(n)):
+            cell = C.cell_of_pos[n][k]
+            col = {}
+
+            def add(p, q, lc, rc, coeff):
+                lp = C.pos_of_cell[p][lc]
+                rp = C.pos_of_cell[q][rc]
+                if lp is None or rp is None:
+                    return
+                key = T.index(n, (p, q), lp, rp)
+                col[key] = col.get(key, 0) + coeff
+
+            if n == 0:
+                add(0, 0, cell, cell, 1)
+            else:
+                for p in range(0, n + 1):
+                    q = n - p
+                    if p >= 1 and q >= 1:
+                        for sigma, sign in enumerate_shuffles(kind(p, q)):
+                            first = [sigma(i) for i in range(1, p + 1)]
+                            second = [sigma(i) for i in range(p + 1, n + 1)]
+                            add(p, q, face_word(x, n, [(i, 0) for i in second], cell),
+                                face_word(x, n, [(i, 1) for i in first], cell), sign)
+                    elif q == 0 and which in ("full", "prec"):
+                        add(n, 0, cell,
+                            face_word(x, n, [(i, 1) for i in range(1, n + 1)], cell), 1)
+                    elif p == 0 and which in ("full", "succ"):
+                        add(0, n, face_word(x, n, [(i, 0) for i in range(1, n + 1)], cell),
+                            cell, 1)
+            cols.append(f.vector(col))
+        mats[n] = Matrix(f, T.dim(n), C.dim(n), cols)
+    return mats
+
+
+def bar_shuffle_product_reference(C, group):
+    f = C.field
+    T = TensorComplex(C, C, up_to=C.max_degree)
+    nerve = C.source
+    mats = {}
+    for n in range(C.max_degree + 1):
+        cols = [dict() for _ in range(T.dim(n))]
+        for (p, q) in T.components(n):
+            for i in range(C.dim(p)):
+                li = tuple(group.elements.index(v) for v in C.label(p, i))
+                for j in range(C.dim(q)):
+                    rj = tuple(group.elements.index(v) for v in C.label(q, j))
+                    letters = li + rj
+                    src = T.index(n, (p, q), i, j)
+                    if p == 0 or q == 0:
+                        terms = [(letters, 1)]
+                    else:
+                        terms = []
+                        for sigma, sign in enumerate_shuffles(All(p, q)):
+                            inv = sigma.inverse()
+                            terms.append((tuple(letters[inv(t) - 1]
+                                                for t in range(1, n + 1)), sign))
+                    for word, sign in terms:
+                        cell = nerve.index(n, tuple(group.elements[a] for a in word))
+                        pos = C.cell_pos(n, cell)
+                        if pos is not None:
+                            cols[src][pos] = cols[src].get(pos, 0) + sign
+        mats[n] = Matrix(f, C.dim(n), T.dim(n), [f.vector(col) for col in cols])
+    return mats
+
+
+def bar_aw_coproduct_reference(C):
+    f = C.field
+    T = TensorComplex(C, C, up_to=C.max_degree)
+    nerve = C.source
+    mats = {}
+    for n in range(C.max_degree + 1):
+        cols = []
+        for k in range(C.dim(n)):
+            lbl = C.label(n, k)
+            col = {}
+            for p in range(0, n + 1):
+                left, right = lbl[:p], lbl[p:]
+                lp = C.cell_pos(p, nerve.index(p, left))
+                rp = C.cell_pos(n - p, nerve.index(n - p, right))
+                if lp is None or rp is None:
+                    continue
+                col[T.index(n, (p, n - p), lp, rp)] = f.one()
+            cols.append(col)
+        mats[n] = Matrix(f, T.dim(n), C.dim(n), cols)
+    return mats
+
+
+def pontryagin_reference(C, rack, mu_table, target, target_rack, up_to):
+    f = C.field
+    T = TensorComplex(C, C, up_to=up_to)
+    e = rack.basepoint
+    mats = {}
+    for n in range(up_to + 1):
+        cols = [dict() for _ in range(T.dim(n))]
+        for (p, q) in T.components(n):
+            for i in range(C.dim(p)):
+                li = tuple(rack.elements.index(v) for v in C.label(p, i))
+                for j in range(C.dim(q)):
+                    rj = tuple(rack.elements.index(v) for v in C.label(q, j))
+                    out = tuple(mu_table[x][e] for x in li) + \
+                        tuple(mu_table[e][y] for y in rj)
+                    cell = target.source.index(
+                        n, tuple(target_rack.elements[a] for a in out))
+                    pos = target.cell_pos(n, cell)
+                    if pos is not None:
+                        cols[T.index(n, (p, q), i, j)][pos] = f.one()
+        mats[n] = Matrix(f, target.dim(n), T.dim(n), cols)
+    return mats
+
+
+def rack_conjugation_reference(C, rack, a):
+    """(c_a matrices, h_a matrices) as in rackhom.chains.rack_conjugation_data."""
+    nerve = C.source
+    f = C.field
+    N = C.max_degree
+
+    def chain_of(tup, n):
+        cell = nerve.index(n, tuple(rack.elements[i] for i in tup))
+        p = C.cell_pos(n, cell)
+        return {} if p is None else {p: f.one()}
+
+    ca_mats = {}
+    for n in range(N + 1):
+        cols = []
+        for k in range(C.dim(n)):
+            tup = tuple(rack.elements.index(e) for e in C.label(n, k))
+            cols.append(chain_of(tuple(rack.op[x][a] for x in tup), n))
+        ca_mats[n] = Matrix(f, C.dim(n), C.dim(n), cols)
+    h_mats = {}
+    for n in range(N):
+        sgn = f.of_int(1 if n % 2 == 0 else -1)
+        cols = []
+        for k in range(C.dim(n)):
+            tup = tuple(rack.elements.index(e) for e in C.label(n, k))
+            col = chain_of(tup + (a,), n + 1)
+            cols.append({kk: f.mul(sgn, v) for kk, v in col.items()})
+        h_mats[n] = Matrix(f, C.dim(n + 1), C.dim(n), cols)
+    return ca_mats, h_mats
+
+
+def antisymmetrization_reference(group, s):
+    """The report of rackhom.coalgebra.antisymmetrization_compare, from the
+    comparison map s it builds."""
+    src, tgt = s.source, s.target
+    f = src.field
+    report = {"matches_antisymmetrization": True, "kills_symmetric": True,
+              "term_counts": {}}
+    for n in range(1, src.max_degree + 1):
+        count = 0
+        for k in range(src.dim(n)):
+            tup = tuple(group.elements.index(e) for e in src.label(n, k))
+            want = {}
+            for images in permutations(range(1, n + 1)):
+                term = tuple(tup[images[i] - 1] for i in range(n))
+                pos = tgt.cell_pos(n, tgt.source.index(n, tuple(group.elements[a] for a in term)))
+                if pos is None:
+                    continue
+                count += 1
+                want[pos] = want.get(pos, 0) + Permutation(images).sign
+            if s.mat(n).column(k) != f.vector(want):
+                report["matches_antisymmetrization"] = False
+        report["term_counts"][n] = count
+        if n >= 2:
+            for k in range(src.dim(n)):
+                tup = tuple(group.elements.index(e) for e in src.label(n, k))
+                for i in range(n - 1):
+                    swapped = list(tup)
+                    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+                    k2 = src.pos_of_cell[n][src.source.index(
+                        n, tuple(group.elements[a] for a in swapped))]
+                    if f.axpy(s.mat(n).column(k), s.mat(n).cols_data[k2]):
+                        report["kills_symmetric"] = False
+    return report
+
+
+def gamma_reference(x):
+    """The Gamma functor one cell and one class at a time: (labels, face
+    tables, degeneracy tables, projection) as gamma_functor_with_projection
+    builds them."""
+    N = x.max_degree
+    if N < 1:
+        raise TruncationTooLow("gamma needs at least degree 1")
+    M = N - 1
+    uf = []
+    for n in range(M + 1):
+        u = _UnionFind(x.n_cells(n))
+        for c in range(x.n_cells(n + 1)):
+            u.union(x.face(n + 1, 1, 0, c), x.face(n + 1, 1, 1, c))
+        uf.append(u)
+    reps = []
+    cls_index = []
+    for n in range(M + 1):
+        rep = sorted({uf[n].find(c) for c in range(x.n_cells(n))})
+        reps.append(rep)
+        cls_index.append({r: i for i, r in enumerate(rep)})
+    if len(reps[0]) != 1:
+        raise QuotientIllDefined(
+            "degree-0 coequalizer is not a single class (disconnected input)",
+            witnesses=[x.label(0, r) for r in reps[0]])
+
+    def cls(n, c):
+        return cls_index[n][uf[n].find(c)]
+
+    labels = [[x.label(n, r) for r in reps[n]] for n in range(M + 1)]
+    face = {}
+    degen = {}
+    for n in range(1, M + 1):
+        members = [[] for _ in range(len(reps[n]))]
+        for c in range(x.n_cells(n)):
+            members[cls(n, c)].append(c)
+        for i in range(1, n + 1):
+            for eps in (0, 1):
+                col = []
+                for k, ms in enumerate(members):
+                    images = {cls(n - 1, x.face(n, i, eps, c)) for c in ms}
+                    if len(images) != 1:
+                        raise QuotientIllDefined(
+                            "induced face d_%d,%d not constant on a class" % (i, eps),
+                            witnesses=[x.label(n, c) for c in ms])
+                    col.append(images.pop())
+                face[(n, i, eps)] = tuple(col)
+        for i in range(1, n + 1):
+            membs = [[] for _ in range(len(reps[n - 1]))]
+            for c in range(x.n_cells(n - 1)):
+                membs[cls(n - 1, c)].append(c)
+            col = []
+            for k, ms in enumerate(membs):
+                images = {cls(n, x.degen(n, i, c)) for c in ms}
+                if len(images) != 1:
+                    raise QuotientIllDefined(
+                        "induced degeneracy s_%d not constant on a class" % i,
+                        witnesses=[x.label(n - 1, c) for c in ms])
+                col.append(images.pop())
+            degen[(n, i)] = tuple(col)
+    proj = [tuple(cls(n, c) for c in range(x.n_cells(n))) for n in range(M + 1)]
+    return labels, face, degen, proj
+

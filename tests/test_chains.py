@@ -9,6 +9,8 @@ from rackhom import chains
 from rackhom.chains import (
     TRACKER_BATCH,
     TensorComplex,
+    _certificate_tracker,
+    _F2Rank,
     _ModRank,
     build_complex,
     eta_section,
@@ -24,8 +26,10 @@ from rackhom.chains import (
 )
 from rackhom.cubical import TruncationTooLow, standard_model
 from rackhom.exactfield import QQ, Echelon, FieldTag, Matrix
-from rackhom.nerves import bar_nerve, group_cubical_nerve, lnerve_inclusion_labels, rack_nerve
+from rackhom.nerves import bar_nerve, group_cubical_nerve, rack_nerve
 from rackhom.racks import conj_rack, preset, symmetric_group
+
+from cellref import lnerve_inclusion_labels, rack_conjugation_reference
 
 
 def test_rack_z2_complex_trivial_boundary():
@@ -290,6 +294,61 @@ def test_conjugation_homotopy_s3():
             assert hs.project_vec(n, c_a.mat(n).apply(rep)) == hs.project_vec(n, rep)
 
 
+@pytest.mark.parametrize("name,depth", [("conj:symmetric:3", 4), ("conj:quaternion:8", 3)])
+def test_rack_conjugation_data_matches_per_cell_reference(name, depth):
+    r = preset(name)
+    c = build_complex(rack_nerve(r, depth), QQ)
+    for a in (1, r.order - 1):
+        c_a, h_a = rack_conjugation_data(c, r, a)
+        want_ca, want_h = rack_conjugation_reference(c, r, a)
+        assert c_a.mats == want_ca
+        assert h_a.mats == want_h
+
+
+def rack_orbits(r):
+    """Orbits of X under x -> x <| y (conjugacy classes for conj:G)."""
+    orbits = []
+    for x in range(r.order):
+        if not any(x in o for o in orbits):
+            orbit, todo = {x}, [x]
+            while todo:
+                z = todo.pop()
+                for y in range(r.order):
+                    if r.op[z][y] not in orbit:
+                        orbit.add(r.op[z][y])
+                        todo.append(r.op[z][y])
+            orbits.append(orbit)
+    return len(orbits)
+
+
+# every rack preset family, with its orbit count and a prime p not dividing |Inn X|
+ETINGOF_GRANA = [("trivial_rack:4", 4, 2), ("conj:cyclic:2", 2, 3), ("conj:cyclic:3", 3, 2),
+                 ("conj:cyclic:2x2", 4, 3), ("conj:symmetric:3", 3, 5),
+                 ("conj:dihedral:4", 5, 3), ("conj:quaternion:8", 5, 3)]
+
+
+@pytest.mark.parametrize("name,orbits,p", ETINGOF_GRANA)
+def test_normalized_rack_betti_numbers_follow_etingof_grana(name, orbits, p):
+    """Etingof and Grana (J. Pure Appl. Algebra 177, 2003): over a field
+    where |Inn X| is invertible, dim H_n = c^n for the rack complex, c the
+    number of orbits, and the normalized (pointed) complex has (c - 1)^n."""
+    r = preset(name)
+    assert rack_orbits(r) == orbits
+    nerve = rack_nerve(r, 4)
+    for field in (QQ, FieldTag(p)):
+        for flavor, c in (("normalized", orbits - 1), ("unnormalized", orbits)):
+            dims = homology(build_complex(nerve, field, flavor), up_to=3).dims
+            assert dims == [c ** n for n in range(4)], (str(field), flavor)
+
+
+@pytest.mark.parametrize("name,p,dims", [("conj:symmetric:3", 3, [1, 2, 5, 13]),
+                                         ("conj:dihedral:4", 2, [1, 4, 19, 88])])
+def test_betti_numbers_depart_from_etingof_grana_when_p_divides_inn(name, p, dims):
+    """Negative control: p divides |Inn X| (S3 and D4/Z(D4)), and torsion in
+    the integral homology raises the mod-p dimensions."""
+    assert homology(build_complex(rack_nerve(preset(name), 4), FieldTag(p)), up_to=3).dims == dims
+
+
 def test_tensor_complex_d_squared_zero():
     c = build_complex(rack_nerve(conj_rack(symmetric_group(3)), 3), QQ)
     t = TensorComplex(c, c, up_to=3)
@@ -491,6 +550,27 @@ def test_blocked_tracker_matches_echelon(batch, stream, p, data):
         bound = data.draw(st.integers(1, oracle[-1]))
         used, _ = _feed(_ModRank(dim, p), cols, batch, bound)
         assert used == oracle.index(bound)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(column_streams(), st.sampled_from([1, 2, 3, 4, 6, 8, 15, 30, 210]))
+def test_q_tracker_rank_never_exceeds_rational_rank(stream, group_order):
+    """Soundness of the Q certificate: the mod-p rank the tracker reports
+    for integer columns is a lower bound on their rational rank, on every
+    prefix, for the tracker chosen for each group order."""
+    dim, cols = stream
+    tracker = _certificate_tracker(dim, QQ, group_order)
+    if group_order % 2:
+        assert isinstance(tracker, _F2Rank)
+    else:
+        assert isinstance(tracker, _ModRank) and group_order % tracker.p
+    exact = _oracle_ranks(cols, dim, 0)
+    for k, col in enumerate(cols, 1):
+        tracker.add([col], dim + 1)
+        assert tracker.rank <= exact[k]
+    batched = _certificate_tracker(dim, QQ, group_order)
+    _feed(batched, cols, TRACKER_BATCH, dim + 1)
+    assert batched.rank == tracker.rank <= exact[-1]
 
 
 def test_stream_note_is_independent_of_batch_size(monkeypatch):

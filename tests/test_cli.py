@@ -198,3 +198,52 @@ def test_internal_invariant_violation_exit_4(monkeypatch, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert err == "error: internal invariant violated: snake lift failed at degree 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("coalgebra", "verify", "--target", "tensor:2", "--laws", "foo"),
+    ("coalgebra", "verify", "--target", "tensor:x"),
+    ("coalgebra", "verify", "--target", "tensor:-1"),
+    # rack targets supply no product for the Hopf law
+    ("coalgebra", "verify", "--target", "conj:cyclic:3", "--laws", "Hopf"),
+])
+def test_coalgebra_bad_input_exit_2_with_one_line(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--nmax", "-1"), ("--nmax", "0"), ("--trials", "0"), ("--trials", "-3"),
+])
+def test_gl_verify_counts_below_one_exit_2(argv):
+    proc = run_cli("gl", "verify", *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+SWEEP = [
+    ("rack-homology", "--preset", "conj:symmetric:3", "--field", "f3"),
+    ("rack-homology", "--preset", "trivial_rack:4", "--field", "f2"),
+    ("group-homology", "--preset", "dihedral:4", "--field", "q"),
+    ("les", "--preset", "cyclic:2x2", "--field", "f5"),
+    ("les", "--kind", "gamma", "--preset", "cyclic:3", "--field", "q"),
+    ("coalgebra", "verify", "--target", "conj:quaternion:8", "--field", "f2"),
+    ("coalgebra", "verify", "--target", "tensor:0"),
+    ("map", "s", "--mode", "cubical", "--preset", "symmetric:3", "--field", "f3"),
+    ("verify", "lset-iso", "--group", "quaternion:8"),
+    ("nerve", "export", "--preset", "conj:dihedral:4"),
+]
+EDGES = [("--max-degree", "0"), ("--max-degree", "1"), ("--max-degree", "1", "--budget", "5")]
+
+
+@pytest.mark.parametrize("edge", EDGES, ids=" ".join)
+@pytest.mark.parametrize("argv", SWEEP, ids=" ".join)
+def test_cli_sweep_ends_with_a_documented_exit_code(argv, edge, capsys):
+    """In process: an uncaught exception fails the test outright."""
+    from rackhom import cli
+
+    code = cli.main([*argv, *edge])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rackhom.chains import build_complex, homology, verify_chain_map, verify_homotopy
 from rackhom.coalgebra import (
+    LAWS,
     GradedCoalgebra,
     MissingStructure,
     NotAbelian,
@@ -29,6 +30,13 @@ from rackhom.coalgebra import (
 from rackhom.exactfield import QQ, FieldTag, Matrix, column_space_analysis
 from rackhom.nerves import bar_nerve, group_cubical_nerve, rack_nerve
 from rackhom.racks import conj_rack, preset, symmetric_group
+
+from cellref import (
+    antisymmetrization_reference,
+    bar_aw_coproduct_reference,
+    bar_shuffle_product_reference,
+    coproduct_reference,
+)
 
 
 def rack_complex(name, depth):
@@ -106,15 +114,34 @@ def test_degree2_homotopy_identity():
         assert verify_homotopy(succ, compose_with_tau(prec), h) == []
 
 
-def test_tuple_formula_matches_face_route():
+@pytest.mark.parametrize("field", [QQ, FieldTag(3)], ids=str)
+def test_tuple_formula_matches_face_route(field):
     for name in ("conj:cyclic:3", "conj:symmetric:3", "conj:quaternion:8"):
         r = preset(name)
         depth = 3 if r.order > 6 else 4
-        c = build_complex(rack_nerve(r, depth), QQ)
+        c = build_complex(rack_nerve(r, depth), field)
         prec, _ = delta_halves(c)
         formula = rack_half_coproduct_formula(c, r)
         for n in range(1, depth + 1):
             assert prec.mat(n) == formula.mat(n)
+
+
+@pytest.mark.parametrize("name,depth,field", [
+    ("conj:symmetric:3", 4, QQ), ("conj:cyclic:3", 4, QQ),
+    ("conj:dihedral:4", 3, QQ), ("conj:quaternion:8", 3, FieldTag(3)),
+])
+def test_coproducts_match_per_cell_reference(name, depth, field):
+    c = build_complex(rack_nerve(preset(name), depth), field)
+    prec, succ = delta_halves(c)
+    for which, got in (("prec", prec), ("succ", succ), ("full", cubical_coproduct(c))):
+        assert got.mats == coproduct_reference(c, which), which
+
+
+def test_laws_lists_every_law_check_laws_knows():
+    tv = half_shuffle_model([1, 1], 3)
+    assert sorted(check_laws(tv, LAWS, 3)) == sorted(LAWS)
+    with pytest.raises(ValueError):
+        check_laws(tv, ["coZinbiel", "nonsense"], 3)
 
 
 def test_half_shuffle_model_basics():
@@ -264,6 +291,23 @@ def test_s2_antisymmetrization_values():
     assert col == {p1: Fraction(1), p2: Fraction(-1)}
     kk = src.pos_of_cell[2][src.source.index(2, (1, 1))]
     assert s.mat(2).column(kk) == {}
+
+
+@pytest.mark.parametrize("name", ["cyclic:2", "cyclic:3"])
+def test_bar_product_and_coproduct_match_per_cell_reference(name):
+    g = preset(name)
+    c = build_complex(bar_nerve(g, 4), QQ)
+    assert bar_shuffle_product(c, g).mats == bar_shuffle_product_reference(c, g)
+    assert bar_aw_coproduct(c).mats == bar_aw_coproduct_reference(c)
+
+
+@pytest.mark.parametrize("name", ["cyclic:2", "cyclic:3"])
+def test_antisymmetrization_compare_matches_per_cell_reference(name):
+    from rackhom.chains import s_map_rack_formula
+
+    g = preset(name)
+    assert antisymmetrization_compare(g, QQ, 3) == \
+        antisymmetrization_reference(g, s_map_rack_formula(g, QQ, 3))
 
 
 def test_bar_bialgebra_strict_for_abelian():

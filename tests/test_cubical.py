@@ -9,12 +9,15 @@ from rackhom.cubical import (
     cube_morphisms,
     find_isomorphism,
     gamma_functor,
+    gamma_functor_with_projection,
     l_functor,
+    l_functor_with_inclusion,
     morphism_from_normal_form,
     morphism_normal_form,
     precompose_delta,
     precompose_sigma,
     standard_model,
+    subobject_cells,
     validate_cubical,
     verify_cubset_map,
 )
@@ -27,6 +30,8 @@ from rackhom.nerves import (
     validate_simplicial,
 )
 from rackhom.racks import conj_rack, preset, symmetric_group
+
+from cellref import gamma_reference
 
 
 def hom_count(m, n):
@@ -208,8 +213,9 @@ def test_validators_match_cell_by_cell_reference(name):
 def test_verify_cubset_map_rejects_a_wrong_entry():
     g = preset("cyclic:3")
     rn = rack_nerve(conj_rack(g), 2)
-    lx = l_functor(group_cubical_nerve(g, 2))
-    maps = lnerve_inclusion(g, lx)
+    x = group_cubical_nerve(g, 2)
+    lx, incl = l_functor_with_inclusion(x)
+    maps = subobject_cells(incl, lnerve_inclusion(g, x))
     assert verify_cubset_map(rn, lx, maps)
     # not a bijection
     broken = [list(m) for m in maps]
@@ -296,9 +302,9 @@ def test_gamma_l_interchange():
 
 def test_inclusion_and_projection_commute_with_structure():
     x = group_cubical_nerve(preset("cyclic:3"), 3)
-    lx = l_functor(x)
-    inc = [[x.index(n, lx.label(n, c)) for c in range(lx.n_cells(n))]
-           for n in range(lx.max_degree + 1)]
+    lx, inc = l_functor_with_inclusion(x)
+    assert inc == [[x.index(n, lx.label(n, c)) for c in range(lx.n_cells(n))]
+                   for n in range(lx.max_degree + 1)]
     for n in range(1, lx.max_degree + 1):
         for i in range(1, n + 1):
             for eps in (0, 1):
@@ -306,9 +312,11 @@ def test_inclusion_and_projection_commute_with_structure():
                     assert inc[n - 1][lx.face(n, i, eps, c)] == x.face(n, i, eps, inc[n][c])
             for c in range(lx.n_cells(n - 1)):
                 assert inc[n][lx.degen(n, i, c)] == x.degen(n, i, inc[n - 1][c])
-    from rackhom.cubical import gamma_functor_with_projection
-
     gx, proj = gamma_functor_with_projection(x)
+    # the first cell of each class is its representative, whose label it takes
+    for n in range(gx.max_degree + 1):
+        firsts = [proj[n].index(k) for k in range(gx.n_cells(n))]
+        assert [x.label(n, c) for c in firsts] == list(gx.labels[n])
     for n in range(1, gx.max_degree + 1):
         for i in range(1, n + 1):
             for eps in (0, 1):
@@ -316,6 +324,20 @@ def test_inclusion_and_projection_commute_with_structure():
                     assert proj[n - 1][x.face(n, i, eps, c)] == gx.face(n, i, eps, proj[n][c])
             for c in range(x.n_cells(n - 1)):
                 assert proj[n][x.degen(n, i, c)] == gx.degen(n, i, proj[n - 1][c])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: group_cubical_nerve(preset("cyclic:2"), 3),
+    lambda: group_cubical_nerve(preset("symmetric:3"), 2),
+    lambda: standard_model("cube", 2, truncation=3),
+    lambda: rack_nerve(conj_rack(preset("cyclic:3")), 3),
+], ids=["nerve cyclic:2", "nerve symmetric:3", "cube 2", "rack nerve cyclic:3"])
+def test_gamma_matches_per_cell_reference(make):
+    x = make()
+    gx, proj = gamma_functor_with_projection(x)
+    labels, face, degen, want_proj = gamma_reference(x)
+    assert gx.labels == tuple(tuple(l) for l in labels)
+    assert gx._face == face and gx._degen == degen and proj == want_proj
 
 
 def test_lset_flag_iff_fixed_by_both_functors():

@@ -23,6 +23,8 @@ from rackhom.glstable import (
 from rackhom.nerves import rack_nerve
 from rackhom.racks import conj_rack, preset, validate_rack
 
+from cellref import pontryagin_reference
+
 
 Z4 = RingTag(4)
 F2 = RingTag(2)
@@ -136,6 +138,7 @@ def test_abelian_pontryagin_is_concatenation_chain_map():
     c = build_complex(rack_nerve(r, 4), QQ)
     mu = [[g.mul[x][y] for y in range(3)] for x in range(3)]
     star = pontryagin_rack_product(c, r, mu, up_to=4)
+    assert star.mats == pontryagin_reference(c, r, mu, c, r, 4)
     assert verify_chain_map(star) == []
     comp = star_components(star)
     m = comp[(1, 1)]
@@ -187,6 +190,7 @@ def test_matrix_group_pontryagin_into_bigger_rack():
     c1 = build_complex(rack_nerve(r1, 3), QQ)
     c2 = build_complex(rack_nerve(r2, 3, budget=10 ** 7), QQ)
     star = pontryagin_rack_product(c1, r1, mu, target=c2, target_rack=r2, up_to=2)
+    assert star.mats == pontryagin_reference(c1, r1, mu, c2, r2, 2)
     assert verify_chain_map(star) == []
 
 

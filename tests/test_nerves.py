@@ -3,7 +3,13 @@ from itertools import product
 import pytest
 
 from rackhom.chains import _boundary_keys, _coprime_stride, _stream_block
-from rackhom.cubical import l_functor, validate_cubical, verify_cubset_map
+from rackhom.cubical import (
+    l_functor,
+    l_functor_with_inclusion,
+    subobject_cells,
+    validate_cubical,
+    verify_cubset_map,
+)
 from rackhom.nerves import (
     BudgetExceeded,
     GroupArith,
@@ -12,11 +18,12 @@ from rackhom.nerves import (
     cell_numbers,
     group_cubical_nerve,
     lnerve_inclusion,
-    lnerve_inclusion_labels,
     rack_nerve,
     validate_simplicial,
 )
 from rackhom.racks import FiniteGroup, conj_rack, preset, symmetric_group, trivial_rack
+
+from cellref import lnerve_inclusion_labels, lnerve_inclusion_reference
 
 
 def test_trivial_group_nerve_sizes():
@@ -134,7 +141,7 @@ def test_lnerve_isomorphism_explicit_bijection():
         g = preset(name)
         r = conj_rack(g)
         x = group_cubical_nerve(g, depth, budget=10 ** 7)
-        lx = l_functor(x)
+        lx, incl = l_functor_with_inclusion(x)
         rn = rack_nerve(r, depth)
         maps = []
         for n in range(depth + 1):
@@ -146,7 +153,23 @@ def test_lnerve_isomorphism_explicit_bijection():
                 col.append(lx.index(n, lbl))
             maps.append(col)
         assert verify_cubset_map(rn, lx, maps)
-        assert lnerve_inclusion(g, lx) == maps
+        assert subobject_cells(incl, lnerve_inclusion(g, x)) == maps
+
+
+@pytest.mark.parametrize("name,depth", [("cyclic:2", 4), ("symmetric:3", 2), ("quaternion:8", 2)])
+def test_lnerve_inclusion_matches_label_reference(name, depth):
+    g = preset(name)
+    x = group_cubical_nerve(g, depth, budget=10 ** 7)
+    assert lnerve_inclusion(g, x) == lnerve_inclusion_reference(g, x)
+
+
+def test_subobject_cells_rejects_a_cell_outside():
+    x = group_cubical_nerve(preset("cyclic:3"), 2)
+    _, incl = l_functor_with_inclusion(x)
+    outside = [c for c in range(x.n_cells(2)) if c not in incl[2]][0]
+    assert subobject_cells(incl, incl) == [list(range(len(cells))) for cells in incl]
+    assert subobject_cells(incl, [incl[0], incl[1], [incl[2][0], outside]]) is None
+    assert subobject_cells(incl, [incl[0], incl[1], [x.n_cells(2)]]) is None
 
 
 def test_lnerve_iso_z2_degree3_counts():
