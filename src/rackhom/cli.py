@@ -4,7 +4,8 @@ acceptance suites, all with machine-readable JSON reports.
 
 Exit codes: 0 all requested checks pass; 1 a check failed; 2 bad input
 (flags such as a negative --max-degree, --nmax or --trials below 1, an
-unknown law, a product law for a target without a product, or a flag the
+unknown law, a product law for a target without a product, a field other
+than q for a tensor target, a composite p in --ring f:<p>, or a flag the
 command does not take; files, presets, a prime too large for the streamed
 certificate); 3 cell budget exceeded (a nerve, or for les a streamed top
 boundary that reads --budget cells without saturating); 4 an internal
@@ -205,7 +206,11 @@ def cmd_coalgebra_verify(args, started):
     unknown = [law for law in laws if law not in LAWS]
     if unknown:
         raise _CliError("unknown law %r (choose from %s)" % (unknown[0], ", ".join(LAWS)), 2)
+    field = _field(args.field)
     if args.target.startswith("tensor:"):
+        if field != QQ:
+            raise _CliError("tensor target %r: the tensor model T(V) is over Q, "
+                            "got field %s" % (args.target, field), 2)
         try:
             dim_v = int(args.target[len("tensor:"):])
         except ValueError:
@@ -218,7 +223,6 @@ def cmd_coalgebra_verify(args, started):
             laws.append("semiHopf")
     else:
         rack = _rack_or_die(args.target)
-        field = _field(args.field)
         c = build_complex(rack_nerve(rack, args.max_degree + 1, budget=args.budget), field)
         hs = homology(c, up_to=args.max_degree)
         prec, succ = delta_halves(c)
@@ -250,6 +254,12 @@ def cmd_gl_verify(args, started):
         raise _CliError("bad ring %r: %s" % (args.ring, exc), 2)
     if kind not in ("zmod", "f"):
         raise _CliError("ring must be zmod:<m> or f:<p>", 2)
+    if kind == "f":
+        try:
+            FieldTag(ring.m)
+        except ValueError as exc:
+            raise _CliError("bad ring %r: f:<p> names a prime field (%s); "
+                            "use zmod:<m> for Z/m" % (args.ring, exc), 2)
     exhaustive = 2 if (kind == "f" and ring.m == 2) else 0
     rep = verify_matrix_lemmas(ring, args.nmax, args.trials, seed=args.seed,
                                exhaustive_upto=exhaustive)

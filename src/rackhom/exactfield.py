@@ -2,13 +2,18 @@
 
 Every homology computation in this package reduces to column-space analysis
 of boundary matrices over Q or F_p.  Matrices are stored column-sparse
-(dict row -> scalar per column); rationals are `fractions.Fraction`, prime
-field elements are ints in [0, p).  All values are canonical on entry, so
-equality is structural.
+(dict row -> scalar per column).  All values are canonical on entry, so
+equality is structural.  Canonical means: a rational is a Python `int` when
+it is integral and a `fractions.Fraction` with denominator > 1 otherwise; a
+prime field element is an int in [0, p).  Almost every boundary entry and
+pivot is +-1, so Q arithmetic stays in machine-speed ints and builds a
+`Fraction` only for a value that is not integral.
 
-One sparse-accumulate kernel: every  acc += a * vec  on sparse vectors is
-`FieldTag.axpy`, which reduces mod p and drops the entries that cancel, and
-every chain sum with integer coefficients is accumulated in plain ints and
+The scalar operations are bound once per `FieldTag`, so none of them tests
+which field it is in.  One sparse-accumulate kernel: every  acc += a * vec
+on sparse vectors is `FieldTag.axpy`, which reduces mod p (over Q, turns an
+integral Fraction into an int) and drops the entries that cancel, and every
+chain sum with integer coefficients is accumulated in plain ints and
 converted once by `FieldTag.vector`.  No other code adds sparse vectors.
 
 One echelon per matrix: `column_space_analysis` eliminates a matrix once,
@@ -19,9 +24,14 @@ columns are reduced but not tracked, so coordinates are read modulo their span.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
+
+# heapq's C core: the pure-Python layer of the heapq module, unused here,
+# adds 128 KiB to the peak RSS of a process that imports it.
+from _heapq import heapify, heappop, heappush
 
 
 class FieldMismatch(Exception):
@@ -45,9 +55,93 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# -- the operations of Q on canonical values (int, or Fraction off Z) ---------
+
+
+def _q_canon(v):
+    return v if type(v) is int or v.denominator != 1 else v.numerator
+
+
+def _q_mul(a, b):
+    return _q_canon(a * b)
+
+
+def _q_div(a, b):
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _q_canon(a / b)
+
+
+def _q_inv(a):
+    return _q_div(1, a)
+
+
+def _q_axpy(acc: dict, vec: dict, a=None) -> dict:
+    for k, v in vec.items():
+        if a is not None:
+            v = a * v
+        w = acc[k] + v if k in acc else v
+        if type(w) is not int and w.denominator == 1:
+            w = w.numerator
+        if w:
+            acc[k] = w
+        elif k in acc:
+            del acc[k]
+    return acc
+
+
+def _q_vector(vals: dict) -> dict:
+    return {k: v if type(v) is int else _q_canon(v) for k, v in vals.items() if v}
+
+
+def _q_ops() -> dict:
+    return dict(zero=lambda: 0, one=lambda: 1, of_int=operator.index,
+                mul=_q_mul, neg=operator.neg, inv=_q_inv, div=_q_div,
+                axpy=_q_axpy, vector=_q_vector)
+
+
+def _fp_ops(p: int) -> dict:
+    """The operations of F_p, closed over p."""
+
+    def inv(a):
+        if a % p == 0:
+            raise ZeroDivisionError("inverse of 0 in F_%d" % p)
+        return pow(a, p - 2, p)
+
+    def axpy(acc: dict, vec: dict, a=None) -> dict:
+        for k, v in vec.items():
+            if a is not None:
+                v = a * v
+            w = (acc[k] + v) % p if k in acc else v % p
+            if w:
+                acc[k] = w
+            elif k in acc:
+                del acc[k]
+        return acc
+
+    return dict(zero=lambda: 0, one=lambda: 1, of_int=lambda n: n % p,
+                mul=lambda a, b: a * b % p, neg=lambda a: -a % p, inv=inv,
+                div=lambda a, b: a * inv(b) % p, axpy=axpy,
+                vector=lambda vals: {k: w for k, v in vals.items() if (w := v % p)})
+
+
 @dataclass(frozen=True)
 class FieldTag:
-    """Coefficient field: p == 0 means Q, otherwise the prime field F_p."""
+    """Coefficient field: p == 0 means Q, otherwise the prime field F_p.
+
+    The scalar operations are attributes bound in __post_init__ to the
+    field's own functions, all returning canonical values:
+      zero(), one(), of_int(n)   the constants and the integer n
+      mul(a, b), neg(a)          product and negative
+      inv(a), div(a, b)          inverse and quotient; ZeroDivisionError at 0
+      axpy(acc, vec, a=None)     acc += a * vec in place (a = 1 when None),
+                                 without the entries that cancel; returns
+                                 acc.  The entries of vec are field elements;
+                                 a may be any integer or field element
+      vector(vals)               the sparse vector of integers or field
+                                 elements vals, canonical and without zeros
+    """
 
     p: int = 0
 
@@ -55,62 +149,11 @@ class FieldTag:
         if self.p:
             if not (self.p < 2**31 and _is_prime(self.p)):
                 raise ValueError("modulus must be a prime below 2^31: %r" % (self.p,))
+        for name, fn in (_fp_ops(self.p) if self.p else _q_ops()).items():
+            object.__setattr__(self, name, fn)
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.p == 0
-
-    def zero(self):
-        return Fraction(0) if self.p == 0 else 0
-
-    def one(self):
-        return Fraction(1) if self.p == 0 else 1
-
-    def of_int(self, n: int):
-        return Fraction(n) if self.p == 0 else n % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p == 0 else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p == 0 else (-a) % self.p
-
-    def inv(self, a):
-        if self.p == 0:
-            return 1 / a
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in F_%d" % self.p)
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def axpy(self, acc: dict, vec: dict, a=None) -> dict:
-        """acc += a * vec in place (a = 1 when None), reduced mod p, without
-        the entries that cancel; returns acc.  The entries of vec are field
-        elements; a may be any integer or field element."""
-        p = self.p
-        for k, v in vec.items():
-            if a is not None:
-                v = a * v
-            w = acc[k] + v if k in acc else v
-            if p:
-                w %= p
-            if w:
-                acc[k] = w
-            elif k in acc:
-                del acc[k]
-        return acc
-
-    def vector(self, ints: dict) -> dict:
-        """The sparse vector of integer coefficients ints, as field elements
-        without the zero entries."""
-        out = {}
-        for k, n in ints.items():
-            v = self.of_int(n)
-            if v:
-                out[k] = v
-        return out
+    def __reduce__(self):  # the bound operations are closures, which do not pickle
+        return (FieldTag, (self.p,))
 
     def to_str(self, a) -> str:
         return str(a)
@@ -122,16 +165,13 @@ class FieldTag:
 QQ = FieldTag(0)
 
 
-def _freeze_col(col: dict) -> dict:
-    return {r: v for r, v in col.items() if v}
-
-
 class Matrix:
     """Immutable matrix over a single FieldTag, stored as sparse columns.
 
-    `cols_data[j]` maps row index -> nonzero scalar.  Boundary operators of
-    nerves have at most 2n nonzeros per column, so the sparse form is also
-    the dense-safe default at the scales this package handles.
+    `cols_data[j]` maps row index -> nonzero scalar, made canonical on entry
+    (a Fraction(2, 1) is stored as 2).  Boundary operators of nerves have at
+    most 2n nonzeros per column, so the sparse form is also the dense-safe
+    default at the scales this package handles.
     """
 
     __slots__ = ("field", "rows", "cols", "cols_data")
@@ -146,13 +186,11 @@ class Matrix:
             cols_data = [dict() for _ in range(cols)]
         if len(cols_data) != cols:
             raise ShapeError("column count mismatch")
-        clean = []
         for col in cols_data:
             for r in col:
                 if not (0 <= r < rows):
                     raise ShapeError("row index out of range")
-            clean.append(_freeze_col(col))
-        self.cols_data = tuple(clean)
+        self.cols_data = tuple(map(field.vector, cols_data))
 
     # -- constructors -----------------------------------------------------
 
@@ -167,11 +205,7 @@ class Matrix:
         cols = [dict() for _ in range(ncols)]
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
-                fv = field.of_int(v) if isinstance(v, int) else v
-                if not field.is_rationals and isinstance(fv, int):
-                    fv %= field.p
-                if fv:
-                    cols[j][i] = fv
+                cols[j][i] = v
         return cls(field, nrows, ncols, cols)
 
     @classmethod
@@ -283,16 +317,21 @@ class Echelon:
 
     Pivots are kept in insertion order: each stored column is fully reduced
     against the earlier ones, so its pivot row is untouched by them and a
-    single forward sweep reduces any new column exactly.  Feeding columns
-    one at a time keeps streamed rank computations cheap: the snake-lemma
-    machinery pushes very long column streams through this without ever
-    materialising a matrix.
+    single forward sweep reduces any new column exactly.  The sweep visits
+    only the pivots whose row is present: it pops them in insertion order
+    from a heap seeded with the pivot rows of the column, and a step with
+    pivot i can only bring in rows of pivots later than i, which it pushes.
+    It therefore applies the same steps, in the same order, as a sweep over
+    every pivot.  Feeding columns one at a time keeps streamed rank
+    computations cheap: the snake-lemma machinery pushes very long column
+    streams through this without ever materialising a matrix.
     """
 
     def __init__(self, field: FieldTag, rows: int):
         self.field = field
         self.rows = rows
         self.pivots: list = []  # (pivot_row, reduced_col, combo or None), insertion order
+        self._order: dict = {}  # pivot_row -> its index in self.pivots
         self.last_combo: Optional[dict] = None
 
     @property
@@ -300,14 +339,27 @@ class Echelon:
         return len(self.pivots)
 
     def _reduce(self, col: dict, combo: Optional[dict]):
-        f = self.field
+        div, axpy = self.field.div, self.field.axpy
+        pivots, order = self.pivots, self._order
         col = {r: v for r, v in col.items() if v}
-        for prow, pcol, pcombo in self.pivots:
-            if prow in col:
-                factor = -f.div(col[prow], pcol[prow])
-                f.axpy(col, pcol, factor)
-                if combo is not None and pcombo is not None:
-                    f.axpy(combo, pcombo, factor)
+        heap = [order[r] for r in col if r in order]
+        heapify(heap)
+        last = -1
+        while heap:
+            i = heappop(heap)
+            if i == last:  # pushed again after its row cancelled and came back
+                continue
+            last = i
+            prow, pcol, pcombo = pivots[i]
+            if prow not in col:
+                continue
+            for r in pcol:
+                if r not in col and r in order:
+                    heappush(heap, order[r])
+            factor = -div(col[prow], pcol[prow])
+            axpy(col, pcol, factor)
+            if combo is not None and pcombo is not None:
+                axpy(combo, pcombo, factor)
         return col, combo
 
     def contains(self, col: dict) -> bool:
@@ -328,7 +380,9 @@ class Echelon:
         self.last_combo = None
         # max-index pivots: kernel-basis columns (unit vector + small tail at
         # early pivot columns) then get disjoint pivot rows, avoiding fill-in
-        self.pivots.append((max(col), col, combo))
+        prow = max(col)
+        self._order[prow] = len(self.pivots)
+        self.pivots.append((prow, col, combo))
         return True
 
     def coordinates(self, col: dict) -> Optional[dict]:
@@ -342,9 +396,12 @@ class Echelon:
 
     def untracked_copy(self) -> "Echelon":
         """A new echelon over the same span whose columns are untagged.  It
-        shares the reduced columns, which no echelon writes after insertion."""
+        shares the reduced columns, which no echelon writes after insertion,
+        and copies the row order, which the copy extends when columns are
+        added to it."""
         ech = Echelon(self.field, self.rows)
         ech.pivots = [(prow, pcol, None) for prow, pcol, _ in self.pivots]
+        ech._order = dict(self._order)
         return ech
 
 
@@ -373,7 +430,7 @@ class ColumnSpaceAnalysis:
             v = list(v)
             if len(v) != ech.rows:
                 raise ShapeError("rhs length %d != rows %d" % (len(v), ech.rows))
-            vec = {i: f.of_int(w) if isinstance(w, int) else w for i, w in enumerate(v)}
+            vec = f.vector(dict(enumerate(v)))
         coords = ech.coordinates(vec)
         if coords is None:
             return None

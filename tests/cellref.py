@@ -1,15 +1,18 @@
-"""Per-cell reference builders for the table maps in rackhom.
+"""Per-cell reference builders for the table maps in rackhom, and the
+full-scan echelon sweep.
 
 Each function builds a map the slow way: one cell at a time, reading cells
 through their labels (`index`) and faces one `face` call at a time.  The
 table versions in the package must equal them entry by entry.
+`FullScanEchelon` reduces a column by visiting every stored pivot; the
+heap-ordered `Echelon` must equal it entry by entry.
 """
 
 from itertools import permutations, product
 
 from rackhom.chains import TensorComplex
 from rackhom.cubical import QuotientIllDefined, TruncationTooLow, _UnionFind
-from rackhom.exactfield import Matrix
+from rackhom.exactfield import Echelon, Matrix
 from rackhom.shuffles import All, FirstFixed, FirstIsPPlus1, Permutation, enumerate_shuffles
 
 
@@ -291,3 +294,23 @@ def gamma_reference(x):
     proj = [tuple(cls(n, c) for c in range(x.n_cells(n))) for n in range(M + 1)]
     return labels, face, degen, proj
 
+
+class FullScanEchelon(Echelon):
+    """An `Echelon` whose sweep tests every stored pivot, in insertion
+    order, for its row in the column."""
+
+    def _reduce(self, col, combo):
+        f = self.field
+        col = {r: v for r, v in col.items() if v}
+        for prow, pcol, pcombo in self.pivots:
+            if prow in col:
+                factor = -f.div(col[prow], pcol[prow])
+                f.axpy(col, pcol, factor)
+                if combo is not None and pcombo is not None:
+                    f.axpy(combo, pcombo, factor)
+        return col, combo
+
+    def untracked_copy(self):
+        ech = FullScanEchelon(self.field, self.rows)
+        ech.pivots = [(prow, pcol, None) for prow, pcol, _ in self.pivots]
+        return ech

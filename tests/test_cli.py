@@ -206,11 +206,24 @@ def test_internal_invariant_violation_exit_4(monkeypatch, capsys):
     ("coalgebra", "verify", "--target", "tensor:-1"),
     # rack targets supply no product for the Hopf law
     ("coalgebra", "verify", "--target", "conj:cyclic:3", "--laws", "Hopf"),
+    # --field is parsed for tensor targets too, and the tensor model is over Q
+    ("coalgebra", "verify", "--target", "tensor:1", "--field", "fx"),
+    ("coalgebra", "verify", "--target", "tensor:1", "--field", "f4"),
+    ("coalgebra", "verify", "--target", "tensor:1", "--field", "f5"),
 ])
 def test_coalgebra_bad_input_exit_2_with_one_line(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_gl_verify_f_needs_a_prime_and_zmod_takes_any_modulus():
+    proc = run_cli("gl", "verify", "--ring", "f:4", "--nmax", "1", "--trials", "2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    proc = run_cli("gl", "verify", "--ring", "zmod:4", "--nmax", "1", "--trials", "2")
+    assert proc.returncode == 0
+    assert report_of(proc)["ring"] == "Z/4"
 
 
 @pytest.mark.parametrize("argv", [
@@ -231,6 +244,8 @@ SWEEP = [
     ("les", "--kind", "gamma", "--preset", "cyclic:3", "--field", "q"),
     ("coalgebra", "verify", "--target", "conj:quaternion:8", "--field", "f2"),
     ("coalgebra", "verify", "--target", "tensor:0"),
+    ("coalgebra", "verify", "--target", "tensor:1", "--field", "fx"),
+    ("coalgebra", "verify", "--target", "tensor:1", "--field", "f5"),
     ("map", "s", "--mode", "cubical", "--preset", "symmetric:3", "--field", "f3"),
     ("verify", "lset-iso", "--group", "quaternion:8"),
     ("nerve", "export", "--preset", "conj:dihedral:4"),

@@ -6,8 +6,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellref import FullScanEchelon
+from rackhom.chains import build_complex
 from rackhom.exactfield import (
     QQ,
+    Echelon,
     FieldMismatch,
     FieldTag,
     Matrix,
@@ -15,6 +18,8 @@ from rackhom.exactfield import (
     column_space_analysis,
     solve_in_image,
 )
+from rackhom.nerves import rack_nerve
+from rackhom.racks import preset
 
 
 def test_field_tag_validation():
@@ -221,6 +226,15 @@ def test_solve_matches_sympy_consistency(rows, data):
 
 # -- the sparse-accumulate kernel against a dense reference --------------------
 
+
+def _canonical(f, v):
+    """A rational is an int when integral, else a Fraction off Z; an F_p
+    element is an int in [0, p)."""
+    if f.p == 0:
+        return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+    return type(v) is int and 0 <= v < f.p
+
+
 sparse_ints = st.dictionaries(st.integers(0, 7), st.integers(-4, 4), max_size=6)
 
 
@@ -236,7 +250,7 @@ def test_axpy_matches_dense_reference(p, acc_ints, vec_ints, a, a_in_field):
     assert out is acc
     assert [out.get(k, f.zero()) for k in range(8)] == want
     assert all(v for v in out.values())
-    assert all(isinstance(v, Fraction) if p == 0 else 0 < v < p for v in out.values())
+    assert all(_canonical(f, v) for v in out.values())
 
 
 @PROPERTY
@@ -245,3 +259,97 @@ def test_vector_is_of_int_without_zeros(p, ints):
     f = FieldTag(p)
     assert f.vector(ints) == {k: f.of_int(v) for k, v in ints.items() if f.of_int(v)}
     assert all(f.vector(ints).values())
+
+
+# -- canonical values: an int while integral, on entry and out of elimination --
+
+
+def test_q_values_are_canonical_on_entry():
+    m = Matrix.from_rows(QQ, [[Fraction(2, 1), Fraction(1, 2)], [0, Fraction(-6, 3)]])
+    assert [type(v) for v in m.cols_data[0].values()] == [int]
+    assert m.cols_data == ({0: 2}, {0: Fraction(1, 2), 1: -2})
+    assert all(_canonical(QQ, v) for col in m.cols_data for v in col.values())
+    assert Matrix(QQ, 1, 1, [{0: Fraction(3, 1)}]) == Matrix.from_rows(QQ, [[3]])
+    x = column_space_analysis(Matrix.from_rows(QQ, [[2, 0], [0, 1]])).solve(
+        [Fraction(4, 1), Fraction(3, 1)])
+    assert x == [2, 3] and all(type(v) is int for v in x)
+    assert solve_in_image(Matrix.from_rows(QQ, [[2]]), [Fraction(3, 1)]) == [Fraction(3, 2)]
+
+
+def test_q_boundaries_and_kernels_are_canonical():
+    c = build_complex(rack_nerve(preset("conj:symmetric:3"), 3), QQ)
+    for n in range(1, 4):
+        mats = (c.d(n), c.analysis(n).kernel_basis)
+        assert all(_canonical(QQ, v) for m in mats for col in m.cols_data for v in col.values())
+
+
+# -- the heap-ordered sweep against the full scan it replaces ----------------
+
+
+@st.composite
+def echelon_streams(draw):
+    """A field, a row count, and a stream of sparse columns with entries
+    that are mostly not +-1, each tagged or not, plus probe vectors."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    dim = draw(st.integers(1, 9))
+    col = st.dictionaries(st.integers(0, dim - 1),
+                          st.integers(-7, 7).filter(bool), max_size=5)
+    stream = draw(st.lists(st.tuples(col, st.booleans()), max_size=24))
+    probes = draw(st.lists(col, max_size=6))
+    return FieldTag(p), dim, stream, probes
+
+
+def _logging_field(p):
+    """F_p (Q at p = 0) whose axpy also logs each step it applies, so two
+    echelons over such fields can be compared step by step."""
+    f, log = FieldTag(p), []
+    axpy = f.axpy
+
+    def logged(acc, vec, a=None):
+        log.append((sorted(vec.items()), a))
+        return axpy(acc, vec, a)
+
+    object.__setattr__(f, "axpy", logged)
+    return f, log
+
+
+def _pinned_equal(ech, ref, cols):
+    """ech and ref hold identical pivots and read identical coordinates and
+    memberships on cols."""
+    assert ech.pivots == ref.pivots
+    for col in cols:
+        assert ech.coordinates(col) == ref.coordinates(col)
+        assert ech.contains(col) == ref.contains(col)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(echelon_streams())
+def test_heap_echelon_equals_full_scan(data):
+    f, dim, stream, probes = data
+    cols = [f.vector(col) for col, _ in stream]
+    probes = [f.vector(col) for col in probes] + cols
+    (fe, steps), (fr, ref_steps) = _logging_field(f.p), _logging_field(f.p)
+    ech, ref = Echelon(fe, dim), FullScanEchelon(fr, dim)
+    for j, (col, (_, tagged)) in enumerate(zip(cols, stream)):
+        tag = j if tagged else None
+        assert ech.add(col, tag) == ref.add(col, tag)
+        assert ech.last_combo == ref.last_combo
+    _pinned_equal(ech, ref, probes)
+    # an untracked copy, extended by tagged columns, leaves the original as it was
+    pivots = list(ech.pivots)
+    ech2, ref2 = ech.untracked_copy(), ref.untracked_copy()
+    for j, col in enumerate(probes):
+        assert ech2.add(col, ("p", j)) == ref2.add(col, ("p", j))
+        assert ech2.last_combo == ref2.last_combo
+    _pinned_equal(ech2, ref2, probes)
+    assert ech.pivots == pivots
+    _pinned_equal(ech, ref, probes)
+    # the same pivot steps, with the same factors, in the same order
+    assert steps == ref_steps
+    # column_space_analysis reads the same kernel basis as the full scan
+    m = Matrix(f, dim, len(cols), cols)
+    full = FullScanEchelon(f, dim)
+    kernel = [full.last_combo for j in range(m.cols) if not full.add(m.column(j), j)]
+    a = column_space_analysis(m)
+    assert a.echelon.pivots == full.pivots
+    assert a.kernel_basis == Matrix(f, m.cols, len(kernel), kernel)
