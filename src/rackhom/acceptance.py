@@ -178,8 +178,8 @@ def criterion_6(seed=0):
             r = conj_rack(g)
             a, b = 1, 4
             ab, ba = cell_numbers(np.array([[a, b], [b, r.op[a][b]]]), g.order)
-            col = s.mat(2).column(src.pos_of_cell[2][ab])
-            want = {tgt.pos_of_cell[2][ab]: QQ.one(), tgt.pos_of_cell[2][ba]: QQ.of_int(-1)}
+            col = s.mat(2).column(src.cell_pos(2, ab))
+            want = {tgt.cell_pos(2, ab): QQ.one(), tgt.cell_pos(2, ba): QQ.of_int(-1)}
             details["S_2 formula"] = col == want
             ok = ok and col == want
     for name in ("cyclic:2", "cyclic:3"):
@@ -227,21 +227,14 @@ def criterion_8(seed=0):
         c = build_complex(rack_nerve(r, top + 1), QQ)
         prec, succ = delta_halves(c)
         full = cubical_coproduct(c)
-        t = full.tensor
         good_sum = True
         for n in range(1, c.max_degree + 1):
-            diff = prec.mat(n) + succ.mat(n) - full.mat(n)
-            for j in range(diff.cols):
-                for row in diff.column(j):
-                    for (p, q) in t.components(n):
-                        off = t.offset(n, (p, q))
-                        if off <= row < off + c.dim(p) * c.dim(q):
-                            if p >= 1 and q >= 1:
-                                good_sum = False
-                            break
+            diff = full.target.blocks(prec.mat(n) + succ.mat(n) - full.mat(n), n)
+            # the halves may differ from the full coproduct on the counital edges only
+            good_sum = good_sum and all(b.is_zero() for (p, q), b in diff.items() if p and q)
         good_chain = not verify_chain_map(prec) and not verify_chain_map(succ) \
             and not verify_chain_map(full)
-        h = coproduct_homotopy(c, t)
+        h = coproduct_homotopy(c)
         good_homotopy = not verify_homotopy(succ, compose_with_tau(prec), h)
         hs = homology(c, up_to=top)
         gch = GradedCoalgebra(QQ, hs.dims,
@@ -249,8 +242,8 @@ def criterion_8(seed=0):
                               delta_succ=induced_coproduct_components(succ, hs, top))
         rep = check_laws(gch, ["coZinbiel", "cocommutativeOfSum"], top)
         good_laws = all(not v for v in rep.values())
-        formula_ok = all(prec.mat(n) == rack_half_coproduct_formula(c, r).mat(n)
-                         for n in range(1, c.max_degree + 1))
+        formula = rack_half_coproduct_formula(c, r)
+        formula_ok = all(prec.mat(n) == formula.mat(n) for n in range(1, c.max_degree + 1))
         details[name] = {"sum": good_sum, "chain_maps": good_chain,
                          "degree2_homotopy": good_homotopy,
                          "homology_laws": good_laws,

@@ -26,10 +26,14 @@ numpy gathers on the digit rows of all source cells at once (cell_digits,
 cell_numbers); a cell is its number, and its label is used only to print
 it.  basis_rows and TensorComplex.pair_rows turn target cells into rows,
 with -1 for a term that lands on a degenerate cell and is dropped.
+
+The tensor square C (x) C is one TensorComplex per complex, built by
+ChainComplex.tensor_square; no other code knows its layout.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dfield
 from itertools import islice, permutations
 
@@ -54,7 +58,7 @@ class ChainComplex:
     """Graded basis-indexed free modules with boundary matrices."""
 
     def __init__(self, field, labels, boundaries, flavor="normalized",
-                 source_kind="abstract", source=None, pos_of_cell=None,
+                 source_kind="abstract", source=None, cell_rows=None,
                  cell_of_pos=None, check=True):
         self.field = field
         self.flavor = flavor
@@ -64,12 +68,10 @@ class ChainComplex:
         self.boundaries = list(boundaries)  # boundaries[n]: C_n -> C_{n-1}, n >= 1
         self.source_kind = source_kind
         self.source = source
-        self.pos_of_cell = pos_of_cell  # per degree: cell index -> basis pos or None
+        self._rows = cell_rows  # per degree: cell -> basis position, -1 when degenerate
         self.cell_of_pos = cell_of_pos
         self._analyses = {}
-        # basis_rows tables: cell -> basis position, -1 when degenerate
-        self._rows = None if pos_of_cell is None else [
-            np.array([-1 if p is None else p for p in pos], dtype=np.int64) for pos in pos_of_cell]
+        self._square = None
         if check:
             for n in range(2, self.max_degree + 1):
                 if not (self.d(n - 1) @ self.d(n)).is_zero():
@@ -96,18 +98,31 @@ class ChainComplex:
             self._analyses[n] = column_space_analysis(self.d(n))
         return self._analyses[n]
 
+    def tensor_square(self) -> "TensorComplex":
+        """C (x) C through the top degree, built once; every coproduct and
+        product of C lives on it."""
+        if self._square is None:
+            self._square = TensorComplex(self, self.max_degree)
+        return self._square
+
     def cell_pos(self, n: int, cell_index: int):
         """Basis position of a source cell (None if the cell is degenerate)."""
-        if self.pos_of_cell is None:
+        if self._rows is None:
             return cell_index
-        return self.pos_of_cell[n][cell_index]
+        p = int(self._rows[n][cell_index])
+        return None if p < 0 else p
 
     def basis_rows(self, n: int, cells):
         """Basis positions of an array of degree-n cells, -1 for each
         degenerate one."""
-        if self._rows is None:
-            return np.asarray(cells, dtype=np.int64)
-        return self._rows[n][np.asarray(cells, dtype=np.int64)]
+        return _table_rows(self._rows, n, cells)
+
+
+def _table_rows(tables, n, cells):
+    """The rows of an array of degree-n cells in per-degree cell -> row
+    tables (-1 for a degenerate cell); with no tables a cell is its row."""
+    cells = np.asarray(cells, dtype=np.int64)
+    return cells if tables is None else tables[n][cells]
 
 
 def _boundary_keys(n: int, cubical: bool):
@@ -118,21 +133,23 @@ def _boundary_keys(n: int, cubical: bool):
     return [(i,) for i in range(n + 1)]
 
 
-def _signed_column(targets, signs, f):
+def _signed_column(targets, signs):
     """The chain sum of the target rows with their integer signs, without
-    the dropped terms (row -1) and the entries that cancel."""
+    the dropped terms (row -1), as a dict of integers (a cancelled entry
+    stays as 0).  Matrix, Matrix.apply and the rank trackers make the
+    entries field elements."""
     col = {}
     for t, s in zip(targets, signs):
         if t >= 0:
             col[t] = col.get(t, 0) + s
-    return f.vector(col)
+    return col
 
 
 def _signed_matrix(tables, signs, rows, f):
     """The matrix with rows rows whose column j is _signed_column of the
     rows tables[t][j], one table of target rows per term t (basis_rows or
     pair_rows), with the integer signs[t]."""
-    cols = [_signed_column(targets, signs, f)
+    cols = [_signed_column(targets, signs)
             for targets in zip(*(np.asarray(t).tolist() for t in tables))]
     return Matrix(f, rows, len(cols), cols)
 
@@ -165,92 +182,91 @@ def build_complex(x, field: FieldTag, flavor: str = "normalized") -> ChainComple
                   for key in keys]
         boundaries.append(_signed_matrix(tables, [(-1) ** sum(key) for key in keys],
                                          len(cell_of[n - 1]), field))
-    pos_of = [[None if p < 0 else p for p in rows.tolist()] for rows in rows_of]
     return ChainComplex(field, labels, boundaries, flavor=flavor,
                         source_kind="cubical" if cubical else "simplicial",
-                        source=x, pos_of_cell=pos_of, cell_of_pos=cell_of)
+                        source=x, cell_rows=rows_of, cell_of_pos=cell_of)
 
 
 class TensorComplex(ChainComplex):
-    """Tensor square A (x) B with the Koszul differential.  Basis at total
-    degree n is grouped by components (p, q), the second index varying
-    fastest within a component."""
+    """Tensor square C (x) C with the Koszul differential; built by
+    ChainComplex.tensor_square, and the one owner of its layout.  The basis
+    at total degree n is grouped by components (p, q), p = 0 .. n, each a
+    run of dim C_p * dim C_q rows with the second index varying fastest
+    (the Matrix.kron convention).  pair_rows and index place basis pairs in
+    it, basis_pairs reads them off, span gives a component's run, and
+    blocks splits a matrix by it."""
 
-    def __init__(self, a: ChainComplex, b: ChainComplex, up_to: int):
-        if a.field != b.field:
-            raise ValueError("tensor factors over different fields")
-        self.factors = (a, b)
+    def __init__(self, c: ChainComplex, up_to: int):
+        # the factor's dimensions and cell -> row tables, not the factor:
+        # the square C caches holds nothing that refers back to C
+        self.factor_dims = list(c.dims)
+        self._factor_rows = c._rows
         self.up_to = up_to
-        f = a.field
-        self._components = []
-        self._offsets = []
+        f = c.field
+        self._spans = []
         labels = []
         for n in range(up_to + 1):
-            comps = [(p, n - p) for p in range(n + 1)]
-            offs = {}
+            spans = {}
             lab = []
-            run = 0
-            for (p, q) in comps:
-                offs[(p, q)] = run
-                run += a.dim(p) * b.dim(q)
-                for i in range(a.dim(p)):
-                    for j in range(b.dim(q)):
-                        lab.append((a.label(p, i), b.label(q, j)))
-            self._components.append(comps)
-            self._offsets.append(offs)
+            for p in range(n + 1):
+                q = n - p
+                spans[(p, q)] = slice(len(lab), len(lab) + c.dim(p) * c.dim(q))
+                lab += [(c.label(p, i), c.label(q, j))
+                        for i in range(c.dim(p)) for j in range(c.dim(q))]
+            self._spans.append(spans)
             labels.append(lab)
         boundaries = []
         for n in range(1, up_to + 1):
             cols = []
-            for (p, q) in self._components[n]:
-                da = a.d(p)
-                db = b.d(q)
-                for i in range(a.dim(p)):
-                    for j in range(b.dim(q)):
-                        col = {}
-                        if p >= 1:
-                            off = self._offsets[n - 1][(p - 1, q)]
-                            for r, v in da.cols_data[i].items():
-                                col[off + r * b.dim(q) + j] = v
-                        if q >= 1:
-                            off = self._offsets[n - 1][(p, q - 1)] + i * b.dim(q - 1)
-                            f.axpy(col, {off + r: v for r, v in db.cols_data[j].items()},
-                                   (-1) ** p)
+            for (p, q) in self._spans[n]:
+                for i in range(c.dim(p)):
+                    for j in range(c.dim(q)):
+                        col = {self.index(n - 1, (p - 1, q), r, j): v
+                               for r, v in c.d(p).cols_data[i].items()} if p else {}
+                        if q:
+                            f.axpy(col, {self.index(n - 1, (p, q - 1), i, r): v
+                                         for r, v in c.d(q).cols_data[j].items()}, (-1) ** p)
                         cols.append(col)
             boundaries.append(Matrix(f, len(labels[n - 1]), len(labels[n]), cols))
         super().__init__(f, labels, boundaries, flavor="tensor",
                          source_kind="tensor", check=False)
 
     def components(self, n):
-        return list(self._components[n])
+        return list(self._spans[n])
 
-    def offset(self, n, comp):
-        return self._offsets[n][comp]
+    def span(self, n, comp) -> slice:
+        """The run of rows (as a slice) of component comp at total degree n."""
+        return self._spans[n][comp]
 
     def index(self, n, comp, i, j):
-        p, q = comp
-        return self._offsets[n][comp] + i * self.factors[1].dim(q) + j
+        return self._spans[n][comp].start + i * self.factor_dims[comp[1]] + j
+
+    def basis_pairs(self, n, p):
+        """The factor positions (i, j) of the basis of component (p, n - p),
+        in order, as two arrays."""
+        return np.divmod(np.arange(self.factor_dims[p] * self.factor_dims[n - p]),
+                         self.factor_dims[n - p])
 
     def pair_rows(self, n, p, left, right):
         """Rows of the basis pairs (left[k], right[k]) of component
         (p, n - p), given as cell arrays of the two factors; -1 where either
         cell is degenerate."""
-        a, b = self.factors
         q = n - p
-        lp, rq = a.basis_rows(p, left), b.basis_rows(q, right)
-        return np.where((lp >= 0) & (rq >= 0), self.offset(n, (p, q)) + lp * b.dim(q) + rq, -1)
+        lp, rq = _table_rows(self._factor_rows, p, left), _table_rows(self._factor_rows, q, right)
+        return np.where((lp >= 0) & (rq >= 0), self.index(n, (p, q), lp, rq), -1)
 
-    def component_block(self, mat_col_or_vec, n, comp):
-        """Extract the (p, q) block of a sparse vector at total degree n as a
-        dict (i, j) -> value."""
-        p, q = comp
-        off = self._offsets[n][comp]
-        size = self.factors[0].dim(p) * self.factors[1].dim(q)
-        out = {}
-        for r, v in mat_col_or_vec.items():
-            if off <= r < off + size:
-                out[divmod(r - off, self.factors[1].dim(q))] = v
-        return out
+    def blocks(self, m: Matrix, n: int) -> dict:
+        """The rows of a matrix into total degree n split by component:
+        {(p, q): the rows of span(n, (p, q)), renumbered from 0}."""
+        comps = self.components(n)
+        starts = [self._spans[n][comp].start for comp in comps]
+        cols = [[{} for _ in range(m.cols)] for _ in comps]
+        for j, col in enumerate(m.cols_data):
+            for r, v in col.items():
+                k = bisect_right(starts, r) - 1
+                cols[k][j][r - starts[k]] = v
+        return {comp: Matrix(m.field, self._spans[n][comp].stop - starts[k], m.cols, cols[k])
+                for k, comp in enumerate(comps)}
 
 
 class GradedMap:
@@ -338,6 +354,7 @@ class HomologySummary:
         self.dims = dims
         self.reps = reps
         self.echelons = echelons
+        self._projections = {}
 
     def rep_matrix(self, n: int) -> Matrix:
         return Matrix(self.complex.field, self.complex.dim(n), self.dims[n], self.reps[n])
@@ -357,9 +374,12 @@ class HomologySummary:
         return {tag[1]: v for tag, v in coords.items() if tag[0] == "r"}
 
     def projection(self, n: int) -> Matrix:
-        f = self.complex.field
-        cols = [self.project_vec(n, {i: f.one()}) for i in range(self.complex.dim(n))]
-        return Matrix(f, self.dims[n], self.complex.dim(n), cols)
+        """The matrix of project_vec at degree n, built once."""
+        if n not in self._projections:
+            f = self.complex.field
+            cols = [self.project_vec(n, {i: f.one()}) for i in range(self.complex.dim(n))]
+            self._projections[n] = Matrix(f, self.dims[n], self.complex.dim(n), cols)
+        return self._projections[n]
 
 
 def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> HomologySummary:
@@ -540,13 +560,10 @@ class LESResult:
         }
 
 
-def _induced(hs_src, hs_tgt, chain_mat, n, shift=0):
+def _induced(hs_src, hs_tgt, chain_mat, n):
     """Homology-coordinate matrix of a chain map (given at degree n)."""
-    f = hs_src.complex.field
-    cols = []
-    for col in hs_src.reps[n]:
-        cols.append(hs_tgt.project_vec(n + shift, chain_mat.apply(col)))
-    return Matrix(f, hs_tgt.dims[n + shift], hs_src.dims[n], cols)
+    cols = [hs_tgt.project_vec(n, chain_mat.apply(col)) for col in hs_src.reps[n]]
+    return Matrix(hs_src.complex.field, hs_tgt.dims[n], hs_src.dims[n], cols)
 
 
 def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
@@ -692,12 +709,9 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
         f = field
         proj = []
         for n in range(N + 1):
-            cols = []
-            for k in range(T.dim(n)):
-                cell = T.cell_of_pos[n][k]
-                qp = Q.cell_pos(n, gproj[n][cell])
-                cols.append({} if qp is None else {qp: f.one()})
-            proj.append(Matrix(f, Q.dim(n), T.dim(n), cols))
+            rows = Q.basis_rows(n, np.asarray(gproj[n])[T.cell_of_pos[n]]).tolist()
+            proj.append(Matrix(f, Q.dim(n), T.dim(n), [{r: f.one()} if r >= 0 else {}
+                                                        for r in rows]))
         # kernel subcomplex
         kerbases = [column_space_analysis(proj[n]).kernel_basis for n in range(N + 1)]
         kernels = [column_space_analysis(kb) for kb in kerbases[:N]]
@@ -940,7 +954,6 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
     bound = T.dim(N) - T.analysis(N).rank
     arith = GroupArith(g)
     signs = [(-1) ** sum(key) for key in _boundary_keys(n1, True)]
-    row_of = [-1 if p is None else p for p in T.pos_of_cell[N]]
     tracker = _certificate_tracker(T.dim(N), field, g.order)
     stride = _coprime_stride(M)
 
@@ -949,11 +962,12 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
         for start in range(0, M, BLOCK):
             ks = [j * stride % M for j in range(start, min(start + BLOCK, M))]
             faces, degenerate = _stream_block(arith, g.order, n1, ks)
-            for j in np.flatnonzero(~degenerate).tolist():
-                col = _signed_column([row_of[nums[j]] for nums in faces], signs, f)
-                if N >= 1:
-                    if dN.apply(col):
-                        raise ConstructionBug("d^2 != 0 on a streamed degree-%d cell" % n1)
+            live = np.flatnonzero(~degenerate)
+            rows = np.stack([T.basis_rows(N, nums)[live] for nums in faces], axis=1)
+            for j, targets in zip(live.tolist(), rows.tolist()):
+                col = _signed_column(targets, signs)
+                if N >= 1 and dN.apply(col):
+                    raise ConstructionBug("d^2 != 0 on a streamed degree-%d cell" % n1)
                 yield start + j + 1, col
 
     stream = columns()

@@ -3,16 +3,17 @@ map, both long exact sequences, law checks, the matrix suite, and the
 acceptance suites, all with machine-readable JSON reports.
 
 Exit codes: 0 all requested checks pass; 1 a check failed; 2 bad input
-(flags such as a negative --max-degree, --nmax or --trials below 1, an
-unknown law, a product law for a target without a product, a field other
-than q for a tensor target, a composite p in --ring f:<p>, or a flag the
-command does not take; files, presets, a prime too large for the streamed
-certificate); 3 cell budget exceeded (a nerve, or for les a streamed top
-boundary that reads --budget cells without saturating); 4 an internal
-invariant was violated (a construction bug, reported on stderr).  Reports are JSON with sorted
-keys; apart from the timing block they are byte-stable for fixed flags and
-seed.  Only rack-homology and group-homology take --csv (a degree,dim
-table), and only gl verify and suite take --seed.
+(flags such as a negative --max-degree; --budget, --nmax or --trials
+below 1; an unknown law; a product law for a target without a product, at
+any --max-degree; a field other than q for a tensor target; a composite p
+in --ring f:<p>; or a flag the command does not take; files, presets, a
+prime too large for the streamed certificate); 3 cell budget exceeded (a
+nerve, or for les a streamed top boundary that reads --budget cells
+without saturating); 4 an internal invariant was violated (a construction
+bug, reported on stderr).  Reports are JSON with sorted keys; apart from
+the timing block they are byte-stable for fixed flags and seed.  Only
+rack-homology and group-homology take --csv (a degree,dim table), and only
+gl verify and suite take --seed.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", default="q", help="q or f<p>")
         if degree:
             p.add_argument("--max-degree", type=_degree, default=3)
-        p.add_argument("--budget", type=int, default=2_000_000)
+        p.add_argument("--budget", type=_count, default=2_000_000)
         p.add_argument("--out")
 
     p = sub.add_parser("rack", help="rack table utilities")

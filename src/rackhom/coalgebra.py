@@ -18,6 +18,9 @@ h(x) = d_{1,0}x (x) x is then a degree-2 homotopy from Delta_> to
 tau Delta_< (dh + hd = tau Delta_< - Delta_>), as stated.
 
 Graded twist: tau(a (x) b) = (-1)^{|a||b|} b (x) a.
+Coproducts and products of C map into and out of C.tensor_square(), whose
+layout chains.TensorComplex owns; on homology a component is P_p (x) P_q
+applied to a block of it, P the exact projection.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def _coproduct_map(C: ChainComplex, which: str) -> GradedMap:
     """Per shuffle, the left and right faces of all basis cells at once, as
     compositions of whole face tables; summed by _signed_matrix."""
     faces = {key: np.asarray(t, dtype=np.intp) for key, t in C.source._face.items()}
-    T = TensorComplex(C, C, up_to=C.max_degree)
+    T = C.tensor_square()
     mats = {}
     degrees = range(0, C.max_degree + 1) if which == "full" else range(1, C.max_degree + 1)
     kind = {"full": All, "prec": FirstFixed, "succ": FirstIsPPlus1}[which]
@@ -102,9 +105,7 @@ def _coproduct_map(C: ChainComplex, which: str) -> GradedMap:
             signs.append(1)
         mats[n] = _signed_matrix(tables, signs, T.dim(n), C.field)
     name = {"full": "Delta", "prec": "Delta_<", "succ": "Delta_>"}[which]
-    gm = GradedMap(C, T, mats, desc=name)
-    gm.tensor = T
-    return gm
+    return GradedMap(C, T, mats, desc=name)
 
 
 def cubical_coproduct(C: ChainComplex) -> GradedMap:
@@ -129,31 +130,30 @@ def tau_map(T: TensorComplex) -> dict:
     """Graded twist on a tensor-square complex: per-degree matrices for
     a (x) b -> (-1)^{|a||b|} b (x) a."""
     f = T.field
-    a, b = T.factors
+    dims = T.factor_dims
     out = {}
     for n in range(T.up_to + 1):
         cols = [dict() for _ in range(T.dim(n))]
         for (p, q) in T.components(n):
             sgn = f.of_int(-1 if (p * q) % 2 else 1)
-            for i in range(a.dim(p)):
-                for j in range(b.dim(q)):
+            for i in range(dims[p]):
+                for j in range(dims[q]):
                     cols[T.index(n, (p, q), i, j)][T.index(n, (q, p), j, i)] = sgn
         out[n] = Matrix(f, T.dim(n), T.dim(n), cols)
     return out
 
 
 def compose_with_tau(delta: GradedMap) -> GradedMap:
-    tm = tau_map(delta.tensor)
-    gm = GradedMap(delta.source, delta.target,
-                   {n: tm[n] @ delta.mat(n) for n in delta.mats},
-                   desc="tau o " + delta.desc)
-    gm.tensor = delta.tensor
-    return gm
+    tm = tau_map(delta.target)
+    return GradedMap(delta.source, delta.target,
+                     {n: tm[n] @ delta.mat(n) for n in delta.mats},
+                     desc="tau o " + delta.desc)
 
 
-def coproduct_homotopy(C: ChainComplex, T: TensorComplex) -> GradedMap:
+def coproduct_homotopy(C: ChainComplex) -> GradedMap:
     """The degree-2 homotopy h(x) = d_{1,0}x (x) x from Delta_> to
-    tau Delta_<."""
+    tau Delta_<, into the tensor square of C."""
+    T = C.tensor_square()
     cells = np.asarray(C.cell_of_pos[2], dtype=np.intp)
     left = np.asarray(C.source._face[(2, 1, 0)], dtype=np.intp)[cells]
     h = _signed_matrix([T.pair_rows(3, 1, left, cells)], [1], T.dim(3), C.field)
@@ -166,19 +166,13 @@ def coproduct_homotopy(C: ChainComplex, T: TensorComplex) -> GradedMap:
 def induced_on_homology(fmap: GradedMap, hs_src: HomologySummary,
                         hs_tgt: HomologySummary) -> GradedMap:
     """Pass a certified chain map to homology coordinates."""
-    from .chains import homology_complex
+    from .chains import _induced, homology_complex
 
     bad = verify_chain_map(fmap)
     if bad:
         raise NotChainMap("not a chain map: %s" % (bad[:3],))
-    f = fmap.source.field
-    up = min(hs_src.up_to, max(fmap.degrees()))
-    mats = {}
-    for n in range(up + 1):
-        if n not in fmap.mats:
-            continue
-        cols = [hs_tgt.project_vec(n, fmap.mat(n).apply(col)) for col in hs_src.reps[n]]
-        mats[n] = Matrix(f, hs_tgt.dims[n], hs_src.dims[n], cols)
+    mats = {n: _induced(hs_src, hs_tgt, fmap.mat(n), n)
+            for n in fmap.degrees() if n <= hs_src.up_to}
     return GradedMap(homology_complex(hs_src), homology_complex(hs_tgt), mats,
                      desc="H(%s)" % fmap.desc)
 
@@ -186,41 +180,19 @@ def induced_on_homology(fmap: GradedMap, hs_src: HomologySummary,
 def induced_coproduct_components(delta: GradedMap, hs: HomologySummary,
                                  max_total: int) -> dict:
     """Homology-level components H_n -> H_p (x) H_q of a chain-level
-    coproduct, via representatives and the exact projections (independent
-    of the representative choice since the coproduct is a chain map)."""
+    coproduct: the exact projections P_p (x) P_q applied to the (p, q)
+    block of the images of the representatives (independent of the
+    representative choice since the coproduct is a chain map)."""
     bad = verify_chain_map(delta)
     if bad:
         raise NotChainMap("not a chain map: %s" % (bad[:3],))
-    T = delta.tensor
-    C = delta.source
-    f = C.field
     out = {}
     for n in range(min(max_total, hs.up_to) + 1):
         if n not in delta.mats:
             continue
-        images = [delta.mat(n).apply(col) for col in hs.reps[n]]
-        for (p, q) in T.components(n):
-            cols = []
-            for img in images:
-                block = T.component_block(img, n, (p, q))
-                # project each factor: first collect rows of the block
-                # grouped by left index, then push through both projections
-                by_left = {}
-                for (i, j), v in block.items():
-                    by_left.setdefault(i, {})[j] = v
-                acc = {}
-                for i, vec in by_left.items():
-                    f.axpy(acc, {(i, hj): hv for hj, hv in hs.project_vec(q, vec).items()})
-                # now project the left factor
-                by_right = {}
-                for (i, hj), v in acc.items():
-                    by_right.setdefault(hj, {})[i] = v
-                col = {}
-                for hj, vec in by_right.items():
-                    f.axpy(col, {hi * hs.dims[q] + hj: hv
-                                 for hi, hv in hs.project_vec(p, vec).items()})
-                cols.append(col)
-            out[(p, q)] = Matrix(f, hs.dims[p] * hs.dims[q], hs.dims[n], cols)
+        images = delta.mat(n) @ hs.rep_matrix(n)
+        for (p, q), block in delta.target.blocks(images, n).items():
+            out[(p, q)] = hs.projection(p).kron(hs.projection(q)) @ block
     return out
 
 
@@ -279,8 +251,6 @@ class GradedCoalgebra:
         return self.prec(p, q) + self.succ(p, q)
 
     def star_comp(self, p, q):
-        if self.star is None:
-            raise MissingStructure("no product supplied")
         m = self.star.get((p, q))
         if m is None:
             return Matrix.zeros(self.field, self.dims[p + q],
@@ -320,8 +290,8 @@ def _check_triple(g: GradedCoalgebra, lhs_fn, rhs_fn, max_total, reduced=True):
     return bad
 
 
-LAWS = ("coZinbiel", "codendriform", "cocommutativeOfSum", "counit", "Hopf", "semiHopf",
-        "associativeProduct", "commutativeProduct")
+PRODUCT_LAWS = ("Hopf", "semiHopf", "associativeProduct", "commutativeProduct")
+LAWS = ("coZinbiel", "codendriform", "cocommutativeOfSum", "counit") + PRODUCT_LAWS
 
 
 def check_laws(g: GradedCoalgebra, laws, max_total: int) -> dict:
@@ -330,8 +300,11 @@ def check_laws(g: GradedCoalgebra, laws, max_total: int) -> dict:
 
     Triple-coproduct laws run on the reduced components (all three factors
     in positive degree); counit and compatibility laws include the counital
-    edge components.  The law names are LAWS.
+    edge components.  The law names are LAWS; a law in PRODUCT_LAWS
+    raises MissingStructure, whatever max_total, when g has no product.
     """
+    if g.star is None and any(law in PRODUCT_LAWS for law in laws):
+        raise MissingStructure("no product supplied")
     report = {}
     eye = g.eye
     for law in laws:
@@ -616,7 +589,7 @@ def rack_half_coproduct_formula(C: ChainComplex, rack) -> GradedMap:
     (tested); the two constructions share only the shuffle enumeration and
     the signed sum, and this one reads only the digit rows and the rack
     operation, never the nerve's face tables."""
-    T = TensorComplex(C, C, up_to=C.max_degree)
+    T = C.tensor_square()
     op = np.array(rack.op)
     mats = {}
     for n in range(1, C.max_degree + 1):
@@ -639,9 +612,7 @@ def rack_half_coproduct_formula(C: ChainComplex, rack) -> GradedMap:
                     cell_numbers(np.stack(right, axis=1), rack.order)))
                 signs.append(sign)
         mats[n] = _signed_matrix(tables, signs, T.dim(n), C.field)
-    gm = GradedMap(C, T, mats, desc="Delta_< (tuple formula)")
-    gm.tensor = T
-    return gm
+    return GradedMap(C, T, mats, desc="Delta_< (tuple formula)")
 
 
 def bar_shuffle_product(C: ChainComplex, group) -> GradedMap:
@@ -650,15 +621,14 @@ def bar_shuffle_product(C: ChainComplex, group) -> GradedMap:
     positions.  A chain map exactly when the multiplication is a group
     morphism, i.e. for abelian groups."""
     f = C.field
-    T = TensorComplex(C, C, up_to=C.max_degree)
+    T = C.tensor_square()
     digits = [cell_digits(C.cell_of_pos[n], group.order, n) for n in range(C.max_degree + 1)]
     mats = {}
     for n in range(C.max_degree + 1):
         cols = []
         for (p, q) in T.components(n):
-            # the letters of every basis pair, left factor outer
-            letters = np.concatenate((np.repeat(digits[p], C.dim(q), axis=0),
-                                      np.tile(digits[q], (C.dim(p), 1))), axis=1)
+            i, j = T.basis_pairs(n, p)
+            letters = np.concatenate((digits[p][i], digits[q][j]), axis=1)
             if p == 0 or q == 0:
                 terms = [(list(range(n)), 1)]
             else:
@@ -668,25 +638,21 @@ def bar_shuffle_product(C: ChainComplex, group) -> GradedMap:
                       for word, _ in terms]
             cols += _signed_matrix(tables, [sign for _, sign in terms], C.dim(n), f).cols_data
         mats[n] = Matrix(f, C.dim(n), T.dim(n), cols)
-    star = GradedMap(T, C, mats, desc="bar shuffle product")
-    star.tensor = T
-    return star
+    return GradedMap(T, C, mats, desc="bar shuffle product")
 
 
 def bar_aw_coproduct(C: ChainComplex) -> GradedMap:
     """Front-face/back-face (deconcatenation) coproduct on normalized bar
     chains; a chain map for any group."""
     order = C.source.n_cells(1)  # the group order: bar cells are words
-    T = TensorComplex(C, C, up_to=C.max_degree)
+    T = C.tensor_square()
     mats = {}
     for n in range(C.max_degree + 1):
         rows = cell_digits(C.cell_of_pos[n], order, n)
         tables = [T.pair_rows(n, p, cell_numbers(rows[:, :p], order),
                               cell_numbers(rows[:, p:], order)) for p in range(n + 1)]
         mats[n] = _signed_matrix(tables, [1] * (n + 1), T.dim(n), C.field)
-    gm = GradedMap(C, T, mats, desc="bar AW coproduct")
-    gm.tensor = T
-    return gm
+    return GradedMap(C, T, mats, desc="bar AW coproduct")
 
 
 def graded_coalgebra_from_chain_maps(C: ChainComplex, prec: GradedMap = None,
@@ -696,30 +662,12 @@ def graded_coalgebra_from_chain_maps(C: ChainComplex, prec: GradedMap = None,
     over the chain coordinates (degree 0 must be one-dimensional)."""
     if up_to is None:
         up_to = C.max_degree
-    T = (prec or full).tensor
+    T = C.tensor_square()
 
     def comps(gm):
-        out = {}
-        for n in gm.mats:
-            if n > up_to:
-                continue
-            m = gm.mat(n)
-            for (p, q) in T.components(n):
-                off = T.offset(n, (p, q))
-                size = C.dim(p) * C.dim(q)
-                cols = []
-                nonzero = False
-                for j in range(C.dim(n)):
-                    cc = {}
-                    for row, v in m.cols_data[j].items():
-                        if off <= row < off + size:
-                            cc[row - off] = v
-                    if cc:
-                        nonzero = True
-                    cols.append(cc)
-                if nonzero:
-                    out[(p, q)] = Matrix(C.field, size, C.dim(n), cols)
-        return out
+        """The nonzero (p, q) blocks of a coproduct through degree up_to."""
+        return {pq: b for n in gm.degrees() if n <= up_to
+                for pq, b in T.blocks(gm.mat(n), n).items() if not b.is_zero()}
 
     from .glstable import star_components
 

@@ -10,7 +10,6 @@ heap-ordered `Echelon` must equal it entry by entry.
 
 from itertools import permutations, product
 
-from rackhom.chains import TensorComplex
 from rackhom.cubical import QuotientIllDefined, TruncationTooLow, _UnionFind
 from rackhom.exactfield import Echelon, Matrix
 from rackhom.shuffles import All, FirstFixed, FirstIsPPlus1, Permutation, enumerate_shuffles
@@ -51,7 +50,7 @@ def coproduct_reference(C, which):
     """The full or half shuffle coproduct, one cell and one shuffle at a time."""
     x = C.source
     f = C.field
-    T = TensorComplex(C, C, up_to=C.max_degree)
+    T = C.tensor_square()
     mats = {}
     degrees = range(0, C.max_degree + 1) if which == "full" else range(1, C.max_degree + 1)
     kind = {"full": All, "prec": FirstFixed, "succ": FirstIsPPlus1}[which]
@@ -62,8 +61,8 @@ def coproduct_reference(C, which):
             col = {}
 
             def add(p, q, lc, rc, coeff):
-                lp = C.pos_of_cell[p][lc]
-                rp = C.pos_of_cell[q][rc]
+                lp = C.cell_pos(p, lc)
+                rp = C.cell_pos(q, rc)
                 if lp is None or rp is None:
                     return
                 key = T.index(n, (p, q), lp, rp)
@@ -91,9 +90,46 @@ def coproduct_reference(C, which):
     return mats
 
 
+def induced_coproduct_reference(delta, hs, max_total):
+    """The homology components of a coproduct one representative at a time:
+    each image is split by component through the rows of T.index, then the
+    right factor is projected row group by row group, then the left."""
+    T = delta.target
+    C = hs.complex
+    f = C.field
+    out = {}
+    for n in range(min(max_total, hs.up_to) + 1):
+        if n not in delta.mats:
+            continue
+        images = [delta.mat(n).apply(col) for col in hs.reps[n]]
+        for (p, q) in T.components(n):
+            pair_of = {T.index(n, (p, q), i, j): (i, j)
+                       for i in range(C.dim(p)) for j in range(C.dim(q))}
+            cols = []
+            for img in images:
+                by_left = {}
+                for r, v in img.items():
+                    if r in pair_of:
+                        i, j = pair_of[r]
+                        by_left.setdefault(i, {})[j] = v
+                acc = {}
+                for i, vec in by_left.items():
+                    f.axpy(acc, {(i, hj): hv for hj, hv in hs.project_vec(q, vec).items()})
+                by_right = {}
+                for (i, hj), v in acc.items():
+                    by_right.setdefault(hj, {})[i] = v
+                col = {}
+                for hj, vec in by_right.items():
+                    f.axpy(col, {hi * hs.dims[q] + hj: hv
+                                 for hi, hv in hs.project_vec(p, vec).items()})
+                cols.append(col)
+            out[(p, q)] = Matrix(f, hs.dims[p] * hs.dims[q], hs.dims[n], cols)
+    return out
+
+
 def bar_shuffle_product_reference(C, group):
     f = C.field
-    T = TensorComplex(C, C, up_to=C.max_degree)
+    T = C.tensor_square()
     nerve = C.source
     mats = {}
     for n in range(C.max_degree + 1):
@@ -124,7 +160,7 @@ def bar_shuffle_product_reference(C, group):
 
 def bar_aw_coproduct_reference(C):
     f = C.field
-    T = TensorComplex(C, C, up_to=C.max_degree)
+    T = C.tensor_square()
     nerve = C.source
     mats = {}
     for n in range(C.max_degree + 1):
@@ -146,7 +182,7 @@ def bar_aw_coproduct_reference(C):
 
 def pontryagin_reference(C, rack, mu_table, target, target_rack, up_to):
     f = C.field
-    T = TensorComplex(C, C, up_to=up_to)
+    T = C.tensor_square()
     e = rack.basepoint
     mats = {}
     for n in range(up_to + 1):
@@ -225,8 +261,8 @@ def antisymmetrization_reference(group, s):
                 for i in range(n - 1):
                     swapped = list(tup)
                     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                    k2 = src.pos_of_cell[n][src.source.index(
-                        n, tuple(group.elements[a] for a in swapped))]
+                    k2 = src.cell_pos(n, src.source.index(
+                        n, tuple(group.elements[a] for a in swapped)))
                     if f.axpy(s.mat(n).column(k), s.mat(n).cols_data[k2]):
                         report["kills_symmetric"] = False
     return report

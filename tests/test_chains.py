@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rackhom import chains
 from rackhom.chains import (
     TRACKER_BATCH,
-    TensorComplex,
     _certificate_tracker,
     _F2Rank,
     _ModRank,
@@ -132,18 +131,18 @@ def test_eta_section_values_and_contract():
     e = r.basepoint
     g = 1 if r.basepoint != 1 else 2
     # degree 1: eta(g) = (g) - (e)
-    k = norm.pos_of_cell[1][nerve.index(1, (r.elements[g],))]
+    k = norm.cell_pos(1, nerve.index(1, (r.elements[g],)))
     col = eta.mat(1).column(k)
     want = {
-        unnorm.pos_of_cell[1][nerve.index(1, (r.elements[g],))]: Fraction(1),
-        unnorm.pos_of_cell[1][nerve.index(1, (r.elements[e],))]: Fraction(-1),
+        unnorm.cell_pos(1, nerve.index(1, (r.elements[g],))): Fraction(1),
+        unnorm.cell_pos(1, nerve.index(1, (r.elements[e],))): Fraction(-1),
     }
     assert col == want
     # quotient o section = id in all degrees, on all basis vectors
     for n in range(4):
         cols = []
         for c in range(unnorm.dim(n)):
-            p = norm.pos_of_cell[n][unnorm.cell_of_pos[n][c]]
+            p = norm.cell_pos(n, unnorm.cell_of_pos[n][c])
             cols.append({} if p is None else {p: QQ.one()})
         xi = Matrix(QQ, norm.dim(n), unnorm.dim(n), cols)
         assert xi @ eta.mat(n) == Matrix.identity(QQ, norm.dim(n))
@@ -174,11 +173,11 @@ def test_s2_formula():
     a, b = 1, 4
     if r.op[a][b] == a:
         b = 2
-    k = src.pos_of_cell[2][src.source.index(2, (r.elements[a], r.elements[b]))]
+    k = src.cell_pos(2, src.source.index(2, (r.elements[a], r.elements[b])))
     col = s.mat(2).column(k)
     want = {}
-    p1 = tgt.pos_of_cell[2][tgt.source.index(2, (g.elements[a], g.elements[b]))]
-    p2 = tgt.pos_of_cell[2][tgt.source.index(2, (g.elements[b], g.elements[r.op[a][b]]))]
+    p1 = tgt.cell_pos(2, tgt.source.index(2, (g.elements[a], g.elements[b])))
+    p2 = tgt.cell_pos(2, tgt.source.index(2, (g.elements[b], g.elements[r.op[a][b]])))
     want[p1] = Fraction(1)
     want[p2] = Fraction(-1)
     assert col == want
@@ -351,9 +350,55 @@ def test_betti_numbers_depart_from_etingof_grana_when_p_divides_inn(name, p, dim
 
 def test_tensor_complex_d_squared_zero():
     c = build_complex(rack_nerve(conj_rack(symmetric_group(3)), 3), QQ)
-    t = TensorComplex(c, c, up_to=3)
+    t = c.tensor_square()
+    assert c.tensor_square() is t
     for n in range(2, 4):
         assert (t.d(n - 1) @ t.d(n)).is_zero()
+
+
+BASE = build_complex(rack_nerve(preset("conj:symmetric:3"), 3), QQ)
+SQUARE = BASE.tensor_square()
+
+
+@st.composite
+def square_matrices(draw):
+    """A total degree n of SQUARE and a sparse matrix with its rows."""
+    n = draw(st.integers(0, SQUARE.up_to))
+    rows = SQUARE.dim(n)
+    cols = [draw(st.dictionaries(st.integers(0, rows - 1), st.integers(-3, 3), max_size=6))
+            for _ in range(draw(st.integers(0, 4)))]
+    return n, Matrix(QQ, rows, len(cols), cols)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(square_matrices(), st.data())
+def test_tensor_blocks_round_trip(case, data):
+    n, m = case
+    blocks = SQUARE.blocks(m, n)
+    assert list(blocks) == SQUARE.components(n)
+    # stacked back at their spans, the blocks give m
+    stacked = [{} for _ in range(m.cols)]
+    for comp, block in blocks.items():
+        span = SQUARE.span(n, comp)
+        assert block.rows == span.stop - span.start and block.cols == m.cols
+        for j, col in enumerate(block.cols_data):
+            stacked[j].update({span.start + r: v for r, v in col.items()})
+    assert Matrix(QQ, m.rows, m.cols, stacked) == m
+    # index and pair_rows land in the block they name
+    c = BASE
+    p = data.draw(st.integers(0, n))
+    q = n - p
+    if c.dim(p) and c.dim(q):
+        i, j = data.draw(st.integers(0, c.dim(p) - 1)), data.draw(st.integers(0, c.dim(q) - 1))
+        unit = Matrix(QQ, m.rows, 1, [{SQUARE.index(n, (p, q), i, j): 1}])
+        assert {comp for comp, b in SQUARE.blocks(unit, n).items() if not b.is_zero()} == {(p, q)}
+        assert SQUARE.blocks(unit, n)[(p, q)].column(0) == {i * c.dim(q) + j: 1}
+        rows = SQUARE.pair_rows(n, p, [c.cell_of_pos[p][i]], [c.cell_of_pos[q][j]])
+        assert rows.tolist() == [SQUARE.index(n, (p, q), i, j)]
+    # basis_pairs reads the component's rows back off in order
+    span = SQUARE.span(n, (p, q))
+    assert SQUARE.index(n, (p, q), *SQUARE.basis_pairs(n, p)).tolist() == \
+        list(range(span.start, span.stop))
 
 
 # -- long exact sequences -----------------------------------------------------

@@ -204,8 +204,15 @@ def test_internal_invariant_violation_exit_4(monkeypatch, capsys):
     ("coalgebra", "verify", "--target", "tensor:2", "--laws", "foo"),
     ("coalgebra", "verify", "--target", "tensor:x"),
     ("coalgebra", "verify", "--target", "tensor:-1"),
-    # rack targets supply no product for the Hopf law
+    # rack targets supply no product for the Hopf law, at any degree
     ("coalgebra", "verify", "--target", "conj:cyclic:3", "--laws", "Hopf"),
+    ("coalgebra", "verify", "--target", "conj:cyclic:3", "--max-degree", "1", "--laws", "Hopf"),
+    ("coalgebra", "verify", "--target", "conj:cyclic:3", "--max-degree", "1",
+     "--laws", "semiHopf"),
+    ("coalgebra", "verify", "--target", "conj:cyclic:3", "--max-degree", "0",
+     "--laws", "commutativeProduct"),
+    ("coalgebra", "verify", "--target", "conj:cyclic:3", "--max-degree", "2",
+     "--laws", "associativeProduct"),
     # --field is parsed for tensor targets too, and the tensor model is over Q
     ("coalgebra", "verify", "--target", "tensor:1", "--field", "fx"),
     ("coalgebra", "verify", "--target", "tensor:1", "--field", "f4"),
@@ -228,12 +235,26 @@ def test_gl_verify_f_needs_a_prime_and_zmod_takes_any_modulus():
 
 @pytest.mark.parametrize("argv", [
     ("--nmax", "-1"), ("--nmax", "0"), ("--trials", "0"), ("--trials", "-3"),
+    ("--budget", "0"),
 ])
 def test_gl_verify_counts_below_one_exit_2(argv):
     proc = run_cli("gl", "verify", *argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("rack-homology", "--preset", "conj:cyclic:2", "--budget", "0"),
+    ("les", "--preset", "cyclic:2", "--budget", "-1"),
+])
+def test_budget_below_one_exit_2(argv, capsys):
+    """A cell budget below 1 is bad input, not an exhausted budget (exit 3)."""
+    from rackhom import cli
+
+    assert cli.main(list(argv)) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--budget" in out.err
 
 
 SWEEP = [

@@ -36,6 +36,7 @@ from cellref import (
     bar_aw_coproduct_reference,
     bar_shuffle_product_reference,
     coproduct_reference,
+    induced_coproduct_reference,
 )
 
 
@@ -52,7 +53,7 @@ def test_degree0_coproduct_is_diagonal():
 def test_degree1_coproduct_edge_terms():
     c = rack_complex("conj:cyclic:3", 2)
     full = cubical_coproduct(c)
-    t = full.tensor
+    t = full.target
     # Delta(g) = g (x) pt + pt (x) g  (reduced part empty in degree 1)
     for k in range(c.dim(1)):
         col = full.mat(1).column(k)
@@ -74,16 +75,10 @@ def test_halves_are_chain_maps_and_sum_to_full():
     assert verify_chain_map(prec) == []
     assert verify_chain_map(succ) == []
     full = cubical_coproduct(c)
-    t = full.tensor
     for n in range(1, 5):
-        d = prec.mat(n) + succ.mat(n) - full.mat(n)
-        for j in range(d.cols):
-            for r in d.column(j):
-                for (p, q) in t.components(n):
-                    off = t.offset(n, (p, q))
-                    if off <= r < off + c.dim(p) * c.dim(q):
-                        assert not (p >= 1 and q >= 1), "reduced parts differ"
-                        break
+        d = full.target.blocks(prec.mat(n) + succ.mat(n) - full.mat(n), n)
+        for (p, q), block in d.items():
+            assert block.is_zero() or not (p >= 1 and q >= 1), "reduced parts differ"
 
 
 def test_halves_reject_non_lset():
@@ -95,12 +90,12 @@ def test_halves_reject_non_lset():
 def test_trivial_rack_degree2_half():
     c = rack_complex("trivial_rack:3", 3)
     prec, _ = delta_halves(c)
-    t = prec.tensor
+    t = prec.target
     # Delta_<(x1,x2) reduced part = (x1) (x) (x2): single first-fixed shuffle
-    k = c.pos_of_cell[2][c.source.index(2, (1, 2))]
+    k = c.cell_pos(2, c.source.index(2, (1, 2)))
     col = prec.mat(2).column(k)
-    p1 = c.pos_of_cell[1][c.source.index(1, (1,))]
-    p2 = c.pos_of_cell[1][c.source.index(1, (2,))]
+    p1 = c.cell_pos(1, c.source.index(1, (1,)))
+    p2 = c.cell_pos(1, c.source.index(1, (2,)))
     assert col == {t.index(2, (2, 0), k, 0): Fraction(1),
                    t.index(2, (1, 1), p1, p2): Fraction(1)}
 
@@ -109,7 +104,7 @@ def test_degree2_homotopy_identity():
     for name in ("conj:cyclic:2", "conj:cyclic:3", "conj:symmetric:3"):
         c = rack_complex(name, 3)
         prec, succ = delta_halves(c)
-        h = coproduct_homotopy(c, prec.tensor)
+        h = coproduct_homotopy(c)
         # h is a homotopy from Delta_> to tau Delta_<
         assert verify_homotopy(succ, compose_with_tau(prec), h) == []
 
@@ -204,6 +199,17 @@ def test_rack_homology_coalgebra_laws():
         assert all(not v for v in rep.values()), (name, rep)
 
 
+@pytest.mark.parametrize("field", [QQ, FieldTag(2), FieldTag(3)], ids=str)
+@pytest.mark.parametrize("name,upto", [("conj:symmetric:3", 3), ("conj:cyclic:3", 3),
+                                       ("conj:dihedral:4", 2), ("conj:quaternion:8", 2)])
+def test_induced_components_match_per_representative_reference(name, upto, field):
+    c = build_complex(rack_nerve(preset(name), upto + 1), field)
+    hs = homology(c, up_to=upto)
+    for half in delta_halves(c):
+        assert induced_coproduct_components(half, hs, upto) == \
+            induced_coproduct_reference(half, hs, upto)
+
+
 def test_induced_succ_is_tau_of_induced_prec_on_homology():
     r = preset("conj:symmetric:3")
     c = build_complex(rack_nerve(r, 4), QQ)
@@ -284,12 +290,12 @@ def test_s2_antisymmetrization_values():
     g = preset("cyclic:3")
     s = s_map_rack_formula(g, QQ, 2)
     src, tgt = s.source, s.target
-    k = src.pos_of_cell[2][src.source.index(2, (1, 2))]
+    k = src.cell_pos(2, src.source.index(2, (1, 2)))
     col = s.mat(2).column(k)
-    p1 = tgt.pos_of_cell[2][tgt.source.index(2, (1, 2))]
-    p2 = tgt.pos_of_cell[2][tgt.source.index(2, (2, 1))]
+    p1 = tgt.cell_pos(2, tgt.source.index(2, (1, 2)))
+    p2 = tgt.cell_pos(2, tgt.source.index(2, (2, 1)))
     assert col == {p1: Fraction(1), p2: Fraction(-1)}
-    kk = src.pos_of_cell[2][src.source.index(2, (1, 1))]
+    kk = src.cell_pos(2, src.source.index(2, (1, 1)))
     assert s.mat(2).column(kk) == {}
 
 
