@@ -23,9 +23,15 @@ coproduct or a shuffle product (coalgebra), the single cell map of a
 Pontryagin product (glstable) or of conjugation and its homotopy
 (rack_conjugation_data).  A table is read off whole face tables, or off
 numpy gathers on the digit rows of all source cells at once (cell_digits,
-cell_numbers); a cell is its number, and its label is used only to print
-it.  basis_rows and TensorComplex.pair_rows turn target cells into rows,
-with -1 for a term that lands on a degenerate cell and is dropped.
+cell_numbers); the face tables are the nerve's int32 arrays, read as they
+are.  A cell is its number.  basis_rows and TensorComplex.pair_rows turn
+target cells into rows, with -1 for a term that lands on a degenerate cell
+and is dropped.
+
+Labels are decoded on demand: the labels of every complex (a nerve's basis
+cells, a subcomplex or quotient, the pairs of a tensor square, homology
+generators) are read-only Labels views over the labels they come from, so
+a label is computed only when a report prints it or a failure names it.
 
 The tensor square C (x) C is one TensorComplex per complex, built by
 ChainComplex.tensor_square; no other code knows its layout.
@@ -35,11 +41,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dfield
+from functools import partial
 from itertools import islice, permutations
 
 import numpy as np
 
-from .cubical import CubSet, TruncationTooLow
+from .cubical import CubSet, Labels, Picked, TruncationTooLow
 from .exactfield import ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, column_space_analysis
 from .nerves import BLOCK, BudgetExceeded, GroupArith, cell_digits, cell_numbers, rack_nerve
 from .racks import FiniteGroup, PointedRack, conj_rack
@@ -55,14 +62,16 @@ class NotChainMap(Exception):
 
 
 class ChainComplex:
-    """Graded basis-indexed free modules with boundary matrices."""
+    """Graded basis-indexed free modules with boundary matrices.  labels
+    holds one label sequence per degree (usually a Labels view), kept as
+    given."""
 
     def __init__(self, field, labels, boundaries, flavor="normalized",
                  source_kind="abstract", source=None, cell_rows=None,
                  cell_of_pos=None, check=True):
         self.field = field
         self.flavor = flavor
-        self.labels = [tuple(l) for l in labels]
+        self.labels = list(labels)
         self.dims = [len(l) for l in self.labels]
         self.max_degree = len(self.labels) - 1
         self.boundaries = list(boundaries)  # boundaries[n]: C_n -> C_{n-1}, n >= 1
@@ -155,36 +164,54 @@ def _signed_matrix(tables, signs, rows, f):
 
 
 def build_complex(x, field: FieldTag, flavor: str = "normalized") -> ChainComplex:
-    """Chain complex of a cubical or simplicial set over the given field."""
+    """Chain complex of a cubical or simplicial set over the given field.
+    cell_of_pos[n] is the array of basis cells (the nondegenerate ones when
+    normalized), ascending; the labels pick theirs from x.labels."""
+    if flavor not in ("normalized", "unnormalized"):
+        raise ValueError("unknown flavor %r" % (flavor,))
     cubical = isinstance(x, CubSet)
     N = x.max_degree
     rows_of = []  # per degree: cell -> basis position, -1 when degenerate
     cell_of = []
-    labels = []
     for n in range(N + 1):
         if flavor == "normalized":
-            degen = x.degenerate_cells(n)
-            cells = [c for c in range(x.n_cells(n)) if c not in degen]
-        elif flavor == "unnormalized":
-            cells = list(range(x.n_cells(n)))
+            cells = np.flatnonzero(~x.degenerate_cells(n))
         else:
-            raise ValueError("unknown flavor %r" % (flavor,))
+            cells = np.arange(x.n_cells(n))
         rows = np.full(x.n_cells(n), -1, dtype=np.int64)
         rows[cells] = np.arange(len(cells))
         rows_of.append(rows)
         cell_of.append(cells)
-        labels.append([x.label(n, c) for c in cells])
     boundaries = []
     for n in range(1, N + 1):
         keys = _boundary_keys(n, cubical)
-        cells = np.asarray(cell_of[n], dtype=np.intp)
-        tables = [rows_of[n - 1][np.asarray(x._face[(n, *key)], dtype=np.intp)[cells]]
-                  for key in keys]
+        tables = [rows_of[n - 1][x._face[(n, *key)][cell_of[n]]] for key in keys]
         boundaries.append(_signed_matrix(tables, [(-1) ** sum(key) for key in keys],
                                          len(cell_of[n - 1]), field))
-    return ChainComplex(field, labels, boundaries, flavor=flavor,
+    return ChainComplex(field, [Picked(x.labels[n], cell_of[n]) for n in range(N + 1)],
+                        boundaries, flavor=flavor,
                         source_kind="cubical" if cubical else "simplicial",
                         source=x, cell_rows=rows_of, cell_of_pos=cell_of)
+
+
+class _PairLabels(Labels):
+    """The basis labels of a tensor square at total degree n, components
+    (p, n - p) in order: label k is the pair of factor labels it stands
+    for."""
+
+    __slots__ = ("_factor", "_n", "_starts")
+
+    def __init__(self, factor_labels, n, starts, length):
+        super().__init__(length)
+        self._factor = factor_labels
+        self._n = n
+        self._starts = starts
+
+    def _label(self, k):
+        p = bisect_right(self._starts, k) - 1
+        right = self._factor[self._n - p]
+        i, j = divmod(k - self._starts[p], len(right))
+        return (self._factor[p][i], right[j])
 
 
 class TensorComplex(ChainComplex):
@@ -197,8 +224,8 @@ class TensorComplex(ChainComplex):
     blocks splits a matrix by it."""
 
     def __init__(self, c: ChainComplex, up_to: int):
-        # the factor's dimensions and cell -> row tables, not the factor:
-        # the square C caches holds nothing that refers back to C
+        # the factor's dimensions, cell -> row tables and label views, not
+        # the factor: the square C caches holds nothing that refers back to C
         self.factor_dims = list(c.dims)
         self._factor_rows = c._rows
         self.up_to = up_to
@@ -207,14 +234,12 @@ class TensorComplex(ChainComplex):
         labels = []
         for n in range(up_to + 1):
             spans = {}
-            lab = []
+            end = 0
             for p in range(n + 1):
-                q = n - p
-                spans[(p, q)] = slice(len(lab), len(lab) + c.dim(p) * c.dim(q))
-                lab += [(c.label(p, i), c.label(q, j))
-                        for i in range(c.dim(p)) for j in range(c.dim(q))]
+                spans[(p, n - p)] = slice(end, end + c.dim(p) * c.dim(n - p))
+                end = spans[(p, n - p)].stop
             self._spans.append(spans)
-            labels.append(lab)
+            labels.append(_PairLabels(c.labels, n, [sp.start for sp in spans.values()], end))
         boundaries = []
         for n in range(1, up_to + 1):
             cols = []
@@ -265,7 +290,8 @@ class TensorComplex(ChainComplex):
             for r, v in col.items():
                 k = bisect_right(starts, r) - 1
                 cols[k][j][r - starts[k]] = v
-        return {comp: Matrix(m.field, self._spans[n][comp].stop - starts[k], m.cols, cols[k])
+        return {comp: Matrix.trusted(m.field, self._spans[n][comp].stop - starts[k], m.cols,
+                                     cols[k])
                 for k, comp in enumerate(comps)}
 
 
@@ -421,7 +447,7 @@ def homology_complex(hs: HomologySummary, prefix="h") -> ChainComplex:
     """Homology as a chain complex with zero differentials, so graded-map
     and tensor machinery applies to homology coordinates verbatim."""
     f = hs.complex.field
-    labels = [tuple("%s%d_%d" % (prefix, n, j) for j in range(hs.dims[n]))
+    labels = [Labels(hs.dims[n], partial("{}{}".format, "%s%d_" % (prefix, n)))
               for n in range(hs.up_to + 1)]
     bounds = [Matrix.zeros(f, hs.dims[n - 1], hs.dims[n]) for n in range(1, hs.up_to + 1)]
     return ChainComplex(f, labels, bounds, flavor="homology", check=False)
@@ -444,8 +470,7 @@ def eta_section(x: CubSet, field: FieldTag, up_to=None) -> GradedMap:
     for n in range(up_to + 1):
         cols = []
         for k in range(norm.dim(n)):
-            cell = norm.cell_of_pos[n][k]
-            vec = {cell: 1}
+            vec = {int(norm.cell_of_pos[n][k]): 1}
             for i in range(n, 0, -1):
                 out = dict(vec)
                 for c, v in vec.items():
@@ -647,8 +672,8 @@ def _positional_ses(T: ChainComplex, sub_positions, field):
                for n in range(N + 1)]
     sub_idx = [{k: i for i, k in enumerate(ps)} for ps in sub_pos]
     quo_idx = [{k: i for i, k in enumerate(ps)} for ps in quo_pos]
-    s_labels = [[T.label(n, k) for k in sub_pos[n]] for n in range(N + 1)]
-    q_labels = [[T.label(n, k) for k in quo_pos[n]] for n in range(N + 1)]
+    s_labels = [Picked(T.labels[n], np.array(sub_pos[n], dtype=np.intp)) for n in range(N + 1)]
+    q_labels = [Picked(T.labels[n], np.array(quo_pos[n], dtype=np.intp)) for n in range(N + 1)]
     s_bounds, q_bounds = [], []
     for n in range(1, N + 1):
         scols, qcols = [], []
@@ -709,13 +734,13 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
         f = field
         proj = []
         for n in range(N + 1):
-            rows = Q.basis_rows(n, np.asarray(gproj[n])[T.cell_of_pos[n]]).tolist()
+            rows = Q.basis_rows(n, gproj[n][T.cell_of_pos[n]]).tolist()
             proj.append(Matrix(f, Q.dim(n), T.dim(n), [{r: f.one()} if r >= 0 else {}
                                                         for r in rows]))
         # kernel subcomplex
         kerbases = [column_space_analysis(proj[n]).kernel_basis for n in range(N + 1)]
         kernels = [column_space_analysis(kb) for kb in kerbases[:N]]
-        s_labels = [["k%d_%d" % (n, j) for j in range(kerbases[n].cols)]
+        s_labels = [Labels(kerbases[n].cols, partial("{}{}".format, "k%d_" % n))
                     for n in range(N + 1)]
         s_bounds = []
         for n in range(1, N + 1):
@@ -731,7 +756,7 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
         incl = [kerbases[n] for n in range(N + 1)]
         section = []
         for n in range(N + 1):
-            # a class's smallest cell, its union-find root, comes first
+            # a class's smallest cell, its representative, comes first
             _, reps = np.unique(gproj[n], return_index=True)
             cols = []
             for k, tp in enumerate(T.basis_rows(n, reps[Q.cell_of_pos[n]]).tolist()):
@@ -918,7 +943,7 @@ def _certificate_tracker(dim: int, field: FieldTag, group_order: int):
 
 
 def _stream_block(arith, order: int, top_degree: int, ks):
-    """Faces and degeneracy flags of the streamed cells ks: one list of
+    """Faces and degeneracy flags of the streamed cells ks: one array of
     cell numbers (in the group nerve one degree down) per key of
     _boundary_keys.  Cell k labels vertex m by the (m-1)th base-|G| digit
     of k, least significant first."""
@@ -964,11 +989,15 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
             faces, degenerate = _stream_block(arith, g.order, n1, ks)
             live = np.flatnonzero(~degenerate)
             rows = np.stack([T.basis_rows(N, nums)[live] for nums in faces], axis=1)
-            for j, targets in zip(live.tolist(), rows.tolist()):
-                col = _signed_column(targets, signs)
-                if N >= 1 and dN.apply(col):
-                    raise ConstructionBug("d^2 != 0 on a streamed degree-%d cell" % n1)
-                yield start + j + 1, col
+            # to Python ints a tracker batch at a time: a whole block of them
+            # alive at once raised the stream's memory peak
+            for lo in range(0, len(live), TRACKER_BATCH):
+                for j, targets in zip(live[lo:lo + TRACKER_BATCH].tolist(),
+                                      rows[lo:lo + TRACKER_BATCH].tolist()):
+                    col = _signed_column(targets, signs)
+                    if N >= 1 and dN.apply(col):
+                        raise ConstructionBug("d^2 != 0 on a streamed degree-%d cell" % n1)
+                    yield start + j + 1, col
 
     stream = columns()
     processed = 0
@@ -1032,7 +1061,7 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
     incl = []
     sub_positions = []
     for n, cells in enumerate(lnerve_inclusion(g, x)):
-        rows = T.basis_rows(n, np.asarray(cells)[S.cell_of_pos[n]]).tolist()
+        rows = T.basis_rows(n, cells[S.cell_of_pos[n]]).tolist()
         if min(rows, default=0) < 0:
             raise ConstructionBug("rack cell mapped to a degenerate nerve cell")
         incl.append(Matrix(f, T.dim(n), S.dim(n), [{p: f.one()} for p in rows]))

@@ -14,14 +14,22 @@ bug, reported on stderr).  Reports are JSON with sorted keys; apart from
 the timing block they are byte-stable for fixed flags and seed.  Only
 rack-homology and group-homology take --csv (a degree,dim table), and only
 gl verify and suite take --seed.
+
+OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS is set: a second
+thread saves no wall time on the BLAS products of the streamed certificate
+(chains._ModRank) and nearly doubles their CPU time.  numpy reads the
+variable when it loads, so it is set before the imports below load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
 
 from .chains import ConstructionBug, NotChainMap
 from .cubical import InternalInvariantViolation, TruncationTooLow

@@ -76,13 +76,13 @@ def _faces_at(faces, n, word, cells):
 def _coproduct_map(C: ChainComplex, which: str) -> GradedMap:
     """Per shuffle, the left and right faces of all basis cells at once, as
     compositions of whole face tables; summed by _signed_matrix."""
-    faces = {key: np.asarray(t, dtype=np.intp) for key, t in C.source._face.items()}
+    faces = C.source._face
     T = C.tensor_square()
     mats = {}
     degrees = range(0, C.max_degree + 1) if which == "full" else range(1, C.max_degree + 1)
     kind = {"full": All, "prec": FirstFixed, "succ": FirstIsPPlus1}[which]
     for n in degrees:
-        cells = np.asarray(C.cell_of_pos[n], dtype=np.intp)
+        cells = C.cell_of_pos[n]
         tables, signs = [], []
         if n == 0:
             tables.append(T.pair_rows(0, 0, cells, cells))
@@ -154,8 +154,8 @@ def coproduct_homotopy(C: ChainComplex) -> GradedMap:
     """The degree-2 homotopy h(x) = d_{1,0}x (x) x from Delta_> to
     tau Delta_<, into the tensor square of C."""
     T = C.tensor_square()
-    cells = np.asarray(C.cell_of_pos[2], dtype=np.intp)
-    left = np.asarray(C.source._face[(2, 1, 0)], dtype=np.intp)[cells]
+    cells = C.cell_of_pos[2]
+    left = C.source._face[(2, 1, 0)][cells]
     h = _signed_matrix([T.pair_rows(3, 1, left, cells)], [1], T.dim(3), C.field)
     return GradedMap(C, T, {2: h}, shift=1, desc="h(x) = d_{1,0}x (x) x")
 

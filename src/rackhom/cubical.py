@@ -4,12 +4,15 @@ whose two first faces coincide ("L-sets").
 
 A CubSet stores cells per degree as indices 0..k-1 with face tables
 d_{i,eps} (1 <= i <= n, eps in {0,1}) and degeneracy tables s_i
-(1 <= i <= n, mapping degree n-1 into degree n).  A cell is its number: the
-side table of human-readable labels is for reports only, and no code maps a
-cell through its label (`index` is a linear search kept for tests).  The L
-and Gamma functors hand back their cell maps with the object they build:
-the inclusion of the kept cells (l_functor_with_inclusion) and the
-projection onto the classes (gamma_functor_with_projection).
+(1 <= i <= n, mapping degree n-1 into degree n), each one int32 array over
+the cells of its source degree; every reader gathers through the stored
+arrays as they are.  A cell is its number.  Its label is for reports only
+and is decoded on demand: the labels of a degree are a read-only Labels
+view that computes label k when it is read, so a nerve, a complex or a
+functor holds no label until one is printed or looked up (`index`).  The
+L and Gamma functors hand back their cell maps, as arrays, with the object
+they build: the inclusion of the kept cells (l_functor_with_inclusion) and
+the projection onto the classes (gamma_functor_with_projection).
 
 All structure maps honour the cubical identities; `validate_cubical` checks
 every instance on every cell and returns a report.  It reads only the
@@ -31,7 +34,9 @@ composition (right map applied first).  The identities checked are
 from __future__ import annotations
 
 import json
+import operator
 import warnings
+from collections.abc import Sequence
 from itertools import combinations
 
 import numpy as np
@@ -51,31 +56,85 @@ class TruncationTooLow(Exception):
     pass
 
 
-class CubSet:
-    __slots__ = ("max_degree", "sizes", "labels", "_face", "_degen", "is_lset")
+# -- labels, decoded on demand -------------------------------------------------
 
-    def __init__(self, max_degree, labels, face, degen, is_lset=False):
-        """labels: list per degree of cell labels; face[(n,i,eps)] and
-        degen[(n,i)] are tuples of target indices (degen maps degree n-1
-        into degree n)."""
+
+class Labels(Sequence):
+    """A read-only sequence of `length` labels; label k is fn(k), computed
+    each time it is read and never stored.  Subclasses compute it in
+    _label instead of through fn."""
+
+    __slots__ = ("_len", "_fn")
+
+    def __init__(self, length: int, fn=None):
+        self._len = length
+        self._fn = fn
+
+    def _label(self, k: int):
+        return self._fn(k)
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, k):
+        k = operator.index(k)
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("label %d of %d" % (k, self._len))
+        return self._label(k)
+
+
+class Picked(Labels):
+    """The labels of the cells `cells` (an int array) of the labels `base`:
+    label k is base[cells[k]]."""
+
+    __slots__ = ("_base", "_cells")
+
+    def __init__(self, base, cells):
+        super().__init__(len(cells))
+        self._base = base
+        self._cells = cells
+
+    def _label(self, k):
+        return self._base[int(self._cells[k])]
+
+
+# -- cells with face and degeneracy tables --------------------------------------
+
+# Cell numbers are int32 in every table, so a degree has at most MAX_CELLS cells.
+MAX_CELLS = 2 ** 31 - 1
+
+
+def _int32_table(table):
+    """A structure map as a read-only int32 array (an int32 array is kept as
+    it is)."""
+    t = np.asarray(table, dtype=np.int32)
+    t.flags.writeable = False
+    return t
+
+
+class CellTables:
+    """Cells per degree with face tables _face[(n, *key)]: X_n -> X_{n-1}
+    and degeneracy tables _degen[(n, i)]: X_{n-1} -> X_n, as int32 arrays,
+    and one label sequence per degree.  CubSet and nerves.SimplicialSet
+    differ in how faces are keyed."""
+
+    __slots__ = ("max_degree", "sizes", "labels", "_face", "_degen")
+
+    def __init__(self, max_degree, labels, face, degen):
         self.max_degree = max_degree
-        self.labels = tuple(tuple(lbls) for lbls in labels)
-        self.sizes = tuple(len(l) for l in self.labels)
-        self._face = dict(face)
-        self._degen = dict(degen)
-        self.is_lset = is_lset
-
-    # -- structure maps --------------------------------------------------
+        self.labels = tuple(labels)
+        self.sizes = tuple(len(lbls) for lbls in self.labels)
+        self._face = {k: _int32_table(t) for k, t in face.items()}
+        self._degen = {k: _int32_table(t) for k, t in degen.items()}
 
     def n_cells(self, n: int) -> int:
         return self.sizes[n] if 0 <= n <= self.max_degree else 0
 
-    def face(self, n: int, i: int, eps: int, c: int) -> int:
-        return self._face[(n, i, eps)][c]
-
     def degen(self, n: int, i: int, c: int) -> int:
         """s_i applied to a cell of degree n-1, landing in degree n."""
-        return self._degen[(n, i)][c]
+        return int(self._degen[(n, i)][c])
 
     def label(self, n: int, c: int):
         return self.labels[n][c]
@@ -84,13 +143,28 @@ class CubSet:
         return self.labels[n].index(label)
 
     def degenerate_cells(self, n: int):
-        """Indices of degree-n cells in the image of some degeneracy."""
-        if n == 0:
-            return set()
-        out = set()
+        """Boolean mask over the degree-n cells: True on the image of some
+        degeneracy."""
+        mask = np.zeros(self.n_cells(n), dtype=bool)
         for i in range(1, n + 1):
-            out.update(self._degen[(n, i)])
-        return out
+            mask[self._degen[(n, i)]] = True
+        return mask
+
+
+class CubSet(CellTables):
+    __slots__ = ("is_lset",)
+
+    def __init__(self, max_degree, labels, face, degen, is_lset=False):
+        """labels: one sequence of cell labels per degree; face[(n,i,eps)]
+        and degen[(n,i)] are integer sequences of target cells, stored as
+        int32 arrays (degen maps degree n-1 into degree n)."""
+        super().__init__(max_degree, labels, face, degen)
+        self.is_lset = is_lset
+
+    # -- structure maps --------------------------------------------------
+
+    def face(self, n: int, i: int, eps: int, c: int) -> int:
+        return int(self._face[(n, i, eps)][c])
 
     def truncated(self, n: int) -> "CubSet":
         """The cells and structure maps through degree n."""
@@ -111,16 +185,13 @@ class CubSet:
 
 def tables_by_degree(x, up_to=None):
     """Yield (n, faces, degens, faces of n-1, degens of n-1) for n = 1..up_to
-    (default x.max_degree), read from x._face and x._degen as index arrays:
-    faces[key] maps X_n -> X_{n-1} (key is (i, eps) on a cubical set, i on a
-    simplicial one) and degens[i] is s_i: X_{n-1} -> X_n.  Only two adjacent
-    degrees are held as arrays at a time, as int32 (half the memory of intp;
-    a materialised degree has far fewer than 2^31 cells)."""
+    (default x.max_degree): the stored arrays of x._face and x._degen, keyed
+    so that faces[key] maps X_n -> X_{n-1} (key is (i, eps) on a cubical set,
+    i on a simplicial one) and degens[i] is s_i: X_{n-1} -> X_n."""
     prev = ({}, {})
     for n in range(1, (x.max_degree if up_to is None else up_to) + 1):
-        cur = ({k[1:] if len(k) == 3 else k[1]: np.asarray(t, dtype=np.int32)
-                for k, t in x._face.items() if k[0] == n},
-               {i: np.asarray(x._degen[(n, i)], dtype=np.int32) for i in range(1, n + 1)})
+        cur = ({k[1:] if len(k) == 3 else k[1]: t for k, t in x._face.items() if k[0] == n},
+               {i: x._degen[(n, i)] for i in range(1, n + 1)})
         yield (n,) + cur + prev
         prev = cur
 
@@ -270,10 +341,12 @@ def standard_model(kind: str, n: int, truncation=None) -> CubSet:
         for m in range(1, truncation + 1):
             for i in range(1, m + 1):
                 for eps in (0, 1):
-                    face[(m, i, eps)] = tuple(
-                        index[m - 1][precompose_delta(f, i, eps)] for f in labels[m])
-                degen[(m, i)] = tuple(
-                    index[m][precompose_sigma(f, i)] for f in labels[m - 1])
+                    face[(m, i, eps)] = np.fromiter(
+                        (index[m - 1][precompose_delta(f, i, eps)] for f in labels[m]),
+                        dtype=np.int32, count=len(labels[m]))
+                degen[(m, i)] = np.fromiter(
+                    (index[m][precompose_sigma(f, i)] for f in labels[m - 1]),
+                    dtype=np.int32, count=len(labels[m - 1]))
         return CubSet(truncation, labels, face, degen, is_lset=False).validate()
     if kind == "lcube":
         cube = standard_model("cube", n, truncation + 1)
@@ -293,15 +366,16 @@ def l_functor(x: CubSet) -> CubSet:
 
 def l_functor_with_inclusion(x: CubSet):
     """l_functor plus its inclusion incl[n]: the kept cells of x in
-    ascending order, so cell c of the subobject is cell incl[n][c] of x."""
+    ascending order, as an array, so cell c of the subobject is cell
+    incl[n][c] of x."""
     N = x.max_degree
     keep = [np.ones(x.n_cells(0), dtype=bool)]
     for n in range(1, N + 1):
-        a = np.asarray(x._face[(n, 1, 0)], dtype=np.intp)
-        keep.append((a == np.asarray(x._face[(n, 1, 1)])) & keep[n - 1][a])
+        a = x._face[(n, 1, 0)]
+        keep.append((a == x._face[(n, 1, 1)]) & keep[n - 1][a])
     # degree 0: the common endpoint of the kept 1-cells
     if x.n_cells(0) != 1:
-        zero = np.unique(np.asarray(x._face[(1, 1, 0)])[keep[1]])
+        zero = np.unique(x._face[(1, 1, 0)][keep[1]])
         if len(zero) != 1:
             raise InternalInvariantViolation(
                 "L functor needs a unique 0-cell; found endpoints %r" % (zero.tolist(),))
@@ -309,15 +383,15 @@ def l_functor_with_inclusion(x: CubSet):
     incl = [np.flatnonzero(k) for k in keep]
     new = []  # cell of x -> cell of the subobject, -1 off it
     for k in keep:
-        pos = np.full(len(k), -1, dtype=np.intp)
-        pos[k] = np.arange(np.count_nonzero(k))
+        pos = np.full(len(k), -1, dtype=np.int32)
+        pos[k] = np.arange(np.count_nonzero(k), dtype=np.int32)
         new.append(pos)
 
     def restrict(table, cells, tgt, message):
-        out = new[tgt][np.asarray(table, dtype=np.intp)[cells]]
+        out = new[tgt][table[cells]]
         if (out < 0).any():
             raise InternalInvariantViolation(message)
-        return tuple(out.tolist())
+        return out
 
     face = {(n, i, eps): restrict(t, incl[n], n - 1,
                                   "face left the equalizer subset at degree %d" % n)
@@ -325,9 +399,9 @@ def l_functor_with_inclusion(x: CubSet):
     degen = {(n, i): restrict(t, incl[n - 1], n, "degeneracy image escaped the"
                               " equalizer subset at degree %d" % n)
              for (n, i), t in x._degen.items()}
-    labels = [[x.label(n, c) for c in incl[n].tolist()] for n in range(N + 1)]
-    lx = CubSet(N, labels, face, degen, is_lset=True).validate()
-    return lx, [cells.tolist() for cells in incl]
+    lx = CubSet(N, [Picked(x.labels[n], incl[n]) for n in range(N + 1)], face, degen,
+                is_lset=True).validate()
+    return lx, incl
 
 
 def subobject_cells(incl, maps):
@@ -347,24 +421,35 @@ def subobject_cells(incl, maps):
 # -- the Gamma functor (coequalizer of the two first faces) ------------------
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def _component_minima(size: int, a, b):
+    """For each of `size` vertices, the smallest vertex of its connected
+    component in the graph with edges (a[k], b[k]): min-label hooking with
+    pointer jumping on whole arrays.  Invariant: lab[c] <= c lies in the
+    component of c.  After the jumps lab points at roots (lab[lab] = lab);
+    each hook links the larger root of an edge to the smaller one.  At the
+    fixed point every edge joins equal labels and each label is its own
+    root, so the label of a component is a member m with lab[m] = m, which
+    is its minimum (lab[min] <= min forces it)."""
+    lab = np.arange(size, dtype=np.int32)
+    while True:
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+        ra, rb = lab[a], lab[b]
+        split = ra != rb
+        if not split.any():
+            return lab
+        np.minimum.at(lab, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
 
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # smaller root wins, for deterministic class representatives
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+def first_face_classes(x: CubSet, n: int):
+    """The classes of the degree-n cells of x under d_{1,0} c ~ d_{1,1} c
+    (c of degree n+1), as an int32 array cell -> class; classes are
+    numbered in the order of their smallest cells."""
+    roots = _component_minima(x.n_cells(n), x._face[(n + 1, 1, 0)], x._face[(n + 1, 1, 1)])
+    return (np.cumsum(roots == np.arange(x.n_cells(n)), dtype=np.int32) - 1)[roots]
 
 
 def gamma_functor(x: CubSet) -> CubSet:
@@ -376,20 +461,15 @@ def gamma_functor(x: CubSet) -> CubSet:
 
 
 def gamma_functor_with_projection(x: CubSet):
-    """gamma_functor plus the projection tables proj[n][cell] = class index.
-    Classes are numbered by their smallest cell, the union-find root, so the
-    first cell of x that projects to class k is the representative of k."""
+    """gamma_functor plus the projection arrays proj[n][cell] = class index
+    (first_face_classes).  Classes are numbered by their smallest cell, so
+    the first cell of x that projects to class k is the representative of
+    k."""
     N = x.max_degree
     if N < 1:
         raise TruncationTooLow("gamma needs at least degree 1")
     M = N - 1
-    proj = []
-    for n in range(M + 1):
-        u = _UnionFind(x.n_cells(n))
-        for a, b in zip(x._face[(n + 1, 1, 0)], x._face[(n + 1, 1, 1)]):
-            u.union(a, b)
-        roots = np.array([u.find(c) for c in range(x.n_cells(n))], dtype=np.intp)
-        proj.append(np.searchsorted(np.unique(roots), roots))
+    proj = [first_face_classes(x, n) for n in range(M + 1)]
     first = [np.unique(cls, return_index=True)[1] for cls in proj]
     if len(first[0]) != 1:
         raise QuotientIllDefined(
@@ -399,13 +479,13 @@ def gamma_functor_with_projection(x: CubSet):
     def induced(table, n, tgt, message):
         """The class map of a structure map from degree n into degree tgt;
         raises unless it is constant on every class."""
-        images = proj[tgt][np.asarray(table, dtype=np.intp)]
+        images = proj[tgt][table]
         bad = np.flatnonzero(images != images[first[n]][proj[n]])
         if len(bad):
             k = proj[n][bad].min()
             raise QuotientIllDefined(message, witnesses=[
                 x.label(n, c) for c in np.flatnonzero(proj[n] == k).tolist()])
-        return tuple(images[first[n]].tolist())
+        return images[first[n]]
 
     face, degen = {}, {}
     for n in range(1, M + 1):
@@ -417,9 +497,9 @@ def gamma_functor_with_projection(x: CubSet):
         for i in range(1, n + 1):
             degen[(n, i)] = induced(x._degen[(n, i)], n - 1, n,
                                     "induced degeneracy s_%d not constant on a class" % i)
-    labels = [[x.label(n, r) for r in first[n].tolist()] for n in range(M + 1)]
-    gx = CubSet(M, labels, face, degen, is_lset=True).validate()
-    return gx, [tuple(cls.tolist()) for cls in proj]
+    gx = CubSet(M, [Picked(x.labels[n], first[n]) for n in range(M + 1)], face, degen,
+                is_lset=True).validate()
+    return gx, proj
 
 
 # -- comparisons -------------------------------------------------------------
@@ -519,8 +599,8 @@ def cubset_to_json(x: CubSet) -> str:
     doc = {
         "max_degree": x.max_degree,
         "cells": [list(range(k)) for k in x.sizes],
-        "faces": {"%d,%d,%d" % k: list(v) for k, v in sorted(x._face.items())},
-        "degeneracies": {"%d,%d" % k: list(v) for k, v in sorted(x._degen.items())},
+        "faces": {"%d,%d,%d" % k: v.tolist() for k, v in sorted(x._face.items())},
+        "degeneracies": {"%d,%d" % k: v.tolist() for k, v in sorted(x._degen.items())},
         "is_lset": x.is_lset,
         "labels": [[repr(l) for l in lbls] for lbls in x.labels],
     }

@@ -169,9 +169,11 @@ class Matrix:
     """Immutable matrix over a single FieldTag, stored as sparse columns.
 
     `cols_data[j]` maps row index -> nonzero scalar, made canonical on entry
-    (a Fraction(2, 1) is stored as 2).  Boundary operators of nerves have at
-    most 2n nonzeros per column, so the sparse form is also the dense-safe
-    default at the scales this package handles.
+    (a Fraction(2, 1) is stored as 2).  The results of matrix operations
+    are canonical and in range by construction and skip those checks
+    (`trusted`).  Boundary operators of nerves have at most 2n nonzeros per
+    column, so the sparse form is also the dense-safe default at the scales
+    this package handles.
     """
 
     __slots__ = ("field", "rows", "cols", "cols_data")
@@ -207,6 +209,19 @@ class Matrix:
             for j, v in enumerate(row):
                 cols[j][i] = v
         return cls(field, nrows, ncols, cols)
+
+    @classmethod
+    def trusted(cls, field: FieldTag, rows: int, cols: int, cols_data) -> "Matrix":
+        """A matrix on cols_data stored as given, without the range check
+        and canonicalisation of the constructor: for columns that are
+        canonical and in range by construction, as the results of matrix
+        operations are."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.cols_data = tuple(cols_data)
+        return m
 
     @classmethod
     def zeros(cls, field: FieldTag, rows: int, cols: int) -> "Matrix":
@@ -261,8 +276,9 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("add shape mismatch")
         f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [f.axpy(dict(c), oc, a) for c, oc in zip(self.cols_data, other.cols_data)])
+        return Matrix.trusted(f, self.rows, self.cols,
+                              [f.axpy(dict(c), oc, a)
+                               for c, oc in zip(self.cols_data, other.cols_data)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -275,7 +291,7 @@ class Matrix:
             for k, bv in bc.items():
                 f.axpy(acc, self.cols_data[k], bv)
             out.append(acc)
-        return Matrix(f, self.rows, other.cols, out)
+        return Matrix.trusted(f, self.rows, other.cols, out)
 
     def apply(self, vec: dict) -> dict:
         """Matrix times sparse column vector."""
@@ -292,7 +308,7 @@ class Matrix:
         for j, col in enumerate(self.cols_data):
             for i, v in col.items():
                 cols[i][j] = v
-        return Matrix(self.field, self.cols, self.rows, cols)
+        return Matrix.trusted(self.field, self.cols, self.rows, cols)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; row/column index of the second factor varies
@@ -309,7 +325,7 @@ class Matrix:
                     for rb, vb in cb.items():
                         col[ra * other.rows + rb] = f.mul(va, vb)
                 cols.append(col)
-        return Matrix(f, self.rows * other.rows, self.cols * other.cols, cols)
+        return Matrix.trusted(f, self.rows * other.rows, self.cols * other.cols, cols)
 
 
 class Echelon:

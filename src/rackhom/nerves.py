@@ -24,23 +24,26 @@ image of the coordinate insertion or deletion, and renormalizes faces so
 the new origin maps to the unit.  The streamed top-boundary certificate in
 chains runs the same GroupArith on blocks of its cells.
 
-Every nerve is validated as it is built (validate_cubical or
-validate_simplicial, whole tables at a time).
+Every face and degeneracy table is one int32 array, filled BLOCK cells at
+a time (_tables); a degree must have fewer than 2^31 cells.  Every nerve is
+validated as it is built (validate_cubical or validate_simplicial, whole
+tables at a time).
 
-A cell is its number; labels are for reports only.  Maps between nerves
-work on digit rows as well: lnerve_inclusion sends each rack nerve cell of
-conj(G) to the number of its cubical nerve cell, and the L and Gamma
-functors (cubical) return their cell inclusion and projection.
+A cell is its number; labels are for reports only, and none is stored: the
+degree-n labels are a Words view that decodes label k from the base-|X|
+digits of k when it is read, and encodes a label back in `index`.  Maps
+between nerves work on digit rows as well: lnerve_inclusion sends each rack
+nerve cell of conj(G) to the number of its cubical nerve cell, and the L
+and Gamma functors (cubical) return their cell inclusion and projection.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import product
 
 import numpy as np
 
-from .cubical import CubSet, mismatches, tables_by_degree
+from .cubical import MAX_CELLS, CellTables, CubSet, Labels, mismatches, tables_by_degree
 from .racks import FiniteGroup, PointedRack
 
 # Cells per block of digit rows: bounds the numpy temporaries, which the
@@ -54,40 +57,45 @@ class BudgetExceeded(Exception):
         self.degree = degree
 
 
-class SimplicialSet:
-    __slots__ = ("max_degree", "sizes", "labels", "_face", "_degen")
+class Words(Labels):
+    """The labels of one nerve degree: the words of `width` elements in
+    itertools.product order.  Label k is decoded from the base-|X| digits
+    of k, first entry most significant, each time it is read; index(word)
+    encodes a word back to its cell number."""
 
-    def __init__(self, max_degree, labels, face, degen):
-        """face[(n,i)]: X_n -> X_{n-1} for 0 <= i <= n;
-        degen[(n,i)]: X_{n-1} -> X_n for 1 <= i <= n."""
-        self.max_degree = max_degree
-        self.labels = tuple(tuple(l) for l in labels)
-        self.sizes = tuple(len(l) for l in self.labels)
-        self._face = dict(face)
-        self._degen = dict(degen)
+    __slots__ = ("elements", "width")
 
-    def n_cells(self, n):
-        return self.sizes[n] if 0 <= n <= self.max_degree else 0
+    def __init__(self, elements, width: int):
+        self.elements = tuple(elements)
+        self.width = width
+        super().__init__(len(self.elements) ** width)
+
+    def _label(self, k):
+        order = len(self.elements)
+        word = [None] * self.width
+        for j in reversed(range(self.width)):
+            k, d = divmod(k, order)
+            word[j] = self.elements[d]
+        return tuple(word)
+
+    def index(self, label):
+        word = tuple(label)
+        if len(word) != self.width:
+            raise ValueError("%r is not a word of length %d" % (label, self.width))
+        k = 0
+        for e in word:
+            k = k * len(self.elements) + self.elements.index(e)
+        return k
+
+
+class SimplicialSet(CellTables):
+    """face[(n,i)]: X_n -> X_{n-1} for 0 <= i <= n;
+    degen[(n,i)]: X_{n-1} -> X_n for 1 <= i <= n."""
+
+    __slots__ = ()
 
     def face(self, n, i, c):
-        return self._face[(n, i)][c]
-
-    def degen(self, n, i, c):
-        return self._degen[(n, i)][c]
-
-    def label(self, n, c):
-        return self.labels[n][c]
-
-    def index(self, n, label):
-        return self.labels[n].index(label)
-
-    def degenerate_cells(self, n):
-        if n == 0:
-            return set()
-        out = set()
-        for i in range(1, n + 1):
-            out.update(self._degen[(n, i)])
-        return out
+        return int(self._face[(n, i)][c])
 
 
 def validate_simplicial(x: SimplicialSet):
@@ -137,11 +145,12 @@ def cell_digits(cells, order: int, width: int):
 
 
 def cell_numbers(rows, order: int):
-    """The cell numbers of digit rows (inverse of cell_digits), as ints."""
+    """The cell numbers of digit rows (inverse of cell_digits), as an int64
+    array."""
     cells = np.zeros(len(rows), dtype=np.int64)
     for j in range(rows.shape[1]):
         cells = cells * order + rows[:, j]
-    return cells.tolist()
+    return cells
 
 
 def _insert(value, rows, i):
@@ -205,15 +214,17 @@ class GroupArith:
 
 
 def _tables(order, width, keys, fn):
-    """{key: images of every cell of the given width under fn(rows, *key[1:])},
-    computed BLOCK cells at a time."""
+    """{key: int32 array of the images of every cell of the given width
+    under fn(rows, *key[1:])}, filled BLOCK cells at a time."""
     total = order ** width
-    cols = {key: [] for key in keys}
+    assert total <= MAX_CELLS, "cell numbers must fit int32"
+    out = {key: np.empty(total, dtype=np.int32) for key in keys}
     for start in range(0, total, BLOCK):
-        rows = cell_digits(np.arange(start, min(start + BLOCK, total)), order, width)
-        for key, col in cols.items():
-            col += cell_numbers(fn(rows, *key[1:]), order)
-    return {key: tuple(col) for key, col in cols.items()}
+        stop = min(start + BLOCK, total)
+        rows = cell_digits(np.arange(start, stop), order, width)
+        for key, table in out.items():
+            table[start:stop] = cell_numbers(fn(rows, *key[1:]), order)
+    return out
 
 
 def _build(kind, elements, max_degree, budget, width, face_keys, face, degen):
@@ -222,15 +233,14 @@ def _build(kind, elements, max_degree, budget, width, face_keys, face, degen):
     face_keys(n) maps degree n to n-1, degen(rows, i) maps n-1 to n."""
     order = len(elements)
     for n in range(max_degree + 1):
-        if order ** width(n) > budget:
+        if order ** width(n) > min(budget, MAX_CELLS):
             raise BudgetExceeded("%s nerve degree %d needs %d cells"
                                  % (kind, n, order ** width(n)), n)
     faces, degens = {}, {}
     for n in range(1, max_degree + 1):
         faces.update(_tables(order, width(n), face_keys(n), face))
         degens.update(_tables(order, width(n - 1), [(n, i) for i in range(1, n + 1)], degen))
-    labels = [list(product(elements, repeat=width(n))) for n in range(max_degree + 1)]
-    return labels, faces, degens
+    return [Words(elements, width(n)) for n in range(max_degree + 1)], faces, degens
 
 
 def _cube_faces(n):

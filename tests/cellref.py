@@ -1,17 +1,26 @@
-"""Per-cell reference builders for the table maps in rackhom, and the
-full-scan echelon sweep.
+"""Per-cell reference builders for the table maps in rackhom, the full-scan
+echelon sweep, and the nerve storage that labels decoded on demand replaced.
 
 Each function builds a map the slow way: one cell at a time, reading cells
 through their labels (`index`) and faces one `face` call at a time.  The
 table versions in the package must equal them entry by entry.
 `FullScanEchelon` reduces a column by visiting every stored pivot; the
-heap-ordered `Echelon` must equal it entry by entry.
+heap-ordered `Echelon` must equal it entry by entry.  `stored_nerve` builds
+a nerve's labels as itertools.product lists and its tables as tuples of
+Python ints, and `unionfind_classes` finds the Gamma classes with a
+union-find, as the package did before its int32 arrays, Words views and
+array component search.
 """
 
+from functools import partial
 from itertools import permutations, product
 
-from rackhom.cubical import QuotientIllDefined, TruncationTooLow, _UnionFind
+import numpy as np
+
+from rackhom.cubical import QuotientIllDefined, TruncationTooLow
 from rackhom.exactfield import Echelon, Matrix
+from rackhom.nerves import (BLOCK, GroupArith, _bar_face, _cube_faces, _insert, _rack_face,
+                            cell_digits, cell_numbers)
 from rackhom.shuffles import All, FirstFixed, FirstIsPPlus1, Permutation, enumerate_shuffles
 
 
@@ -266,6 +275,77 @@ def antisymmetrization_reference(group, s):
                     if f.axpy(s.mat(n).column(k), s.mat(n).cols_data[k2]):
                         report["kills_symmetric"] = False
     return report
+
+
+# -- nerve storage as it was: label lists, tuple tables, union-find classes ----
+
+
+def _tuple_tables(order, width, keys, fn):
+    """{key: tuple of the images of every cell of the given width under
+    fn(rows, *key[1:])}, collected in lists BLOCK cells at a time."""
+    total = order ** width
+    cols = {key: [] for key in keys}
+    for start in range(0, total, BLOCK):
+        rows = cell_digits(np.arange(start, min(start + BLOCK, total)), order, width)
+        for key, col in cols.items():
+            col += cell_numbers(fn(rows, *key[1:]), order).tolist()
+    return {key: tuple(col) for key, col in cols.items()}
+
+
+def stored_nerve(kind, obj, max_degree):
+    """(labels, faces, degens) of the group cubical ("group"), rack ("rack")
+    or bar ("bar") nerve of obj: per degree the list of product words, and
+    every face and degeneracy table as a tuple of ints."""
+    if kind == "group":
+        arith = GroupArith(obj)
+        width, face_keys, face, degen = lambda n: 2 ** n - 1, _cube_faces, arith.face, arith.degen
+    elif kind == "rack":
+        width, face_keys = (lambda n: n), _cube_faces
+        face, degen = partial(_rack_face, np.array(obj.op)), partial(_insert, obj.basepoint)
+    else:
+        width, face_keys = (lambda n: n), (lambda n: [(n, i) for i in range(n + 1)])
+        face, degen = partial(_bar_face, np.array(obj.mul)), partial(_insert, obj.unit)
+    order = len(obj.elements)
+    faces, degens = {}, {}
+    for n in range(1, max_degree + 1):
+        faces.update(_tuple_tables(order, width(n), face_keys(n), face))
+        degens.update(_tuple_tables(order, width(n - 1), [(n, i) for i in range(1, n + 1)],
+                                    degen))
+    labels = [list(product(obj.elements, repeat=width(n))) for n in range(max_degree + 1)]
+    return labels, faces, degens
+
+
+class _UnionFind:
+    """The union-find the Gamma functor used before its classes were found
+    on whole arrays: the smaller root wins each union."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, a):
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # smaller root wins, for deterministic class representatives
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def unionfind_classes(x, n):
+    """The Gamma projection of degree n as the union-find built it: one
+    union per degree-(n+1) cell, classes numbered by their roots."""
+    u = _UnionFind(x.n_cells(n))
+    for a, b in zip(x._face[(n + 1, 1, 0)].tolist(), x._face[(n + 1, 1, 1)].tolist()):
+        u.union(a, b)
+    roots = np.array([u.find(c) for c in range(x.n_cells(n))], dtype=np.intp)
+    return np.searchsorted(np.unique(roots), roots)
 
 
 def gamma_reference(x):

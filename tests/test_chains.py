@@ -1,6 +1,7 @@
 import copy
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,7 +151,7 @@ def test_eta_section_values_and_contract():
     from rackhom.chains import GradedMap
 
     for n in range(1, 4):
-        for cell in sorted(nerve.degenerate_cells(n))[:5]:
+        for cell in np.flatnonzero(nerve.degenerate_cells(n))[:5].tolist():
             vec = {cell: QQ.one()}
             for i in range(n, 0, -1):
                 out = dict(vec)

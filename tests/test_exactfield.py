@@ -276,6 +276,40 @@ def test_q_values_are_canonical_on_entry():
     assert solve_in_image(Matrix.from_rows(QQ, [[2]]), [Fraction(3, 1)]) == [Fraction(3, 2)]
 
 
+def test_public_constructor_checks_rows_and_canonicalises():
+    with pytest.raises(ShapeError):
+        Matrix(QQ, 2, 1, [{2: 1}])
+    with pytest.raises(ShapeError):
+        Matrix(QQ, 2, 1, [{-1: 1}])
+    m = Matrix(QQ, 2, 1, [{0: Fraction(2, 1), 1: 0}])
+    assert m.cols_data == ({0: 2},) and type(m.cols_data[0][0]) is int
+
+
+@PROPERTY
+@given(int_matrices(), int_matrices(), st.sampled_from([0, 2, 3, 5]))
+def test_trusted_results_equal_checked_dense_ones(a_rows, b_rows, p):
+    """@, +, -, kron and transpose build their results without the
+    constructor's checks; each equals the matrix the public constructor
+    makes of the same operation done on dense integer rows."""
+    f = FieldTag(p)
+    a, b = Matrix.from_rows(f, a_rows), Matrix.from_rows(f, b_rows)
+    at = [list(col) for col in zip(*a_rows)]
+
+    def product(x, y):
+        return [[sum(u * v for u, v in zip(row, col)) for col in zip(*y)] for row in x]
+
+    cases = [(a.transpose(), at),
+             (a + a, [[2 * v for v in row] for row in a_rows]),
+             (a - a, [[0] * a.cols for _ in range(a.rows)]),
+             (a.transpose() @ a, product(at, a_rows)),
+             (a.kron(b), [[u * v for u in ra for v in rb] for ra in a_rows for rb in b_rows])]
+    if a.cols == b.rows:
+        cases.append((a @ b, product(a_rows, b_rows)))
+    for got, rows in cases:
+        assert got == Matrix.from_rows(f, rows)
+        assert all(_canonical(f, v) for col in got.cols_data for v in col.values())
+
+
 def test_q_boundaries_and_kernels_are_canonical():
     c = build_complex(rack_nerve(preset("conj:symmetric:3"), 3), QQ)
     for n in range(1, 4):

@@ -1,6 +1,10 @@
-from itertools import product
+import tracemalloc
+from itertools import islice, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rackhom.chains import _boundary_keys, _coprime_stride, _stream_block
 from rackhom.cubical import (
@@ -13,6 +17,7 @@ from rackhom.cubical import (
 from rackhom.nerves import (
     BudgetExceeded,
     GroupArith,
+    Words,
     bar_nerve,
     cell_digits,
     cell_numbers,
@@ -23,7 +28,7 @@ from rackhom.nerves import (
 )
 from rackhom.racks import FiniteGroup, conj_rack, preset, symmetric_group, trivial_rack
 
-from cellref import lnerve_inclusion_labels, lnerve_inclusion_reference
+from cellref import lnerve_inclusion_labels, lnerve_inclusion_reference, stored_nerve
 
 
 def test_trivial_group_nerve_sizes():
@@ -90,6 +95,14 @@ def test_budget_exceeded():
     assert exc.value.degree <= 4
 
 
+def test_int32_cell_limit_holds_above_any_budget():
+    """6^12 > 2^31 - 1 cells would overflow the int32 tables: refused before
+    any table is built, whatever the budget."""
+    with pytest.raises(BudgetExceeded) as exc:
+        rack_nerve(preset("conj:symmetric:3"), 13, budget=10 ** 12)
+    assert exc.value.degree == 12
+
+
 def test_bar_faces_and_degeneracies():
     g = symmetric_group(3)
     x = bar_nerve(g, 3)
@@ -121,7 +134,7 @@ def test_trivial_rack_nerve_faces_agree():
     x = rack_nerve(r, 3)
     for n in range(1, 4):
         for i in range(1, n + 1):
-            assert x._face[(n, i, 0)] == x._face[(n, i, 1)]
+            assert np.array_equal(x._face[(n, i, 0)], x._face[(n, i, 1)])
 
 
 def test_rack_nerve_degenerate_cells_are_tuples_with_e():
@@ -131,7 +144,7 @@ def test_rack_nerve_degenerate_cells_are_tuples_with_e():
         degen = x.degenerate_cells(n)
         for c in range(x.n_cells(n)):
             has_e = r.elements[r.basepoint] in x.label(n, c)
-            assert (c in degen) == has_e
+            assert degen[c] == has_e
 
 
 def test_lnerve_isomorphism_explicit_bijection():
@@ -160,7 +173,7 @@ def test_lnerve_isomorphism_explicit_bijection():
 def test_lnerve_inclusion_matches_label_reference(name, depth):
     g = preset(name)
     x = group_cubical_nerve(g, depth, budget=10 ** 7)
-    assert lnerve_inclusion(g, x) == lnerve_inclusion_reference(g, x)
+    assert [m.tolist() for m in lnerve_inclusion(g, x)] == lnerve_inclusion_reference(g, x)
 
 
 def test_subobject_cells_rejects_a_cell_outside():
@@ -225,13 +238,13 @@ def test_group_kernel_and_stream_match_materialised_nerve(name):
         rows = cell_digits(cells, g.order, w)
         words = [tuple(r) for r in rows.tolist()]
         assert [x.label(n, c) for c in cells] == [tuple(g.elements[a] for a in t) for t in words]
-        assert cell_numbers(rows, g.order) == list(cells)
-        assert arith.degenerate(rows).tolist() == [c in degen for c in cells] \
+        assert cell_numbers(rows, g.order).tolist() == list(cells)
+        assert arith.degenerate(rows).tolist() == degen.tolist() \
             == [reference_degenerate(g, t) for t in words]
         for i in range(1, n + 1):
             for eps in (0, 1):
                 want = [x.face(n, i, eps, c) for c in cells]
-                assert cell_numbers(arith.face(rows, i, eps), g.order) == want
+                assert cell_numbers(arith.face(rows, i, eps), g.order).tolist() == want
                 assert [x.label(n - 1, c) for c in want] == [
                     tuple(g.elements[a] for a in reference_face(g, t, i, eps)) for t in words]
         # the stream visits k = j * stride mod M; cell k labels vertex m by
@@ -241,10 +254,89 @@ def test_group_kernel_and_stream_match_materialised_nerve(name):
         cs = [x.index(n, tuple(g.elements[k // g.order ** m % g.order] for m in range(w)))
               for k in ks]
         faces, flags = _stream_block(arith, g.order, n, ks)
-        assert flags.tolist() == [c in degen for c in cs]
+        assert flags.tolist() == degen[cs].tolist()
         keys = _boundary_keys(n, True)
         assert sorted(keys) == [(i, eps) for i in range(1, n + 1) for eps in (0, 1)]
         assert len(faces) == len(keys)
         for nums, (i, eps) in zip(faces, keys):
-            assert nums == [x.face(n, i, eps, c) for c in cs]
+            assert nums.tolist() == [x.face(n, i, eps, c) for c in cs]
         n += 1
+
+
+# -- storage: int32 tables, labels decoded on demand ---------------------------
+
+STORED = {  # name -> (kind, preset, max degree)
+    "group cyclic:2": ("group", "cyclic:2", 4),
+    "group cyclic:3": ("group", "cyclic:3", 2),
+    "group symmetric:3": ("group", "symmetric:3", 2),
+    "group quaternion:8": ("group", "quaternion:8", 2),
+    "rack conj:symmetric:3": ("rack", "conj:symmetric:3", 3),
+    "rack conj:quaternion:8": ("rack", "conj:quaternion:8", 3),
+    "rack conj:dihedral:4": ("rack", "conj:dihedral:4", 3),
+    "rack trivial_rack:3": ("rack", "trivial_rack:3", 3),
+    "bar symmetric:3": ("bar", "symmetric:3", 3),
+    "bar cyclic:4": ("bar", "cyclic:4", 3),
+}
+BUILDERS = {"group": group_cubical_nerve, "rack": rack_nerve, "bar": bar_nerve}
+
+
+@pytest.mark.parametrize("name", sorted(STORED))
+def test_nerve_storage_matches_label_lists_and_tuple_tables(name):
+    """Every label decoded on demand equals the stored product word, index
+    finds it back, and every int32 table equals the tuple table entry by
+    entry."""
+    kind, preset_name, depth = STORED[name]
+    obj = preset(preset_name)
+    x = BUILDERS[kind](obj, depth)
+    labels, faces, degens = stored_nerve(kind, obj, depth)
+    for n in range(depth + 1):
+        assert [x.label(n, c) for c in range(x.n_cells(n))] == list(x.labels[n]) == labels[n]
+        assert [x.index(n, lbl) for lbl in labels[n]] == list(range(len(labels[n])))
+    for got, want in ((x._face, faces), (x._degen, degens)):
+        assert sorted(got) == sorted(want)
+        for key, table in want.items():
+            assert got[key].dtype == np.int32
+            assert got[key].tolist() == list(table)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(0, 5), st.data())
+def test_words_index_and_label_round_trip(order, width, data):
+    elements = [("g", a) for a in range(order)]
+    words = Words(elements, width)
+    assert len(words) == order ** width
+    k = data.draw(st.integers(0, len(words) - 1))
+    assert words.index(words[k]) == k
+    assert words[k] == next(islice(product(elements, repeat=width), k, None))
+    assert words[k - len(words)] == words[k]
+    word = tuple(data.draw(st.lists(st.sampled_from(elements), min_size=width,
+                                    max_size=width)))
+    assert words[words.index(word)] == word
+    with pytest.raises(IndexError):
+        words[len(words)]
+    with pytest.raises(ValueError):
+        words.index(word + (elements[0],))
+    if width:  # a word with an element from elsewhere
+        with pytest.raises(ValueError):
+            words.index((("h", 0),) + word[1:])
+
+
+def test_group_nerve_memory_bound():
+    """The traced peak of building the 32768-cell degree-4 nerve of Z/2 (it
+    counts numpy buffers, so it does not depend on the machine): int32
+    tables and no stored labels keep it under 3 MiB, where label tuples and
+    tuple tables took 8.9 MiB."""
+    g = preset("cyclic:2")
+    group_cubical_nerve(g, 2)  # first-call imports and caches
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        x = group_cubical_nerve(g, 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert x.n_cells(4) == 32768
+    assert peak < 3 * 2 ** 20
