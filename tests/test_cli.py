@@ -270,6 +270,9 @@ SWEEP = [
     ("map", "s", "--mode", "cubical", "--preset", "symmetric:3", "--field", "f3"),
     ("verify", "lset-iso", "--group", "quaternion:8"),
     ("nerve", "export", "--preset", "conj:dihedral:4"),
+    ("gl", "verify", "--ring", "zmod:2147483659", "--nmax", "3", "--trials", "5", "--seed", "2"),
+    ("gl", "verify", "--ring", "zmod:18446744073709551629", "--nmax", "2", "--trials", "5",
+     "--seed", "2"),
 ]
 EDGES = [("--max-degree", "0"), ("--max-degree", "1"), ("--max-degree", "1", "--budget", "5")]
 
