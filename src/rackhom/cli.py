@@ -178,9 +178,15 @@ def cmd_map_s(args, started):
     else:
         s = s_map_cubical(g, field, args.max_degree)
     bad = verify_chain_map(s)
-    mats = {str(n): [[field.to_str(s.mat(n).entry(i, j))
-                      for j in range(s.mat(n).cols)]
-                     for i in range(s.mat(n).rows)] for n in s.degrees()}
+    zero = field.to_str(field.zero())
+    mats = {}
+    for n in s.degrees():
+        mat = s.mat(n)
+        rows = [[zero] * mat.cols for _ in range(mat.rows)]
+        for j, col in enumerate(mat.cols_data):  # only the stored nonzeros
+            for i, v in col.items():
+                rows[i][j] = field.to_str(v)
+        mats[str(n)] = rows
     report = {"command": "map s", "mode": args.mode, "preset": args.preset,
               "field": str(field), "chain_map": not bad,
               "failures": [str(b) for b in bad[:5]], "matrices": mats,

@@ -5,6 +5,20 @@ Pontryagin product, and the Pontryagin product on rack chains.
 No matrix is ever inverted: every claimed conjugation identity
 X^-1 A X = B is checked as A X = X B together with invertibility of X
 (unit determinant).
+
+A SquareMatrix stores its entries once, reduced into [0, m), as a
+read-only numpy array; products, block sums, the interleaving and
+permutation matrices are whole-array operations (one matmul and one `% m`
+per product).  The dtype is int64 while n (m-1)^2 < 2^63: an entry of the
+product of two reduced n x n matrices is a sum of n terms, each at most
+(m-1)^2, so every partial sum fits in int64 before the `% m`.  An empty
+matrix counts as n = 1, so that its `% m` fits too.  Past that bound the
+dtype is object, whose entries are Python ints, so `zmod:<m>` stays exact
+for every modulus.  The dtype depends only on (m, n), so matrices of one
+size over one ring share it.  The determinant is exact Bareiss elimination
+on Python ints, and each matrix object runs it at most once: the fixed
+witnesses X, Y, P_n and D_{m,n} are tested for invertibility once, not
+once per identity they conjugate.
 """
 
 from __future__ import annotations
@@ -37,46 +51,63 @@ class RingTag:
 
 
 class SquareMatrix:
-    __slots__ = ("ring", "n", "rows")
+    """An n x n matrix over Z/m: `entries` is the read-only array of its
+    entries, `rows` a tuple-of-tuples view of it for hashing, group tables
+    and failure witnesses.  `is_invertible` is computed once per object."""
+
+    __slots__ = ("ring", "n", "entries", "_invertible")
 
     def __init__(self, ring: RingTag, rows):
+        m = ring.m
+        rows = [[int(v) % m for v in r] for r in rows]
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise ValueError("not square")
+        self._set(ring, np.array(rows, dtype=_dtype(m, n)).reshape(n, n))
+
+    def _set(self, ring, entries):
+        entries.flags.writeable = False
         self.ring = ring
-        self.rows = tuple(tuple(v % ring.m for v in r) for r in rows)
-        self.n = len(self.rows)
-        for r in self.rows:
-            if len(r) != self.n:
-                raise ValueError("not square")
+        self.n = entries.shape[0]
+        self.entries = entries
+        self._invertible = None
+
+    @classmethod
+    def _of(cls, ring: RingTag, entries) -> "SquareMatrix":
+        """Wrap an array already reduced mod m, of its size's dtype."""
+        out = cls.__new__(cls)
+        out._set(ring, entries)
+        return out
 
     @classmethod
     def identity(cls, ring: RingTag, n: int) -> "SquareMatrix":
-        return cls(ring, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(ring, np.eye(n, dtype=_dtype(ring.m, n)))
+
+    @property
+    def rows(self):
+        return tuple(map(tuple, self.entries.tolist()))
 
     def __eq__(self, other):
         return (isinstance(other, SquareMatrix) and self.ring == other.ring
-                and self.rows == other.rows)
+                and self.n == other.n and bool((self.entries == other.entries).all()))
 
     def __hash__(self):
         return hash((self.ring, self.rows))
 
     def __repr__(self):
-        return "SquareMatrix(%s, %r)" % (self.ring, [list(r) for r in self.rows])
+        return "SquareMatrix(%s, %r)" % (self.ring, self.entries.tolist())
 
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.ring != other.ring or self.n != other.n:
             raise ValueError("size or ring mismatch")
-        m = self.ring.m
-        n = self.n
-        brows = other.rows
-        return SquareMatrix(self.ring, [
-            [sum(self.rows[i][k] * brows[k][j] for k in range(n)) % m
-             for j in range(n)] for i in range(n)])
+        return SquareMatrix._of(self.ring, (self.entries @ other.entries) % self.ring.m)
 
     def det(self) -> int:
         """Determinant: exact integer Bareiss elimination, then reduced."""
         n = self.n
         if n == 0:
             return 1 % self.ring.m
-        a = [[int(v) for v in r] for r in self.rows]
+        a = self.entries.tolist()
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -95,22 +126,28 @@ class SquareMatrix:
         return (sign * a[n - 1][n - 1]) % self.ring.m
 
     def is_invertible(self) -> bool:
-        return gcd(self.det(), self.ring.m) == 1
+        if self._invertible is None:
+            self._invertible = gcd(self.det(), self.ring.m) == 1
+        return self._invertible
+
+
+def _dtype(m: int, n: int):
+    """int64 while a product's entries fit before `% m`, else Python ints."""
+    return np.int64 if max(n, 1) * (m - 1) ** 2 < 2 ** 63 else object
+
+
+def _zeros(ring: RingTag, n: int):
+    return np.zeros((n, n), dtype=_dtype(ring.m, n))
 
 
 def direct_sum(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     """Block diagonal [[A,0],[0,B]]."""
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
-    n = a.n + b.n
-    rows = [[0] * n for _ in range(n)]
-    for i in range(a.n):
-        for j in range(a.n):
-            rows[i][j] = a.rows[i][j]
-    for i in range(b.n):
-        for j in range(b.n):
-            rows[a.n + i][a.n + j] = b.rows[i][j]
-    return SquareMatrix(a.ring, rows)
+    out = _zeros(a.ring, a.n + b.n)
+    out[:a.n, :a.n] = a.entries
+    out[a.n:, a.n:] = b.entries
+    return SquareMatrix._of(a.ring, out)
 
 
 def interleave_mu(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
@@ -120,26 +157,18 @@ def interleave_mu(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
         raise ValueError("ring mismatch")
     if a.n != b.n:
         raise ValueError("size mismatch")
-    n = a.n
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(1, 2 * n + 1):
-        for j in range(1, 2 * n + 1):
-            if i % 2 != j % 2:
-                continue
-            if i % 2 == 1:
-                rows[i - 1][j - 1] = a.rows[(i + 1) // 2 - 1][(j + 1) // 2 - 1]
-            else:
-                rows[i - 1][j - 1] = b.rows[i // 2 - 1][j // 2 - 1]
-    return SquareMatrix(a.ring, rows)
+    out = _zeros(a.ring, 2 * a.n)
+    out[0::2, 0::2] = a.entries
+    out[1::2, 1::2] = b.entries
+    return SquareMatrix._of(a.ring, out)
 
 
 def permutation_matrix(ring: RingTag, images) -> SquareMatrix:
     """Column k carries e_{images[k]} (1-based images)."""
     n = len(images)
-    rows = [[0] * n for _ in range(n)]
-    for k, i in enumerate(images, start=1):
-        rows[i - 1][k - 1] = 1
-    return SquareMatrix(ring, rows)
+    out = _zeros(ring, n)
+    out[np.asarray(images, dtype=np.intp) - 1, np.arange(n)] = 1
+    return SquareMatrix._of(ring, out)
 
 
 def conjugators(ring: RingTag, n: int, m: int = None):

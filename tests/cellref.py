@@ -9,11 +9,14 @@ heap-ordered `Echelon` must equal it entry by entry.  `stored_nerve` builds
 a nerve's labels as itertools.product lists and its tables as tuples of
 Python ints, and `unionfind_classes` finds the Gamma classes with a
 union-find, as the package did before its int32 arrays, Words views and
-array component search.
+array component search.  `TupleSquareMatrix` and its functions are the
+matrices over Z/m as tuples of Python ints, one entry at a time, as
+glstable computed them before its numpy arrays.
 """
 
 from functools import partial
 from itertools import permutations, product
+from math import gcd
 
 import numpy as np
 
@@ -430,3 +433,116 @@ class FullScanEchelon(Echelon):
         ech = FullScanEchelon(self.field, self.rows)
         ech.pivots = [(prow, pcol, None) for prow, pcol, _ in self.pivots]
         return ech
+
+
+class TupleSquareMatrix:
+    """An n x n matrix over Z/m as a tuple of tuples of Python ints."""
+
+    def __init__(self, ring, rows):
+        self.ring = ring
+        self.rows = tuple(tuple(v % ring.m for v in r) for r in rows)
+        self.n = len(self.rows)
+        for r in self.rows:
+            if len(r) != self.n:
+                raise ValueError("not square")
+
+    @classmethod
+    def identity(cls, ring, n):
+        return cls(ring, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    def __eq__(self, other):
+        return (isinstance(other, TupleSquareMatrix) and self.ring == other.ring
+                and self.rows == other.rows)
+
+    def __hash__(self):
+        return hash((self.ring, self.rows))
+
+    def __repr__(self):
+        return "SquareMatrix(%s, %r)" % (self.ring, [list(r) for r in self.rows])
+
+    def __matmul__(self, other):
+        if self.ring != other.ring or self.n != other.n:
+            raise ValueError("size or ring mismatch")
+        m = self.ring.m
+        n = self.n
+        brows = other.rows
+        return TupleSquareMatrix(self.ring, [
+            [sum(self.rows[i][k] * brows[k][j] for k in range(n)) % m
+             for j in range(n)] for i in range(n)])
+
+    def det(self):
+        """Exact integer Bareiss elimination, then reduced."""
+        n = self.n
+        if n == 0:
+            return 1 % self.ring.m
+        a = [[int(v) for v in r] for r in self.rows]
+        sign = 1
+        prev = 1
+        for k in range(n - 1):
+            if a[k][k] == 0:
+                for i in range(k + 1, n):
+                    if a[i][k] != 0:
+                        a[k], a[i] = a[i], a[k]
+                        sign = -sign
+                        break
+                else:
+                    return 0
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            prev = a[k][k]
+        return (sign * a[n - 1][n - 1]) % self.ring.m
+
+    def is_invertible(self):
+        return gcd(self.det(), self.ring.m) == 1
+
+
+def direct_sum_reference(a, b):
+    n = a.n + b.n
+    rows = [[0] * n for _ in range(n)]
+    for i in range(a.n):
+        for j in range(a.n):
+            rows[i][j] = a.rows[i][j]
+    for i in range(b.n):
+        for j in range(b.n):
+            rows[a.n + i][a.n + j] = b.rows[i][j]
+    return TupleSquareMatrix(a.ring, rows)
+
+
+def interleave_reference(a, b):
+    """a-entries at odd (1-based) positions, b-entries at even ones."""
+    n = a.n
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(1, 2 * n + 1):
+        for j in range(1, 2 * n + 1):
+            if i % 2 != j % 2:
+                continue
+            if i % 2 == 1:
+                rows[i - 1][j - 1] = a.rows[(i + 1) // 2 - 1][(j + 1) // 2 - 1]
+            else:
+                rows[i - 1][j - 1] = b.rows[i // 2 - 1][j // 2 - 1]
+    return TupleSquareMatrix(a.ring, rows)
+
+
+def permutation_reference(ring, images):
+    n = len(images)
+    rows = [[0] * n for _ in range(n)]
+    for k, i in enumerate(images, start=1):
+        rows[i - 1][k - 1] = 1
+    return TupleSquareMatrix(ring, rows)
+
+
+def conjugators_reference(ring, n, m=None):
+    if m is None:
+        m = n
+    images = [2 * k - 1 for k in range(1, n + 1)] + [2 * (k - n) for k in range(n + 1, 2 * n + 1)]
+    d_images = [m + k for k in range(1, n + 1)] + [i for i in range(1, m + 1)]
+    return permutation_reference(ring, images), permutation_reference(ring, d_images)
+
+
+def random_invertible_reference(ring, n, rng):
+    while True:
+        m = TupleSquareMatrix(ring, [[rng.randrange(ring.m) for _ in range(n)]
+                                     for _ in range(n)])
+        if m.is_invertible():
+            return m

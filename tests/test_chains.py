@@ -219,6 +219,48 @@ def test_s_abelian_is_antisymmetrization():
             assert s.mat(n).column(k) == want
 
 
+def _s_ranks_on_homology(g, field, top=3):
+    """Rank of S_* : H_n(rack) -> H_n(G) for n <= top."""
+    from rackhom.coalgebra import induced_on_homology
+    from rackhom.exactfield import column_space_analysis
+
+    s = s_map_rack_formula(g, field, top + 1)
+    s_h = induced_on_homology(s, homology(s.source, up_to=top), homology(s.target, up_to=top))
+    return [column_space_analysis(s_h.mat(n)).rank for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", ["cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6", "cyclic:2x2",
+                                  "cyclic:2x3", "cyclic:3x3", "cyclic:2x2x2"])
+def test_s_on_homology_of_abelian_group_has_exterior_rank(name, p):
+    """For abelian G the conjugation rack is trivial and S is
+    antisymmetrization, so the image of S_* in H_n(G; F_p) is spanned by
+    the n-fold Pontryagin products of degree-one classes, a copy of the
+    exterior power Lambda^n(G (x) F_p) (K. S. Brown, Cohomology of Groups,
+    GTM 87, ch. V section 6).  Its rank is C(r, n), r = dim G (x) F_p."""
+    from math import comb, log
+
+    g = preset(name)
+    pth_powers = set()
+    for x in range(g.order):
+        y = g.unit
+        for _ in range(p):
+            y = g.mul[y][x]
+        pth_powers.add(y)
+    r = round(log(g.order // len(pth_powers), p))  # |G / pG| = p^r
+    assert _s_ranks_on_homology(g, FieldTag(p)) == [comb(r, n) for n in range(4)]
+
+
+@pytest.mark.parametrize("name,p,ranks", [("symmetric:3", 3, [1, 0, 0, 1]),
+                                          ("symmetric:3", 2, [1, 1, 0, 0]),
+                                          ("quaternion:8", 2, [1, 2, 0, 0]),
+                                          ("dihedral:4", 2, [1, 2, 1, 2])])
+def test_s_on_homology_of_nonabelian_groups_regression(name, p, ranks):
+    """Regression values with no theorem behind them: the ranks as this
+    engine computed them when the abelian oracle above was added."""
+    assert _s_ranks_on_homology(preset(name), FieldTag(p)) == ranks
+
+
 @pytest.mark.parametrize("name,depth", [("symmetric:3", 3), ("quaternion:8", 3)])
 def test_s_rack_formula_matches_per_cell_terms(name, depth):
     """Each column of S (rack formula) against the formula evaluated one

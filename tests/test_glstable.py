@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rackhom.chains import build_complex, verify_chain_map
 from rackhom.exactfield import QQ
@@ -15,6 +17,7 @@ from rackhom.glstable import (
     conjugators,
     direct_sum,
     interleave_mu,
+    permutation_matrix,
     pontryagin_rack_product,
     random_invertible,
     star_components,
@@ -23,7 +26,15 @@ from rackhom.glstable import (
 from rackhom.nerves import rack_nerve
 from rackhom.racks import conj_rack, preset, validate_rack
 
-from cellref import pontryagin_reference
+from cellref import (
+    TupleSquareMatrix,
+    conjugators_reference,
+    direct_sum_reference,
+    interleave_reference,
+    permutation_reference,
+    pontryagin_reference,
+    random_invertible_reference,
+)
 
 
 Z4 = RingTag(4)
@@ -127,6 +138,87 @@ def test_determinant_and_invertibility():
     assert m.det() == 1 and m.is_invertible()
     s = SquareMatrix(Z4, [[2, 0], [0, 1]])
     assert not s.is_invertible()
+
+
+# -- the array matrices against the tuple reference ---------------------------
+
+# small moduli, composite ones, one past the int64 bound for products of
+# sizes >= 2 (2^31 + 11), and one past 2^64
+MODULI = [2, 3, 4, 6, 2 ** 31 + 11, 2 ** 64 + 13]
+
+
+def _entries(rng, m, n):
+    """n x n integer rows, biased to the extremes of [0, m) where products
+    overflow first, with some entries outside [0, m) to exercise reduction."""
+    pick = [lambda: m - 1, lambda: 0, lambda: 1, lambda: rng.randrange(m),
+            lambda: rng.randrange(m) - 2 * m, lambda: m + rng.randrange(m)]
+    return [[rng.choice(pick)() for _ in range(n)] for _ in range(n)]
+
+
+def _same(mat, ref):
+    assert mat.n == ref.n
+    assert mat.rows == ref.rows
+    assert all(type(v) is int for r in mat.rows for v in r)
+    assert repr(mat) == repr(ref)
+    assert hash(mat) == hash(ref)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(MODULI), st.integers(0, 12), st.integers(0, 12),
+       st.integers(0, 2 ** 32))
+def test_array_matrices_equal_the_tuple_reference(m, n, k, seed):
+    rng = random.Random(seed)
+    ring = RingTag(m)
+    ra, rb = _entries(rng, m, n), _entries(rng, m, n)
+    rc = _entries(rng, m, k)
+    a, b, c = (SquareMatrix(ring, r) for r in (ra, rb, rc))
+    ta, tb, tc = (TupleSquareMatrix(ring, r) for r in (ra, rb, rc))
+    for mat, ref in ((a, ta), (b, tb), (c, tc)):
+        _same(mat, ref)
+        assert not mat.entries.flags.writeable
+    _same(a @ b, ta @ tb)
+    _same(b @ a, tb @ ta)
+    _same(direct_sum(a, c), direct_sum_reference(ta, tc))
+    _same(direct_sum(c, b), direct_sum_reference(tc, tb))
+    _same(interleave_mu(a, b), interleave_reference(ta, tb))
+    ab = interleave_mu(a, b)
+    _same(ab @ ab, interleave_reference(ta, tb) @ interleave_reference(ta, tb))
+    assert a == SquareMatrix(ring, ra)
+    assert (a == b) == (ta == tb) and (a == c) == (ta == tc)
+    # one object per outcome, asked in turn: an answer kept for another
+    # object of the same size would show here
+    zero = SquareMatrix(ring, [[0] * n for _ in range(n)])
+    ident = SquareMatrix.identity(ring, n)
+    _same(ident, TupleSquareMatrix.identity(ring, n))
+    for mat, ref in ((ident, TupleSquareMatrix.identity(ring, n)), (zero,
+                     TupleSquareMatrix(ring, [[0] * n for _ in range(n)])),
+                     (a, ta), (b, tb), (a @ b, ta @ tb), (c, tc)):
+        assert mat.det() == ref.det()
+        assert mat.is_invertible() == ref.is_invertible()
+        assert mat.is_invertible() == ref.is_invertible()  # the kept answer
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    _same(permutation_matrix(ring, images), permutation_reference(ring, images))
+    for got, ref in zip(conjugators(ring, n, m=k), conjugators_reference(ring, n, m=k)):
+        _same(got, ref)
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_random_invertible_draws_the_reference_matrices(m):
+    ring = RingTag(m)
+    for seed in (0, 1, 2):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for n in (0, 1, 2, 3, 4, 6, 12):
+            _same(random_invertible(ring, n, rng), random_invertible_reference(ring, n, ref_rng))
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_int64_products_at_the_bound_stay_exact():
+    """n (m-1)^2 just below and just above 2^63: all entries m - 1."""
+    for m, n in ((3037000500, 1), (3037000501, 1), (2147483659, 2), (2 ** 64 + 13, 3)):
+        ring = RingTag(m)
+        a = SquareMatrix(ring, [[m - 1] * n for _ in range(n)])
+        assert (a @ a).rows == ((n % m,) * n,) * n  # (m-1)^2 = 1 mod m
 
 
 # -- Pontryagin product on rack chains ---------------------------------------
