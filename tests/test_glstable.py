@@ -180,18 +180,17 @@ def test_array_matrices_equal_the_tuple_reference(m, n, k, seed):
     _same(b @ a, tb @ ta)
     _same(direct_sum(a, c), direct_sum_reference(ta, tc))
     _same(direct_sum(c, b), direct_sum_reference(tc, tb))
-    _same(interleave_mu(a, b), interleave_reference(ta, tb))
-    ab = interleave_mu(a, b)
-    _same(ab @ ab, interleave_reference(ta, tb) @ interleave_reference(ta, tb))
+    ab, tab = interleave_mu(a, b), interleave_reference(ta, tb)
+    _same(ab, tab)
+    _same(ab @ ab, tab @ tab)
     assert a == SquareMatrix(ring, ra)
     assert (a == b) == (ta == tb) and (a == c) == (ta == tc)
+    ident, tident = SquareMatrix.identity(ring, n), TupleSquareMatrix.identity(ring, n)
+    _same(ident, tident)
+    zeros = [[0] * n for _ in range(n)]
     # one object per outcome, asked in turn: an answer kept for another
     # object of the same size would show here
-    zero = SquareMatrix(ring, [[0] * n for _ in range(n)])
-    ident = SquareMatrix.identity(ring, n)
-    _same(ident, TupleSquareMatrix.identity(ring, n))
-    for mat, ref in ((ident, TupleSquareMatrix.identity(ring, n)), (zero,
-                     TupleSquareMatrix(ring, [[0] * n for _ in range(n)])),
+    for mat, ref in ((ident, tident), (SquareMatrix(ring, zeros), TupleSquareMatrix(ring, zeros)),
                      (a, ta), (b, tb), (a @ b, ta @ tb), (c, tc)):
         assert mat.det() == ref.det()
         assert mat.is_invertible() == ref.is_invertible()
@@ -218,7 +217,7 @@ def test_int64_products_at_the_bound_stay_exact():
     for m, n in ((3037000500, 1), (3037000501, 1), (2147483659, 2), (2 ** 64 + 13, 3)):
         ring = RingTag(m)
         a = SquareMatrix(ring, [[m - 1] * n for _ in range(n)])
-        assert (a @ a).rows == ((n % m,) * n,) * n  # (m-1)^2 = 1 mod m
+        assert (a @ a).rows == ((n % m,) * n,) * n  # n (m-1)^2 = n mod m
 
 
 # -- Pontryagin product on rack chains ---------------------------------------
