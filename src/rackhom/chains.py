@@ -35,6 +35,14 @@ a label is computed only when a report prints it or a failure names it.
 
 The tensor square C (x) C is one TensorComplex per complex, built by
 ChainComplex.tensor_square; no other code knows its layout.
+
+Both long exact sequences (L-relative and Gamma) run through _les_assemble.
+Inclusions, projections and sections of cell bases are 0/1 matrices
+(_selection); a subcomplex is always _subcomplex, d_S = incl^-1 d_T incl
+solved in the inclusion's analyses, and a positional quotient is _quotient,
+d_Q = proj d_T section.  A top boundary that is not materialised enters as
+one Echelon of its image (stream_group_top_image); the quotient's top image
+is its projection.
 """
 
 from __future__ import annotations
@@ -43,12 +51,15 @@ from bisect import bisect_right
 from dataclasses import dataclass, field as dfield
 from functools import partial
 from itertools import islice, permutations
+from math import gcd
 
 import numpy as np
 
-from .cubical import CubSet, Labels, Picked, TruncationTooLow
+from .cubical import (CubSet, Labels, Picked, TruncationTooLow, gamma_functor_with_projection,
+                      l_functor_with_inclusion)
 from .exactfield import ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, column_space_analysis
-from .nerves import BLOCK, BudgetExceeded, GroupArith, cell_digits, cell_numbers, rack_nerve
+from .nerves import (BLOCK, BudgetExceeded, GroupArith, bar_nerve, cell_digits, cell_numbers,
+                     group_cubical_nerve, lnerve_inclusion, rack_nerve)
 from .racks import FiniteGroup, PointedRack, conj_rack
 from .shuffles import Permutation
 
@@ -506,8 +517,6 @@ def s_map_rack_formula(g: FiniteGroup, field: FieldTag, up_to: int, bar=None) ->
     """S: normalized rack chains of Conj(G) -> normalized bar chains.  The
     term of sigma carries x_{sigma(i)} at position i, acted on by the
     earlier-placed larger values, in increasing order."""
-    from .nerves import bar_nerve
-
     rack = conj_rack(g)
     if bar is None:
         bar = build_complex(bar_nerve(g, up_to), field, "normalized")
@@ -528,8 +537,6 @@ def s_map_cubical(g: FiniteGroup, field: FieldTag, up_to: int, bar=None) -> Grad
     """S: normalized cubical-nerve chains -> normalized bar chains; the term
     of sigma pulls back along the chain of subsets {sigma(1)},
     {sigma(1),sigma(2)}, ...: entry i is v(A_{i-1})^-1 v(A_i)."""
-    from .nerves import bar_nerve, group_cubical_nerve
-
     if bar is None:
         bar = build_complex(bar_nerve(g, up_to), field, "normalized")
     arith = GroupArith(g)
@@ -564,7 +571,6 @@ class LESResult:
     field: FieldTag
     dims: dict
     nodes: list
-    maps: dict
     notes: list = dfield(default_factory=list)
 
     @property
@@ -592,16 +598,25 @@ def _induced(hs_src, hs_tgt, chain_mat, n):
 
 
 def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
-                  top_T_image=None, top_Q_image=None, notes=(), incl_an=()):
+                  top_image=None, notes=(), incl_an=()):
     """Homology of the three complexes, the induced maps, the snake
     connecting map, and the exactness report (im = ker by rank at each
     node).  incl/proj/section are per-degree chain matrices; the section
     satisfies proj @ section = id and is used for the snake lift.  incl_an
     holds the analyses of incl[0], incl[1], ... a caller already made; the
-    missing degrees are analysed here."""
+    missing degrees are analysed here.  top_image, when given, is an echelon
+    of the image of T's top boundary (T and Q then stop at degree max_n);
+    the quotient's is its projection."""
     notes = list(notes)
+    # projected first: built after the checks below, this echelon and its
+    # neighbours left up to 1 MiB more resident for the next query
+    top_Q = None
+    if top_image is not None:
+        top_Q = Echelon(field, Q.dim(max_n))
+        for _, col, _ in top_image.pivots:
+            top_Q.add(proj[max_n].apply(col))
     # chain-level short exactness on the stored degrees
-    avail = min(T.max_degree, max_n + 1 if top_T_image is None else max_n)
+    avail = min(T.max_degree, max_n + 1 if top_image is None else max_n)
     incl_an = list(incl_an[:avail + 1]) + [column_space_analysis(incl[n])
                                           for n in range(len(incl_an), avail + 1)]
     for n in range(avail + 1):
@@ -615,14 +630,13 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
         if proj[n] @ section[n] != Matrix.identity(field, Q.dim(n)):
             raise ConstructionBug("section does not split proj at degree %d" % n)
     hs_S = homology(S, max_n)
-    hs_T = homology(T, max_n, top_image=top_T_image)
-    hs_Q = homology(Q, max_n, top_image=top_Q_image)
+    hs_T = homology(T, max_n, top_image=top_image)
+    hs_Q = homology(Q, max_n, top_image=top_Q)
     maps = {}
     for n in range(max_n + 1):
         maps[("incl", n)] = _induced(hs_S, hs_T, incl[n], n)
         maps[("proj", n)] = _induced(hs_T, hs_Q, proj[n], n)
     for n in range(1, max_n + 1):
-        f = field
         cols = []
         for col in hs_Q.reps[n]:
             y = section[n].apply(col)
@@ -657,50 +671,50 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
         node("H_%d(total)" % n, n, hs_T.dims[n], ("incl", n), ("proj", n))
         node("H_%d(quotient)" % n, n, hs_Q.dims[n], ("proj", n), ("conn", n))
     dims = {"sub": hs_S.dims, "total": hs_T.dims, "quotient": hs_Q.dims}
-    res = LESResult(kind, max_n, field, dims, nodes, maps, notes)
-    res.homologies = {"sub": hs_S, "total": hs_T, "quotient": hs_Q}
-    return res
+    return LESResult(kind, max_n, field, dims, nodes, notes)
 
 
-def _positional_ses(T: ChainComplex, sub_positions, field):
-    """Split T positionally into the span of sub_positions (a subcomplex)
-    and the complementary quotient; returns (S, Q, incl, proj, section)."""
-    f = field
-    N = T.max_degree
-    sub_pos = [sorted(sub_positions[n]) for n in range(N + 1)]
-    quo_pos = [[k for k in range(T.dim(n)) if k not in set(sub_positions[n])]
-               for n in range(N + 1)]
-    sub_idx = [{k: i for i, k in enumerate(ps)} for ps in sub_pos]
-    quo_idx = [{k: i for i, k in enumerate(ps)} for ps in quo_pos]
-    s_labels = [Picked(T.labels[n], np.array(sub_pos[n], dtype=np.intp)) for n in range(N + 1)]
-    q_labels = [Picked(T.labels[n], np.array(quo_pos[n], dtype=np.intp)) for n in range(N + 1)]
-    s_bounds, q_bounds = [], []
-    for n in range(1, N + 1):
-        scols, qcols = [], []
-        for k in sub_pos[n]:
-            col = T.d(n).column(k)
-            out = {}
-            for r, v in col.items():
-                if r not in sub_idx[n - 1]:
-                    raise ConstructionBug("sub positions are not a subcomplex (degree %d)" % n)
-                out[sub_idx[n - 1][r]] = v
-            scols.append(out)
-        for k in quo_pos[n]:
-            col = T.d(n).column(k)
-            qcols.append({quo_idx[n - 1][r]: v for r, v in col.items()
-                          if r in quo_idx[n - 1]})
-        s_bounds.append(Matrix(f, len(sub_pos[n - 1]), len(sub_pos[n]), scols))
-        q_bounds.append(Matrix(f, len(quo_pos[n - 1]), len(quo_pos[n]), qcols))
-    S = ChainComplex(f, s_labels, s_bounds, flavor=T.flavor, source_kind="sub")
-    Q = ChainComplex(f, q_labels, q_bounds, flavor=T.flavor, source_kind="quotient")
-    incl = [Matrix(f, T.dim(n), S.dim(n), [{k: f.one()} for k in sub_pos[n]])
-            for n in range(N + 1)]
-    proj = [Matrix(f, Q.dim(n), T.dim(n),
-                   [{quo_idx[n][k]: f.one()} if k in quo_idx[n] else {}
-                    for k in range(T.dim(n))]) for n in range(N + 1)]
-    section = [Matrix(f, T.dim(n), Q.dim(n), [{k: f.one()} for k in quo_pos[n]])
-               for n in range(N + 1)]
-    return S, Q, incl, proj, section
+def _selection(rows, n_rows: int, field: FieldTag) -> Matrix:
+    """The 0/1 matrix with n_rows rows whose column j is the unit vector at
+    rows[j], or zero where rows[j] is -1."""
+    return _signed_matrix([rows], [1], n_rows, field)
+
+
+def _subcomplex(T: ChainComplex, incl, incl_an, labels) -> ChainComplex:
+    """The subcomplex of T spanned by the columns of the injective chain
+    matrices incl[n], given the analyses incl_an[n] for n < T.max_degree:
+    d_S(n) = incl[n-1]^-1 d_T(n) incl[n], solved column by column."""
+    f = T.field
+    bounds = []
+    for n in range(1, T.max_degree + 1):
+        cols = []
+        for col in incl[n].cols_data:
+            w = incl_an[n - 1].solve(T.d(n).apply(col))
+            if w is None:
+                raise ConstructionBug("not a subcomplex at degree %d" % n)
+            cols.append({i: v for i, v in enumerate(w) if v})
+        bounds.append(Matrix(f, incl[n - 1].cols, incl[n].cols, cols))
+    return ChainComplex(f, labels, bounds, flavor=T.flavor, source_kind="sub")
+
+
+def _quotient(T: ChainComplex, sub):
+    """The quotient of T by the subcomplex spanned by the basis rows sub[n]:
+    its basis is the other rows, ascending, and d_Q(n) = proj[n-1] d_T(n)
+    section[n].  Returns (Q, proj, section)."""
+    f = T.field
+    labels, proj, section = [], [], []
+    for n in range(T.max_degree + 1):
+        keep = np.ones(T.dim(n), dtype=bool)
+        keep[sub[n]] = False
+        rows = np.flatnonzero(keep)
+        at = np.full(T.dim(n), -1)
+        at[rows] = np.arange(len(rows))
+        labels.append(Picked(T.labels[n], rows))
+        proj.append(_selection(at, len(rows), f))
+        section.append(_selection(rows, T.dim(n), f))
+    bounds = [proj[n - 1] @ (T.d(n) @ section[n]) for n in range(1, T.max_degree + 1)]
+    Q = ChainComplex(f, labels, bounds, flavor=T.flavor, source_kind="quotient")
+    return Q, proj, section
 
 
 def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LESResult:
@@ -709,20 +723,23 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
     kind "lrel":  (first-face equalizer subcomplex) -> C -> C/sub
     kind "gamma": ker(C -> C(quotient)) -> C -> C(quotient by first faces)
     """
-    from .cubical import gamma_functor_with_projection, l_functor_with_inclusion
-
     if kind == "lrel":
         if x.max_degree < max_n + 1:
             raise TruncationTooLow("lrel LES through %d needs cells through %d"
                                    % (max_n, max_n + 1))
         T = build_complex(x, field, "normalized")
         _, cells = l_functor_with_inclusion(x)
-        sub_positions = []
+        sub = []
         for n in range(T.max_degree + 1):
             rows = T.basis_rows(n, cells[n])
-            sub_positions.append(set(rows[rows >= 0].tolist()))
-        S, Q, incl, proj, section = _positional_ses(T, sub_positions, field)
-        return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section)
+            sub.append(np.unique(rows[rows >= 0]))
+        incl = [_selection(rows, T.dim(n), field) for n, rows in enumerate(sub)]
+        incl_an = [column_space_analysis(m) for m in incl[:T.max_degree]]
+        S = _subcomplex(T, incl, incl_an, [Picked(T.labels[n], rows)
+                                           for n, rows in enumerate(sub)])
+        Q, proj, section = _quotient(T, sub)
+        return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section,
+                             incl_an=incl_an)
     if kind == "gamma":
         if x.max_degree < max_n + 2:
             raise TruncationTooLow("gamma LES through %d needs cells through %d"
@@ -731,42 +748,24 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
         N = gx.max_degree
         T = build_complex(x.truncated(N), field, "normalized")
         Q = build_complex(gx, field, "normalized")
-        f = field
-        proj = []
-        for n in range(N + 1):
-            rows = Q.basis_rows(n, gproj[n][T.cell_of_pos[n]]).tolist()
-            proj.append(Matrix(f, Q.dim(n), T.dim(n), [{r: f.one()} if r >= 0 else {}
-                                                        for r in rows]))
+        proj = [_selection(Q.basis_rows(n, gproj[n][T.cell_of_pos[n]]), Q.dim(n), field)
+                for n in range(N + 1)]
         # kernel subcomplex
-        kerbases = [column_space_analysis(proj[n]).kernel_basis for n in range(N + 1)]
-        kernels = [column_space_analysis(kb) for kb in kerbases[:N]]
-        s_labels = [Labels(kerbases[n].cols, partial("{}{}".format, "k%d_" % n))
-                    for n in range(N + 1)]
-        s_bounds = []
-        for n in range(1, N + 1):
-            cols = []
-            for j in range(kerbases[n].cols):
-                dv = T.d(n).apply(kerbases[n].column(j))
-                w = kernels[n - 1].solve(dv)
-                if w is None:
-                    raise ConstructionBug("kernel not a subcomplex at degree %d" % n)
-                cols.append({i: v for i, v in enumerate(w) if v})
-            s_bounds.append(Matrix(f, kerbases[n - 1].cols, kerbases[n].cols, cols))
-        S = ChainComplex(f, s_labels, s_bounds, flavor="normalized", source_kind="sub")
-        incl = [kerbases[n] for n in range(N + 1)]
+        incl = [column_space_analysis(proj[n]).kernel_basis for n in range(N + 1)]
+        incl_an = [column_space_analysis(kb) for kb in incl[:N]]
+        labels = [Labels(incl[n].cols, partial("{}{}".format, "k%d_" % n)) for n in range(N + 1)]
+        S = _subcomplex(T, incl, incl_an, labels)
         section = []
         for n in range(N + 1):
             # a class's smallest cell, its representative, comes first
             _, reps = np.unique(gproj[n], return_index=True)
-            cols = []
-            for k, tp in enumerate(T.basis_rows(n, reps[Q.cell_of_pos[n]]).tolist()):
-                if tp < 0:
-                    raise ConstructionBug("quotient cell %r is degenerate in the total"
-                                          " complex" % (Q.label(n, k),))
-                cols.append({tp: f.one()})
-            section.append(Matrix(f, T.dim(n), Q.dim(n), cols))
+            rows = T.basis_rows(n, reps[Q.cell_of_pos[n]])
+            if (rows < 0).any():
+                raise ConstructionBug("quotient cell %r is degenerate in the total complex"
+                                      % (Q.label(n, int(np.argmax(rows < 0))),))
+            section.append(_selection(rows, T.dim(n), field))
         return _les_assemble("gamma", field, max_n, S, T, Q, incl, proj, section,
-                             incl_an=kernels)
+                             incl_an=incl_an)
     raise ValueError("unknown LES kind %r" % (kind,))
 
 
@@ -775,8 +774,6 @@ def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LE
 
 def _coprime_stride(M: int) -> int:
     s = (0x9E3779B97F4A7C15 % M) | 1
-    from math import gcd
-
     while gcd(s, M) != 1:
         s += 2
     return max(s % M, 1)
@@ -953,9 +950,9 @@ def _stream_block(arith, order: int, top_degree: int, ks):
 
 
 def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
-                           field: FieldTag, cell_budget: int = 40_000_000):
-    """Certify the image of the top boundary of the normalized cubical-nerve
-    complex by streaming cells without materialising the top degree.
+                           field: FieldTag, cell_budget: int):
+    """The image of the top boundary of the normalized cubical-nerve complex,
+    certified by streaming cells without materialising the top degree.
 
     Rank is tracked modulo a prime (the field's own prime; for Q a prime
     coprime to |G|, where the mod-p rank of the integer boundary columns is
@@ -967,9 +964,12 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
     to and including that one, as a column-at-a-time stream would.  Once
     cell_budget cells are read without saturating while cells remain, it
     raises BudgetExceeded.
-    Returns (saturated, processed, total, image); the caller takes the
-    kernel basis as the image when saturated, and image (the exhausted
-    tracker's echelon over the field's own prime) otherwise, when set."""
+
+    Returns (image, processed, note): image is an Echelon of ker d_{top-1}
+    when the stream saturates, and of the exhausted tracker's reduced rows
+    when it runs at the field's own prime; an exhausted stream over Q raises
+    ConstructionBug, since its mod-p rank only bounds the image from below.
+    note says which of the two happened."""
     n1 = top_degree
     N = n1 - 1
     f = field
@@ -1014,14 +1014,25 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
         used = tracker.add([col for _, col in batch], bound)
         processed = batch[used - 1][0]
         saturated = tracker.rank == bound
-    image = None
-    if not saturated and field.p and processed == M:
-        # over the field's own prime the exhausted tracker is the exact
-        # image: hand its reduced columns back as a sparse echelon
-        image = Echelon(f, T.dim(N))
+    image = Echelon(f, T.dim(N))
+    if saturated:
+        del tracker, stream  # the kernel echelon below reuses their memory
+        note = ("top boundary streamed: %d of %d degree-%d cells processed,"
+                " rank saturated at dim ker d (im = ker certified)" % (processed, M, n1))
+        for col in T.analysis(N).kernel_basis.cols_data:
+            image.add(col)
+    elif field.p:
+        # over the field's own prime the exhausted tracker is the exact image
+        note = ("top boundary streamed to exhaustion (%d cells): the top homology is"
+                " nonzero over %s; image taken from the complete mod-%d echelon"
+                % (M, field, field.p))
         for col in tracker.reduced_columns():
             image.add({r: f.of_int(v) for r, v in col.items()})
-    return saturated, processed, M, image
+    else:
+        raise ConstructionBug(
+            "top boundary stream exhausted %d cells without reaching dim"
+            " ker d over Q; this size needs the materialised path" % M)
+    return image, processed, note
 
 
 # the lrel LES streams its top boundary when the top degree has more cells
@@ -1034,9 +1045,8 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
     top boundary once the top degree exceeds MATERIALIZE_CELLS cells, and
     raises BudgetExceeded when the stream reads cell_budget cells without
     saturating; the gamma side is materialised (it needs cells two degrees
-    up)."""
-    from .nerves import group_cubical_nerve, lnerve_inclusion
-
+    up).  A streamed lrel sequence takes the rack complex itself as the
+    subcomplex, through the explicit equalizer bijection."""
     if kind == "gamma":
         # the quotient side needs cells two degrees up, all materialised
         x = group_cubical_nerve(g, max_n + 2, budget=min(cell_budget, 200_000))
@@ -1057,47 +1067,23 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
     x = group_cubical_nerve(g, max_n, budget=cell_budget)
     T = build_complex(x, field, "normalized")
     S = build_complex(rack_nerve(conj_rack(g), max_n + 1), field, "normalized")
-    f = field
-    incl = []
-    sub_positions = []
-    for n, cells in enumerate(lnerve_inclusion(g, x)):
-        rows = T.basis_rows(n, cells[S.cell_of_pos[n]]).tolist()
-        if min(rows, default=0) < 0:
-            raise ConstructionBug("rack cell mapped to a degenerate nerve cell")
-        incl.append(Matrix(f, T.dim(n), S.dim(n), [{p: f.one()} for p in rows]))
-        sub_positions.append(set(rows))
+    sub = [T.basis_rows(n, cells[S.cell_of_pos[n]])
+           for n, cells in enumerate(lnerve_inclusion(g, x))]
+    if any((rows < 0).any() for rows in sub):
+        raise ConstructionBug("rack cell mapped to a degenerate nerve cell")
+    incl = [_selection(rows, T.dim(n), field) for n, rows in enumerate(sub)]
     # the inclusion is a chain map (certifies the explicit equalizer bijection)
     gm = GradedMap(S, T, {n: incl[n] for n in range(max_n + 1)}, desc="CL inclusion")
     bad = verify_chain_map(gm)
     if bad:
         raise ConstructionBug("rack-chain inclusion is not a chain map: %s" % (bad[:3],))
-    # stream before building the quotient: the tracker sets the memory peak
-    saturated, processed, total, exhausted_image = \
-        stream_group_top_image(g, max_n + 1, T, field, cell_budget)
-    _, Q, _, proj, section = _positional_ses(T, sub_positions, field)
-    if saturated:
-        notes = ["top boundary streamed: %d of %d degree-%d cells processed,"
-                 " rank saturated at dim ker d (im = ker certified)"
-                 % (processed, total, max_n + 1)]
-        t_img = Echelon(f, T.dim(max_n))
-        for col in T.analysis(max_n).kernel_basis.cols_data:
-            t_img.add(col)
-    elif exhausted_image is not None:
-        notes = ["top boundary streamed to exhaustion (%d cells): the top"
-                 " homology is nonzero over %s; image taken from the"
-                 " complete mod-%d echelon" % (total, field, field.p)]
-        t_img = exhausted_image
-    else:
-        raise ConstructionBug(
-            "top boundary stream exhausted %d cells without reaching dim"
-            " ker d over Q; this size needs the materialised path" % total)
-    q_img = Echelon(f, Q.dim(max_n))
-    qp = proj[max_n]
-    for _, col, _ in t_img.pivots:
-        q_img.add(qp.apply(col))
+    # the quotient before the stream, so that the top image is built in the
+    # memory the tracker frees: a lower resident peak than the other order
+    Q, proj, section = _quotient(T, sub)
+    image, _, note = stream_group_top_image(g, max_n + 1, T, field, cell_budget)
     # the sub side has its own materialised top boundary through max_n+1
     return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section,
-                         top_T_image=t_img, top_Q_image=q_img, notes=notes)
+                         top_image=image, notes=[note])
 
 
 def rack_conjugation_data(C: ChainComplex, rack: PointedRack, a: int):

@@ -36,7 +36,10 @@ from .chains import (
     HomologySummary,
     NotChainMap,
     TensorComplex,
+    _induced,
     _signed_matrix,
+    homology_complex,
+    s_map_rack_formula,
     verify_chain_map,
 )
 from .exactfield import Echelon, FieldTag, Matrix, column_space_analysis
@@ -166,8 +169,6 @@ def coproduct_homotopy(C: ChainComplex) -> GradedMap:
 def induced_on_homology(fmap: GradedMap, hs_src: HomologySummary,
                         hs_tgt: HomologySummary) -> GradedMap:
     """Pass a certified chain map to homology coordinates."""
-    from .chains import _induced, homology_complex
-
     bad = verify_chain_map(fmap)
     if bad:
         raise NotChainMap("not a chain map: %s" % (bad[:3],))
@@ -552,8 +553,6 @@ def antisymmetrization_compare(group, field: FieldTag, max_n: int) -> dict:
     """For an abelian group: the comparison map on chains equals the full
     antisymmetrization, and it kills the symmetrized tensors (so the induced
     map factors through the exterior power)."""
-    from .chains import s_map_rack_formula
-
     if not group.is_abelian():
         raise NotAbelian("antisymmetrization compare needs an abelian group")
     s = s_map_rack_formula(group, field, max_n)

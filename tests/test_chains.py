@@ -470,12 +470,41 @@ def test_les_s3_through_2():
     assert res.dims["total"] == [1, 0, 0]
 
 
-def test_les_z3_materialized_vs_streamed():
+def _les_table(res):
+    return res.dims, [(n.at, n.degree, n.dim, n.rank_in, n.rank_out, n.exact)
+                      for n in res.nodes]
+
+
+def test_les_z3_materialized_vs_streamed(monkeypatch):
     g = preset("cyclic:3")
     a = les_for_group("lrel", g, QQ, 2)  # materialized (3^7 cells at top)
     assert a.all_exact
     assert a.dims["sub"] == [1, 2, 4]
     assert a.dims["quotient"][2] == a.dims["sub"][1]
+    monkeypatch.setattr(chains, "MATERIALIZE_CELLS", 0)
+    b = les_for_group("lrel", g, QQ, 2)
+    assert "saturated" in b.notes[0]
+    assert _les_table(b) == _les_table(a)
+
+
+@pytest.mark.parametrize("name, field, max_n", [
+    ("cyclic:3", QQ, 1), ("symmetric:3", QQ, 1), ("cyclic:2", FieldTag(2), 2)])
+def test_streamed_top_image_matches_materialised(name, field, max_n, monkeypatch):
+    """Saturated over Q, exhausted at the field's own prime over F_2: both
+    stream routes give the materialised sequence node for node."""
+    a = les_for_group("lrel", preset(name), field, max_n)
+    monkeypatch.setattr(chains, "MATERIALIZE_CELLS", 0)
+    b = les_for_group("lrel", preset(name), field, max_n)
+    assert b.notes[0].startswith("top boundary streamed")
+    assert a.all_exact and _les_table(b) == _les_table(a)
+
+
+def test_exhausted_stream_over_q_is_a_construction_bug(monkeypatch):
+    # H_1 of BZ/2 over Q is 0 but H_0 is not: the degree-1 stream never
+    # reaches dim ker d_0, and its mod-p rank proves nothing over Q
+    monkeypatch.setattr(chains, "MATERIALIZE_CELLS", 0)
+    with pytest.raises(chains.ConstructionBug, match="exhausted"):
+        les_for_group("lrel", preset("cyclic:2"), QQ, 0)
 
 
 def test_les_gamma_z2():
