@@ -77,16 +77,13 @@ class ChainComplex:
     holds one label sequence per degree (usually a Labels view), kept as
     given."""
 
-    def __init__(self, field, labels, boundaries, flavor="normalized",
-                 source_kind="abstract", source=None, cell_rows=None,
+    def __init__(self, field, labels, boundaries, source=None, cell_rows=None,
                  cell_of_pos=None, check=True):
         self.field = field
-        self.flavor = flavor
         self.labels = list(labels)
         self.dims = [len(l) for l in self.labels]
         self.max_degree = len(self.labels) - 1
         self.boundaries = list(boundaries)  # boundaries[n]: C_n -> C_{n-1}, n >= 1
-        self.source_kind = source_kind
         self.source = source
         self._rows = cell_rows  # per degree: cell -> basis position, -1 when degenerate
         self.cell_of_pos = cell_of_pos
@@ -200,9 +197,7 @@ def build_complex(x, field: FieldTag, flavor: str = "normalized") -> ChainComple
         boundaries.append(_signed_matrix(tables, [(-1) ** sum(key) for key in keys],
                                          len(cell_of[n - 1]), field))
     return ChainComplex(field, [Picked(x.labels[n], cell_of[n]) for n in range(N + 1)],
-                        boundaries, flavor=flavor,
-                        source_kind="cubical" if cubical else "simplicial",
-                        source=x, cell_rows=rows_of, cell_of_pos=cell_of)
+                        boundaries, source=x, cell_rows=rows_of, cell_of_pos=cell_of)
 
 
 class _PairLabels(Labels):
@@ -264,8 +259,7 @@ class TensorComplex(ChainComplex):
                                          for r, v in c.d(q).cols_data[j].items()}, (-1) ** p)
                         cols.append(col)
             boundaries.append(Matrix(f, len(labels[n - 1]), len(labels[n]), cols))
-        super().__init__(f, labels, boundaries, flavor="tensor",
-                         source_kind="tensor", check=False)
+        super().__init__(f, labels, boundaries, check=False)
 
     def components(self, n):
         return list(self._spans[n])
@@ -454,14 +448,14 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     return HomologySummary(cx, up_to, dims, reps, echs)
 
 
-def homology_complex(hs: HomologySummary, prefix="h") -> ChainComplex:
+def homology_complex(hs: HomologySummary) -> ChainComplex:
     """Homology as a chain complex with zero differentials, so graded-map
     and tensor machinery applies to homology coordinates verbatim."""
     f = hs.complex.field
-    labels = [Labels(hs.dims[n], partial("{}{}".format, "%s%d_" % (prefix, n)))
+    labels = [Labels(hs.dims[n], partial("{}{}".format, "h%d_" % n))
               for n in range(hs.up_to + 1)]
     bounds = [Matrix.zeros(f, hs.dims[n - 1], hs.dims[n]) for n in range(1, hs.up_to + 1)]
-    return ChainComplex(f, labels, bounds, flavor="homology", check=False)
+    return ChainComplex(f, labels, bounds, check=False)
 
 
 # -- normalization section ----------------------------------------------------
@@ -513,13 +507,15 @@ def _s_map(source, bar, order, width, term, desc):
     return GradedMap(source, bar, mats, desc=desc)
 
 
-def s_map_rack_formula(g: FiniteGroup, field: FieldTag, up_to: int, bar=None) -> GradedMap:
+def s_map_rack_formula(g: FiniteGroup, field: FieldTag, up_to: int, bar=None,
+                       budget: int = 2_000_000) -> GradedMap:
     """S: normalized rack chains of Conj(G) -> normalized bar chains.  The
     term of sigma carries x_{sigma(i)} at position i, acted on by the
-    earlier-placed larger values, in increasing order."""
+    earlier-placed larger values, in increasing order.  Each nerve built
+    here raises BudgetExceeded past budget cells."""
     rack = conj_rack(g)
     if bar is None:
-        bar = build_complex(bar_nerve(g, up_to), field, "normalized")
+        bar = build_complex(bar_nerve(g, up_to, budget), field, "normalized")
     op = np.array(rack.op)
 
     def term(rows, sigma):
@@ -529,16 +525,18 @@ def s_map_rack_formula(g: FiniteGroup, field: FieldTag, up_to: int, bar=None) ->
                 out[:, i] = op[out[:, i], rows[:, a]]
         return out
 
-    return _s_map(build_complex(rack_nerve(rack, up_to), field, "normalized"), bar,
+    return _s_map(build_complex(rack_nerve(rack, up_to, budget), field, "normalized"), bar,
                   g.order, lambda n: n, term, "S (rack formula)")
 
 
-def s_map_cubical(g: FiniteGroup, field: FieldTag, up_to: int, bar=None) -> GradedMap:
+def s_map_cubical(g: FiniteGroup, field: FieldTag, up_to: int, bar=None,
+                  budget: int = 2_000_000) -> GradedMap:
     """S: normalized cubical-nerve chains -> normalized bar chains; the term
     of sigma pulls back along the chain of subsets {sigma(1)},
-    {sigma(1),sigma(2)}, ...: entry i is v(A_{i-1})^-1 v(A_i)."""
+    {sigma(1),sigma(2)}, ...: entry i is v(A_{i-1})^-1 v(A_i).  Each nerve
+    built here raises BudgetExceeded past budget cells."""
     if bar is None:
-        bar = build_complex(bar_nerve(g, up_to), field, "normalized")
+        bar = build_complex(bar_nerve(g, up_to, budget), field, "normalized")
     arith = GroupArith(g)
 
     def term(rows, sigma):
@@ -546,7 +544,7 @@ def s_map_cubical(g: FiniteGroup, field: FieldTag, up_to: int, bar=None) -> Grad
         masks = np.cumsum([0] + [1 << a for a in sigma])
         return arith.mul[arith.inv[v[:, masks[:-1]]], v[:, masks[1:]]]
 
-    return _s_map(build_complex(group_cubical_nerve(g, up_to), field, "normalized"), bar,
+    return _s_map(build_complex(group_cubical_nerve(g, up_to, budget), field, "normalized"), bar,
                   g.order, lambda n: 2 ** n - 1, term, "S (cubical)")
 
 
@@ -560,7 +558,6 @@ class LESNode:
     dim: int
     rank_in: int
     rank_out: int
-    composite_zero: bool
     exact: bool
 
 
@@ -658,8 +655,7 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
         # kout ("conn", 0) is absent: H_0(quotient) maps to zero
         comp_zero = kout not in maps or (maps[kout] @ maps[kin]).is_zero()
         rin, rout = ranks[kin], ranks.get(kout, 0)
-        nodes.append(LESNode(at, degree, dim, rin, rout, comp_zero,
-                             comp_zero and rin + rout == dim))
+        nodes.append(LESNode(at, degree, dim, rin, rout, comp_zero and rin + rout == dim))
 
     for n in range(max_n, -1, -1):
         # H_n(S): incoming conn_{n+1} (unavailable at n = max_n), outgoing incl_n
@@ -694,7 +690,7 @@ def _subcomplex(T: ChainComplex, incl, incl_an, labels) -> ChainComplex:
                 raise ConstructionBug("not a subcomplex at degree %d" % n)
             cols.append({i: v for i, v in enumerate(w) if v})
         bounds.append(Matrix(f, incl[n - 1].cols, incl[n].cols, cols))
-    return ChainComplex(f, labels, bounds, flavor=T.flavor, source_kind="sub")
+    return ChainComplex(f, labels, bounds)
 
 
 def _quotient(T: ChainComplex, sub):
@@ -713,7 +709,7 @@ def _quotient(T: ChainComplex, sub):
         proj.append(_selection(at, len(rows), f))
         section.append(_selection(rows, T.dim(n), f))
     bounds = [proj[n - 1] @ (T.d(n) @ section[n]) for n in range(1, T.max_degree + 1)]
-    Q = ChainComplex(f, labels, bounds, flavor=T.flavor, source_kind="quotient")
+    Q = ChainComplex(f, labels, bounds)
     return Q, proj, section
 
 
@@ -814,7 +810,7 @@ class _ModRank:
     For a complex over Q the mod-p rank of integer columns is a lower bound
     on the rational rank; over F_q (q = p) it is the rank."""
 
-    def __init__(self, dim: int, p: int = 1_000_003):
+    def __init__(self, dim: int, p: int):
         self.dim = dim
         self.p = p
         if max(dim, 1) * p * p >= 2 ** 63:

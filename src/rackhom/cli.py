@@ -31,11 +31,19 @@ import time
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
 
-from .chains import ConstructionBug, NotChainMap
-from .cubical import InternalInvariantViolation, TruncationTooLow
+from .acceptance import SUITES, run_suite
+from .chains import (ConstructionBug, NotChainMap, build_complex, homology, les_for_group,
+                     s_map_cubical, s_map_rack_formula, verify_chain_map)
+from .coalgebra import (LAWS, GradedCoalgebra, MissingStructure, check_laws, delta_halves,
+                        half_shuffle_model, induced_coproduct_components, primitive_analysis)
+from .cubical import (InternalInvariantViolation, TruncationTooLow, cubset_to_json,
+                      l_functor_with_inclusion, subobject_cells, verify_cubset_map)
 from .exactfield import QQ, FieldTag
-from .nerves import BudgetExceeded
-from .racks import UnknownPreset, preset
+from .glstable import RingTag, verify_matrix_lemmas
+from .nerves import (BudgetExceeded, bar_nerve, group_cubical_nerve, lnerve_inclusion,
+                     rack_nerve)
+from .racks import (FiniteGroup, PointedRack, UnknownPreset, conj_rack, preset,
+                    rack_from_json)
 
 
 class _CliError(Exception):
@@ -84,8 +92,6 @@ def _emit(report: dict, args, started: float) -> None:
 
 
 def _rack_or_die(name: str):
-    from .racks import PointedRack
-
     obj = preset(name)
     if not isinstance(obj, PointedRack):
         raise _CliError("%r is a group preset; rack homology needs a rack "
@@ -94,8 +100,6 @@ def _rack_or_die(name: str):
 
 
 def _group_or_die(name: str):
-    from .racks import FiniteGroup
-
     obj = preset(name)
     if not isinstance(obj, FiniteGroup):
         raise _CliError("%r is not a group preset" % (name,), 2)
@@ -103,8 +107,6 @@ def _group_or_die(name: str):
 
 
 def cmd_rack_check(args, started):
-    from .racks import rack_from_json
-
     try:
         with open(args.file) as fh:
             text = fh.read()
@@ -118,15 +120,12 @@ def cmd_rack_check(args, started):
 
 
 def cmd_rack_homology(args, started):
-    from .chains import build_complex, homology
-    from .nerves import rack_nerve
-
     rack = _rack_or_die(args.preset)
     field = _field(args.field)
     nerve = rack_nerve(rack, args.max_degree + 1, budget=args.budget)
     c = build_complex(nerve, field)
     hs = homology(c, up_to=args.max_degree)
-    gens = [[_label_str(c.label(n, max(col))) for col in hs.reps[n]]
+    gens = [[repr(c.label(n, max(col))) for col in hs.reps[n]]
             for n in range(args.max_degree + 1)]
     report = {"command": "rack-homology", "preset": args.preset,
               "field": str(field), "dims": hs.dims, "generators": gens, "ok": True}
@@ -134,14 +133,7 @@ def cmd_rack_homology(args, started):
     return 0
 
 
-def _label_str(lbl):
-    return repr(lbl)
-
-
 def cmd_group_homology(args, started):
-    from .chains import build_complex, homology
-    from .nerves import bar_nerve
-
     g = _group_or_die(args.preset)
     field = _field(args.field)
     c = build_complex(bar_nerve(g, args.max_degree + 1, budget=args.budget), field)
@@ -153,10 +145,6 @@ def cmd_group_homology(args, started):
 
 
 def cmd_nerve_export(args, started):
-    from .cubical import cubset_to_json
-    from .nerves import group_cubical_nerve, rack_nerve
-    from .racks import FiniteGroup
-
     obj = preset(args.preset)
     if isinstance(obj, FiniteGroup):
         nerve = group_cubical_nerve(obj, args.max_degree, budget=args.budget)
@@ -169,14 +157,12 @@ def cmd_nerve_export(args, started):
 
 
 def cmd_map_s(args, started):
-    from .chains import s_map_cubical, s_map_rack_formula, verify_chain_map
-
     g = _group_or_die(args.preset)
     field = _field(args.field)
     if args.mode == "rack":
-        s = s_map_rack_formula(g, field, args.max_degree)
+        s = s_map_rack_formula(g, field, args.max_degree, budget=args.budget)
     else:
-        s = s_map_cubical(g, field, args.max_degree)
+        s = s_map_cubical(g, field, args.max_degree, budget=args.budget)
     bad = verify_chain_map(s)
     zero = field.to_str(field.zero())
     mats = {}
@@ -196,8 +182,6 @@ def cmd_map_s(args, started):
 
 
 def cmd_les(args, started):
-    from .chains import les_for_group
-
     g = _group_or_die(args.preset)
     field = _field(args.field)
     try:
@@ -211,12 +195,6 @@ def cmd_les(args, started):
 
 
 def cmd_coalgebra_verify(args, started):
-    from .chains import build_complex, homology
-    from .coalgebra import (LAWS, GradedCoalgebra, MissingStructure, check_laws,
-                            delta_halves, half_shuffle_model,
-                            induced_coproduct_components, primitive_analysis)
-    from .nerves import rack_nerve
-
     laws = args.laws.split(",") if args.laws else ["coZinbiel", "cocommutativeOfSum", "counit"]
     unknown = [law for law in laws if law not in LAWS]
     if unknown:
@@ -260,8 +238,6 @@ def cmd_coalgebra_verify(args, started):
 
 
 def cmd_gl_verify(args, started):
-    from .glstable import RingTag, verify_matrix_lemmas
-
     kind, _, mod = args.ring.partition(":")
     try:
         ring = RingTag(int(mod))
@@ -285,10 +261,6 @@ def cmd_gl_verify(args, started):
 
 
 def cmd_verify_lset_iso(args, started):
-    from .cubical import l_functor_with_inclusion, subobject_cells, verify_cubset_map
-    from .nerves import group_cubical_nerve, lnerve_inclusion, rack_nerve
-    from .racks import conj_rack
-
     g = _group_or_die(args.preset)
     depth = args.max_degree
     x = group_cubical_nerve(g, depth, budget=args.budget)
@@ -304,8 +276,6 @@ def cmd_verify_lset_iso(args, started):
 
 
 def cmd_suite(args, started):
-    from .acceptance import SUITES, run_suite
-
     if args.name not in SUITES:
         raise _CliError("unknown suite %r (choose from %s)"
                         % (args.name, sorted(SUITES)), 2)

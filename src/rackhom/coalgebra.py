@@ -17,15 +17,22 @@ plus the counital edge terms x (x) pt for Delta_< and pt (x) x for Delta_>.
 h(x) = d_{1,0}x (x) x is then a degree-2 homotopy from Delta_> to
 tau Delta_< (dh + hd = tau Delta_< - Delta_>), as stated.
 
-Graded twist: tau(a (x) b) = (-1)^{|a||b|} b (x) a.
-Coproducts and products of C map into and out of C.tensor_square(), whose
-layout chains.TensorComplex owns; on homology a component is P_p (x) P_q
-applied to a block of it, P the exact projection.
+Graded twist: tau(a (x) b) = (-1)^{|a||b|} b (x) a.  _koszul_swap builds
+its block V_p (x) V_q -> V_q (x) V_p once for both users: GradedCoalgebra
+on homology coordinates, and tau_map, which places the blocks in a tensor
+square.  Coproducts and products of C map into and out of
+C.tensor_square(), whose layout chains.TensorComplex owns; on homology a
+component is P_p (x) P_q applied to a block of it, P the exact projection.
+
+Law checks: each law is a generator of its identities (label, lhs, rhs,
+names_witnesses), one per component, built lazily in a fixed order;
+check_laws compares each pair as exact matrices and records the failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations as _perms
 
 import numpy as np
@@ -42,6 +49,7 @@ from .chains import (
     s_map_rack_formula,
     verify_chain_map,
 )
+from .cubical import CubSet
 from .exactfield import Echelon, FieldTag, Matrix, column_space_analysis
 from .nerves import cell_digits, cell_numbers
 from .shuffles import All, FirstFixed, FirstIsPPlus1, Permutation, enumerate_shuffles, koszul_shuffle_sign
@@ -114,7 +122,7 @@ def _coproduct_map(C: ChainComplex, which: str) -> GradedMap:
 def cubical_coproduct(C: ChainComplex) -> GradedMap:
     """The full shuffle coproduct on the normalized chains of a cubical set;
     a chain map with the Koszul tensor differential."""
-    if C.source_kind != "cubical":
+    if not isinstance(C.source, CubSet):
         raise NotCubical("coproduct needs a cubical-set complex")
     return _coproduct_map(C, "full")
 
@@ -122,27 +130,33 @@ def cubical_coproduct(C: ChainComplex) -> GradedMap:
 def delta_halves(C: ChainComplex):
     """The two half-coproducts on the normalized chains of a cubical set
     with one vertex and equal first faces; defined in degrees >= 1."""
-    if C.source_kind != "cubical":
+    if not isinstance(C.source, CubSet):
         raise NotCubical("half coproducts need a cubical-set complex")
     if not C.source.is_lset:
         raise NotLSet("half coproducts need a single-vertex equal-first-faces source")
     return _coproduct_map(C, "prec"), _coproduct_map(C, "succ")
 
 
+def _koszul_swap(f: FieldTag, dims, p, q) -> Matrix:
+    """V_p (x) V_q -> V_q (x) V_p, a (x) b -> (-1)^{pq} b (x) a, in the
+    Matrix.kron layout (second index fastest), dims[k] = dim V_k."""
+    dp, dq = dims[p], dims[q]
+    sgn = f.of_int(-1 if (p * q) % 2 else 1)
+    return Matrix(f, dq * dp, dp * dq, [{j * dp + i: sgn} for i in range(dp) for j in range(dq)])
+
+
 def tau_map(T: TensorComplex) -> dict:
     """Graded twist on a tensor-square complex: per-degree matrices for
-    a (x) b -> (-1)^{|a||b|} b (x) a."""
-    f = T.field
-    dims = T.factor_dims
+    a (x) b -> (-1)^{|a||b|} b (x) a, the Koszul swap of (p, q) placed at
+    rows span(q, p) and columns span(p, q)."""
     out = {}
     for n in range(T.up_to + 1):
-        cols = [dict() for _ in range(T.dim(n))]
+        cols = [None] * T.dim(n)
         for (p, q) in T.components(n):
-            sgn = f.of_int(-1 if (p * q) % 2 else 1)
-            for i in range(dims[p]):
-                for j in range(dims[q]):
-                    cols[T.index(n, (p, q), i, j)][T.index(n, (q, p), j, i)] = sgn
-        out[n] = Matrix(f, T.dim(n), T.dim(n), cols)
+            start = T.span(n, (q, p)).start
+            cols[T.span(n, (p, q))] = [{start + r: v for r, v in col.items()} for col in
+                                       _koszul_swap(T.field, T.factor_dims, p, q).cols_data]
+        out[n] = Matrix.trusted(T.field, T.dim(n), T.dim(n), cols)
     return out
 
 
@@ -260,37 +274,107 @@ class GradedCoalgebra:
 
     def _swap(self, p, q):
         """V_p (x) V_q -> V_q (x) V_p with the Koszul sign."""
-        f = self.field
-        dp, dq = self.dims[p], self.dims[q]
-        sgn = f.of_int(-1 if (p * q) % 2 else 1)
-        cols = []
-        for i in range(dp):
-            for j in range(dq):
-                cols.append({j * dp + i: sgn})
-        return Matrix(f, dq * dp, dp * dq, cols)
+        return _koszul_swap(self.field, self.dims, p, q)
 
     def eye(self, p):
         return Matrix.identity(self.field, self.dims[p])
 
 
-def _check_triple(g: GradedCoalgebra, lhs_fn, rhs_fn, max_total, reduced=True):
-    bad = []
-    lo = 1 if reduced else 0
-    for n in range(3 * lo, max_total + 1):
-        for p in range(lo, n + 1):
-            for q in range(lo, n - p + 1):
-                r = n - p - q
-                if r < lo:
-                    continue
-                lhs = lhs_fn(p, q, r)
-                rhs = rhs_fn(p, q, r)
-                if lhs != rhs:
-                    diff = lhs - rhs
-                    wit = [g_label for g_label in range(diff.cols) if diff.column(g_label)]
-                    bad.append(("component (%d,%d,%d)" % (p, q, r), wit[:3]))
-    return bad
+def _triples(max_total, lo):
+    """The (p, q, r) with every entry >= lo and p + q + r <= max_total, by
+    total degree, then p, then q."""
+    return [(p, q, n - p - q) for n in range(3 * lo, max_total + 1)
+            for p in range(lo, n + 1) for q in range(lo, n - p + 1) if n - p - q >= lo]
 
 
+def _component(p, q, r):
+    return "component (%d,%d,%d)" % (p, q, r)
+
+
+def _cozinbiel(g, max_total):
+    """(D< x id) D< = (id x (D< + tau D<)) D<, with D< = Delta_<."""
+    prec, eye = g.prec, g.eye
+    for p, q, r in _triples(max_total, 1):
+        yield (_component(p, q, r), prec(p, q).kron(eye(r)) @ prec(p + q, r),
+               eye(p).kron(prec(q, r) + g.tau_of_prec(q, r)) @ prec(p, q + r), True)
+
+
+def _codendriform(g, max_total):
+    """(D< x id) D< = (id x D) D<,  (D> x id) D< = (id x D<) D>  and
+    (id x D>) D> = (D x id) D>, with D = D< + D>, each over every triple."""
+    prec, succ, eye = g.prec, g.succ, g.eye
+    for p, q, r in _triples(max_total, 1):
+        yield (_component(p, q, r), prec(p, q).kron(eye(r)) @ prec(p + q, r),
+               eye(p).kron(prec(q, r) + succ(q, r)) @ prec(p, q + r), True)
+    for p, q, r in _triples(max_total, 1):
+        yield (_component(p, q, r), succ(p, q).kron(eye(r)) @ prec(p + q, r),
+               eye(p).kron(prec(q, r)) @ succ(p, q + r), True)
+    for p, q, r in _triples(max_total, 1):
+        yield (_component(p, q, r), eye(p).kron(succ(q, r)) @ succ(p, q + r),
+               (prec(p, q) + succ(p, q)).kron(eye(r)) @ succ(p + q, r), True)
+
+
+def _cocommutative_of_sum(g, max_total):
+    """tau Delta = Delta in every (p, q), then coassociativity of Delta."""
+    delta, eye = g.delta, g.eye
+    for n in range(1, max_total + 1):
+        for p in range(n + 1):
+            yield ("cocommutativity (%d,%d)" % (p, n - p),
+                   g._swap(n - p, p) @ delta(n - p, p), delta(p, n - p), False)
+    for p, q, r in _triples(max_total, 0):
+        yield (_component(p, q, r), delta(p, q).kron(eye(r)) @ delta(p + q, r),
+               eye(p).kron(delta(q, r)) @ delta(p, q + r), True)
+
+
+def _counit(g, max_total):
+    for n in range(1, max_total + 1):
+        yield "(id x c) Delta_< != id at degree %d" % n, g.prec(n, 0), g.eye(n), False
+        m = g.prec(0, n)
+        yield ("(c x id) Delta_< != 0 at degree %d" % n, m,
+               Matrix.zeros(m.field, m.rows, m.cols), False)
+
+
+def _compatibility(law, g, max_total):
+    """first star = (star x star)(id x swap x id)(first x Delta) on each
+    (a, b) -> (p, q), with first = Delta (Hopf) or Delta_< (semiHopf)."""
+    first = g.delta if law == "Hopf" else g.prec
+    eye, star = g.eye, g.star_comp
+    for a in range(1, max_total + 1):
+        for b in range(1, max_total - a + 1):
+            for p in range(a + b + 1):
+                q = a + b - p
+                rhs = Matrix.zeros(g.field, g.dims[p] * g.dims[q], g.dims[a] * g.dims[b])
+                for a1 in range(max(0, p - b), min(a, p) + 1):
+                    a2, b1, b2 = a - a1, p - a1, b - p + a1
+                    rhs = rhs + (star(a1, b1).kron(star(a2, b2))
+                                 @ eye(a1).kron(g._swap(a2, b1)).kron(eye(b2))
+                                 @ first(a1, a2).kron(g.delta(b1, b2)))
+                yield ("%s at ((%d,%d) -> (%d,%d))" % (law, a, b, p, q),
+                       first(p, q) @ star(a, b), rhs, False)
+
+
+def _associative_product(g, max_total):
+    star, eye = g.star_comp, g.eye
+    for p, q, r in sorted(_triples(max_total, 1)):  # by p, then q, then r
+        yield ("associativity (%d,%d,%d)" % (p, q, r),
+               star(p + q, r) @ star(p, q).kron(eye(r)),
+               star(p, q + r) @ eye(p).kron(star(q, r)), False)
+
+
+def _commutative_product(g, max_total):
+    for p in range(1, max_total + 1):
+        for q in range(1, max_total - p + 1):
+            yield ("graded commutativity (%d,%d)" % (p, q),
+                   g.star_comp(q, p) @ g._swap(p, q), g.star_comp(p, q), False)
+
+
+# each law as a generator of its identities (label, lhs, rhs, names_witnesses)
+_IDENTITIES = {"coZinbiel": _cozinbiel, "codendriform": _codendriform,
+               "cocommutativeOfSum": _cocommutative_of_sum, "counit": _counit,
+               "Hopf": partial(_compatibility, "Hopf"),
+               "semiHopf": partial(_compatibility, "semiHopf"),
+               "associativeProduct": _associative_product,
+               "commutativeProduct": _commutative_product}
 PRODUCT_LAWS = ("Hopf", "semiHopf", "associativeProduct", "commutativeProduct")
 LAWS = ("coZinbiel", "codendriform", "cocommutativeOfSum", "counit") + PRODUCT_LAWS
 
@@ -298,105 +382,27 @@ LAWS = ("coZinbiel", "codendriform", "cocommutativeOfSum", "counit") + PRODUCT_L
 def check_laws(g: GradedCoalgebra, laws, max_total: int) -> dict:
     """Assert the requested laws as exact matrix identities in every total
     degree <= max_total; returns {law: list of failures} (empty lists pass).
+    A failure is (label, witnesses): for the triple-coproduct components,
+    the first three columns where the two sides differ, else [].
 
-    Triple-coproduct laws run on the reduced components (all three factors
-    in positive degree); counit and compatibility laws include the counital
-    edge components.  The law names are LAWS; a law in PRODUCT_LAWS
-    raises MissingStructure, whatever max_total, when g has no product.
+    The coZinbiel and codendriform triples run on the reduced components
+    (all three factors in positive degree); the coassociativity of Delta,
+    counit and compatibility laws include the counital edge components.
+    The law names are LAWS; a law in PRODUCT_LAWS raises MissingStructure,
+    whatever max_total, when g has no product.
     """
     if g.star is None and any(law in PRODUCT_LAWS for law in laws):
         raise MissingStructure("no product supplied")
     report = {}
-    eye = g.eye
     for law in laws:
-        if law == "coZinbiel":
-            report[law] = _check_triple(
-                g,
-                lambda p, q, r: g.prec(p, q).kron(eye(r)) @ g.prec(p + q, r),
-                lambda p, q, r: (eye(p).kron(g.prec(q, r)) @ g.prec(p, q + r))
-                + (eye(p).kron(g.tau_of_prec(q, r)) @ g.prec(p, q + r)),
-                max_total)
-        elif law == "codendriform":
-            bad = _check_triple(
-                g,
-                lambda p, q, r: g.prec(p, q).kron(eye(r)) @ g.prec(p + q, r),
-                lambda p, q, r: (eye(p).kron(g.prec(q, r)) @ g.prec(p, q + r))
-                + (eye(p).kron(g.succ(q, r)) @ g.prec(p, q + r)),
-                max_total)
-            bad += _check_triple(
-                g,
-                lambda p, q, r: g.succ(p, q).kron(eye(r)) @ g.prec(p + q, r),
-                lambda p, q, r: eye(p).kron(g.prec(q, r)) @ g.succ(p, q + r),
-                max_total)
-            bad += _check_triple(
-                g,
-                lambda p, q, r: eye(p).kron(g.succ(q, r)) @ g.succ(p, q + r),
-                lambda p, q, r: (g.prec(p, q).kron(eye(r)) @ g.succ(p + q, r))
-                + (g.succ(p, q).kron(eye(r)) @ g.succ(p + q, r)),
-                max_total)
-            report[law] = bad
-        elif law == "cocommutativeOfSum":
-            bad = []
-            for n in range(1, max_total + 1):
-                for p in range(0, n + 1):
-                    q = n - p
-                    if g._swap(q, p) @ g.delta(q, p) != g.delta(p, q):
-                        bad.append(("cocommutativity (%d,%d)" % (p, q), []))
-            bad += _check_triple(
-                g,
-                lambda p, q, r: g.delta(p, q).kron(eye(r)) @ g.delta(p + q, r),
-                lambda p, q, r: eye(p).kron(g.delta(q, r)) @ g.delta(p, q + r),
-                max_total, reduced=False)
-            report[law] = bad
-        elif law == "counit":
-            bad = []
-            for n in range(1, max_total + 1):
-                if g.prec(n, 0) != g.eye(n):
-                    bad.append(("(id x c) Delta_< != id at degree %d" % n, []))
-                if not g.prec(0, n).is_zero():
-                    bad.append(("(c x id) Delta_< != 0 at degree %d" % n, []))
-            report[law] = bad
-        elif law in ("Hopf", "semiHopf"):
-            first = g.delta if law == "Hopf" else g.prec
-            bad = []
-            f = g.field
-            for a in range(1, max_total + 1):
-                for b in range(1, max_total - a + 1):
-                    for p in range(0, a + b + 1):
-                        q = a + b - p
-                        lhs = first(p, q) @ g.star_comp(a, b)
-                        rhs = Matrix.zeros(f, g.dims[p] * g.dims[q],
-                                           g.dims[a] * g.dims[b])
-                        for a1 in range(0, a + 1):
-                            b1 = p - a1
-                            if not (0 <= b1 <= b):
-                                continue
-                            a2, b2 = a - a1, b - b1
-                            mid = eye(a1).kron(g._swap(a2, b1)).kron(eye(b2))
-                            rhs = rhs + (g.star_comp(a1, b1).kron(g.star_comp(a2, b2))
-                                         @ mid @ first(a1, a2).kron(g.delta(b1, b2)))
-                        if lhs != rhs:
-                            bad.append(("%s at ((%d,%d) -> (%d,%d))" % (law, a, b, p, q), []))
-            report[law] = bad
-        elif law == "associativeProduct":
-            bad = []
-            for p in range(1, max_total + 1):
-                for q in range(1, max_total - p + 1):
-                    for r in range(1, max_total - p - q + 1):
-                        lhs = g.star_comp(p + q, r) @ g.star_comp(p, q).kron(eye(r))
-                        rhs = g.star_comp(p, q + r) @ eye(p).kron(g.star_comp(q, r))
-                        if lhs != rhs:
-                            bad.append(("associativity (%d,%d,%d)" % (p, q, r), []))
-            report[law] = bad
-        elif law == "commutativeProduct":
-            bad = []
-            for p in range(1, max_total + 1):
-                for q in range(1, max_total - p + 1):
-                    if g.star_comp(q, p) @ g._swap(p, q) != g.star_comp(p, q):
-                        bad.append(("graded commutativity (%d,%d)" % (p, q), []))
-            report[law] = bad
-        else:
+        if law not in _IDENTITIES:
             raise ValueError("unknown law %r" % (law,))
+        bad = report[law] = []
+        for label, lhs, rhs, names_witnesses in _IDENTITIES[law](g, max_total):
+            if lhs != rhs:
+                diff = lhs - rhs
+                wit = [j for j in range(diff.cols) if diff.column(j)] if names_witnesses else []
+                bad.append((label, wit[:3]))
     return report
 
 

@@ -11,7 +11,9 @@ Python ints, and `unionfind_classes` finds the Gamma classes with a
 union-find, as the package did before its int32 arrays, Words views and
 array component search.  `TupleSquareMatrix` and its functions are the
 matrices over Z/m as tuples of Python ints, one entry at a time, as
-glstable computed them before its numpy arrays.
+glstable computed them before its numpy arrays.  `check_laws_reference`
+checks the coalgebra laws with one hand-written loop per law, as
+coalgebra.check_laws did before its identity generators.
 """
 
 from functools import partial
@@ -546,3 +548,154 @@ def random_invertible_reference(ring, n, rng):
                                      for _ in range(n)])
         if m.is_invertible():
             return m
+
+
+def _swap_reference(g, p, q):
+    """V_p (x) V_q -> V_q (x) V_p with the Koszul sign, one column at a time."""
+    f = g.field
+    dp, dq = g.dims[p], g.dims[q]
+    sgn = f.of_int(-1 if (p * q) % 2 else 1)
+    cols = []
+    for i in range(dp):
+        for j in range(dq):
+            cols.append({j * dp + i: sgn})
+    return Matrix(f, dq * dp, dp * dq, cols)
+
+
+def _tau_of_prec_reference(g, p, q):
+    return _swap_reference(g, q, p) @ g.prec(q, p)
+
+
+def _succ_reference(g, p, q):
+    if g.delta_succ is not None:
+        return g.comp(g.delta_succ, p, q)
+    return _tau_of_prec_reference(g, p, q)
+
+
+def _delta_reference(g, p, q):
+    if g.delta_full is not None:
+        return g.comp(g.delta_full, p, q)
+    if p == 0 and q == 0:
+        return g.eye(0)
+    return g.prec(p, q) + _succ_reference(g, p, q)
+
+
+def _check_triple_reference(g, lhs_fn, rhs_fn, max_total, reduced=True):
+    bad = []
+    lo = 1 if reduced else 0
+    for n in range(3 * lo, max_total + 1):
+        for p in range(lo, n + 1):
+            for q in range(lo, n - p + 1):
+                r = n - p - q
+                if r < lo:
+                    continue
+                lhs = lhs_fn(p, q, r)
+                rhs = rhs_fn(p, q, r)
+                if lhs != rhs:
+                    diff = lhs - rhs
+                    wit = [g_label for g_label in range(diff.cols) if diff.column(g_label)]
+                    bad.append(("component (%d,%d,%d)" % (p, q, r), wit[:3]))
+    return bad
+
+
+def check_laws_reference(g, laws, max_total):
+    """check_laws as one hand-written loop per law, each with its own
+    comparison and failure list, and the Koszul swap built column by column:
+    the same failures, in the same order, with the same witness columns."""
+    if g.star is None and any(law in ("Hopf", "semiHopf", "associativeProduct",
+                                      "commutativeProduct") for law in laws):
+        raise ValueError("no product supplied")
+    report = {}
+    eye = g.eye
+    swap, succ, delta = (partial(h, g) for h in
+                         (_swap_reference, _succ_reference, _delta_reference))
+    for law in laws:
+        if law == "coZinbiel":
+            report[law] = _check_triple_reference(
+                g,
+                lambda p, q, r: g.prec(p, q).kron(eye(r)) @ g.prec(p + q, r),
+                lambda p, q, r: (eye(p).kron(g.prec(q, r)) @ g.prec(p, q + r))
+                + (eye(p).kron(_tau_of_prec_reference(g, q, r)) @ g.prec(p, q + r)),
+                max_total)
+        elif law == "codendriform":
+            bad = _check_triple_reference(
+                g,
+                lambda p, q, r: g.prec(p, q).kron(eye(r)) @ g.prec(p + q, r),
+                lambda p, q, r: (eye(p).kron(g.prec(q, r)) @ g.prec(p, q + r))
+                + (eye(p).kron(succ(q, r)) @ g.prec(p, q + r)),
+                max_total)
+            bad += _check_triple_reference(
+                g,
+                lambda p, q, r: succ(p, q).kron(eye(r)) @ g.prec(p + q, r),
+                lambda p, q, r: eye(p).kron(g.prec(q, r)) @ succ(p, q + r),
+                max_total)
+            bad += _check_triple_reference(
+                g,
+                lambda p, q, r: eye(p).kron(succ(q, r)) @ succ(p, q + r),
+                lambda p, q, r: (g.prec(p, q).kron(eye(r)) @ succ(p + q, r))
+                + (succ(p, q).kron(eye(r)) @ succ(p + q, r)),
+                max_total)
+            report[law] = bad
+        elif law == "cocommutativeOfSum":
+            bad = []
+            for n in range(1, max_total + 1):
+                for p in range(0, n + 1):
+                    q = n - p
+                    if swap(q, p) @ delta(q, p) != delta(p, q):
+                        bad.append(("cocommutativity (%d,%d)" % (p, q), []))
+            bad += _check_triple_reference(
+                g,
+                lambda p, q, r: delta(p, q).kron(eye(r)) @ delta(p + q, r),
+                lambda p, q, r: eye(p).kron(delta(q, r)) @ delta(p, q + r),
+                max_total, reduced=False)
+            report[law] = bad
+        elif law == "counit":
+            bad = []
+            for n in range(1, max_total + 1):
+                if g.prec(n, 0) != g.eye(n):
+                    bad.append(("(id x c) Delta_< != id at degree %d" % n, []))
+                if not g.prec(0, n).is_zero():
+                    bad.append(("(c x id) Delta_< != 0 at degree %d" % n, []))
+            report[law] = bad
+        elif law in ("Hopf", "semiHopf"):
+            first = delta if law == "Hopf" else g.prec
+            bad = []
+            f = g.field
+            for a in range(1, max_total + 1):
+                for b in range(1, max_total - a + 1):
+                    for p in range(0, a + b + 1):
+                        q = a + b - p
+                        lhs = first(p, q) @ g.star_comp(a, b)
+                        rhs = Matrix.zeros(f, g.dims[p] * g.dims[q],
+                                           g.dims[a] * g.dims[b])
+                        for a1 in range(0, a + 1):
+                            b1 = p - a1
+                            if not (0 <= b1 <= b):
+                                continue
+                            a2, b2 = a - a1, b - b1
+                            mid = eye(a1).kron(swap(a2, b1)).kron(eye(b2))
+                            rhs = rhs + (g.star_comp(a1, b1).kron(g.star_comp(a2, b2))
+                                         @ mid @ first(a1, a2).kron(delta(b1, b2)))
+                        if lhs != rhs:
+                            bad.append(("%s at ((%d,%d) -> (%d,%d))" % (law, a, b, p, q), []))
+            report[law] = bad
+        elif law == "associativeProduct":
+            bad = []
+            for p in range(1, max_total + 1):
+                for q in range(1, max_total - p + 1):
+                    for r in range(1, max_total - p - q + 1):
+                        lhs = g.star_comp(p + q, r) @ g.star_comp(p, q).kron(eye(r))
+                        rhs = g.star_comp(p, q + r) @ eye(p).kron(g.star_comp(q, r))
+                        if lhs != rhs:
+                            bad.append(("associativity (%d,%d,%d)" % (p, q, r), []))
+            report[law] = bad
+        elif law == "commutativeProduct":
+            bad = []
+            for p in range(1, max_total + 1):
+                for q in range(1, max_total - p + 1):
+                    if g.star_comp(q, p) @ swap(p, q) != g.star_comp(p, q):
+                        bad.append(("graded commutativity (%d,%d)" % (p, q), []))
+            report[law] = bad
+        else:
+            raise ValueError("unknown law %r" % (law,))
+    return report

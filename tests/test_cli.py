@@ -66,6 +66,10 @@ def test_group_preset_for_rack_homology_exit_2():
     ("nerve", "export", "--preset", "symmetric:3", "--max-degree", "4", "--budget", "1000"),
     # the streamed top boundary exhausts 16384 cells without saturating
     ("les", "--preset", "cyclic:4", "--field", "f2", "--max-degree", "2", "--budget", "1000"),
+    ("map", "s", "--mode", "rack", "--preset", "symmetric:3", "--max-degree", "4",
+     "--budget", "10"),
+    ("map", "s", "--mode", "cubical", "--preset", "cyclic:2", "--max-degree", "3",
+     "--budget", "10"),
 ])
 def test_budget_exceeded_exit_3(argv):
     proc = run_cli(*argv)
@@ -193,7 +197,7 @@ def test_internal_invariant_violation_exit_4(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise chains.ConstructionBug("snake lift failed at degree 1")
 
-    monkeypatch.setattr(chains, "les_for_group", broken)
+    monkeypatch.setattr(cli, "les_for_group", broken)  # the name cmd_les calls
     code = cli.main(["les", "--preset", "cyclic:2", "--max-degree", "1"])
     assert code == 4
     err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from rackhom.chains import build_complex, homology, verify_chain_map, verify_homotopy
 from rackhom.coalgebra import (
     LAWS,
+    PRODUCT_LAWS,
     GradedCoalgebra,
     MissingStructure,
     NotAbelian,
@@ -35,6 +38,7 @@ from cellref import (
     antisymmetrization_reference,
     bar_aw_coproduct_reference,
     bar_shuffle_product_reference,
+    check_laws_reference,
     coproduct_reference,
     induced_coproduct_reference,
 )
@@ -137,6 +141,63 @@ def test_laws_lists_every_law_check_laws_knows():
     assert sorted(check_laws(tv, LAWS, 3)) == sorted(LAWS)
     with pytest.raises(ValueError):
         check_laws(tv, ["coZinbiel", "nonsense"], 3)
+
+
+def _law_targets():
+    """(coalgebra, top degree) pairs covering every law: three tensor models,
+    the chain-level bialgebra of conj:cyclic:3 (as in criterion 9), and the
+    Q homology coalgebra of conj:symmetric:3 through degree 3."""
+    from rackhom.glstable import pontryagin_rack_product
+
+    out = [(half_shuffle_model(degs, top), top)
+           for degs, top in (([1, 1], 4), ([1, 2], 4), ([1], 5))]
+    g = preset("cyclic:3")
+    r = conj_rack(g)
+    c = build_complex(rack_nerve(r, 4), QQ)
+    prec, succ = delta_halves(c)
+    mu = [[g.mul[x][y] for y in range(g.order)] for x in range(g.order)]
+    star = pontryagin_rack_product(c, r, mu, up_to=4)
+    out.append((graded_coalgebra_from_chain_maps(c, prec, succ=succ, star=star, up_to=4), 4))
+    c = build_complex(rack_nerve(preset("conj:symmetric:3"), 4), QQ)
+    hs = homology(c, up_to=3)
+    prec, succ = delta_halves(c)
+    out.append((GradedCoalgebra(QQ, hs.dims, induced_coproduct_components(prec, hs, 3),
+                                delta_succ=induced_coproduct_components(succ, hs, 3)), 3))
+    return out
+
+
+def _perturbed(g, name, key, rng):
+    """A copy of g with one random entry of block `key` of its table `name`
+    raised by one."""
+    table = dict(getattr(g, name))
+    m = table[key]
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    cols = [m.column(k) for k in range(m.cols)]
+    cols[j][i] = m.entry(i, j) + 1
+    table[key] = Matrix(m.field, m.rows, m.cols, cols)
+    return dataclasses.replace(g, **{name: table})
+
+
+def test_check_laws_equals_reference_on_perturbed_coalgebras():
+    """One entry of delta_prec, delta_succ or star perturbed at a time, in
+    every block of the one-letter tensor model (whose blocks are 1x1) and in
+    three random blocks of each table of the other coalgebras: every law
+    fails somewhere, and each failure list (labels, order and witness
+    columns) equals the one-loop-per-law reference."""
+    rng = random.Random(0)
+    failed = set()
+    for g, top in _law_targets():
+        laws = LAWS if g.star is not None else [law for law in LAWS if law not in PRODUCT_LAWS]
+        for name in ("delta_prec", "delta_succ", "star"):
+            if getattr(g, name) is None:
+                continue
+            keys = sorted(k for k, m in getattr(g, name).items() if m.rows and m.cols)
+            for key in keys if max(g.dims) == 1 else rng.sample(keys, 3):
+                h = _perturbed(g, name, key, rng)
+                rep = check_laws(h, laws, top)
+                assert rep == check_laws_reference(h, laws, top)
+                failed |= {law for law, bad in rep.items() if bad}
+    assert failed == set(LAWS)
 
 
 def test_half_shuffle_model_basics():

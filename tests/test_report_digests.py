@@ -1,9 +1,10 @@
 """Reports stay byte-identical outside their timing block.
 
-tests/report_digests.json maps the argv of a fast CLI command to the sha256
-of its JSON report with `timing` removed, dumped with sorted keys and
-indent=1.  Each command reruns in process through `cli.main`; a change that
-alters any number, label, order or note in a report fails here.  After an
+tests/report_digests.json maps the argv of a fast CLI command to its exit
+code and the sha256 of its JSON report with `timing` removed, dumped with
+sorted keys and indent=1.  Each command reruns in process through
+`cli.main`; a change that alters the exit code or any number, label, order,
+note or failure string in a report fails here.  After an
 intended change to a report, regenerate the file and say why in CHANGES.md.
 """
 
@@ -29,5 +30,5 @@ def report_digest(doc: dict) -> str:
 def test_report_digest_unchanged(argv, capsys):
     code = cli.main(argv.split())
     out = capsys.readouterr().out
-    assert code == 0
-    assert report_digest(json.loads(out)) == DIGESTS[argv]
+    assert code == DIGESTS[argv]["exit"]
+    assert report_digest(json.loads(out)) == DIGESTS[argv]["sha256"]
