@@ -9,6 +9,8 @@ Where a check caps a parameter for budget reasons (the LES tops grow like
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from .chains import (
@@ -52,7 +54,8 @@ from .nerves import (
     rack_nerve,
     validate_simplicial,
 )
-from .racks import conj_rack, preset
+from .racks import conj_rack, preset, symmetric_group
+from .shuffles import All, Triple, alpha, beta, enumerate_shuffles, iota
 
 RACK_PRESETS = ("trivial_rack:4", "conj:cyclic:2", "conj:cyclic:3",
                 "conj:cyclic:2x2", "conj:symmetric:3", "conj:dihedral:4",
@@ -283,10 +286,6 @@ def criterion_10(seed=0):
     """The tensor-coalgebra reference model passes coZinbiel and semi-Hopf
     through weight 5 (dim V <= 2); shuffle cardinalities and the three
     block-shuffle bijections check out for p+q(+r) <= 7."""
-    from math import comb
-
-    from .shuffles import All, Triple, alpha, beta, enumerate_shuffles, iota
-
     ok = True
     details = {}
     for dim_v in (1, 2):
@@ -337,8 +336,6 @@ def criterion_11(seed=0):
     rep2 = verify_matrix_lemmas(RingTag(2), 3, 50, seed=seed, exhaustive_upto=2)
     details["F_2 (exhaustive GL_1, GL_2)"] = rep2["ok"]
     ok = ok and rep4["ok"] and rep2["ok"]
-    from .racks import symmetric_group
-
     r = conj_rack(symmetric_group(3))
     c = build_complex(rack_nerve(r, 4), QQ)
     a = r.elements.index((1, 0, 2))

@@ -38,11 +38,15 @@ ChainComplex.tensor_square; no other code knows its layout.
 
 Both long exact sequences (L-relative and Gamma) run through _les_assemble.
 Inclusions, projections and sections of cell bases are 0/1 matrices
-(_selection); a subcomplex is always _subcomplex, d_S = incl^-1 d_T incl
-solved in the inclusion's analyses, and a positional quotient is _quotient,
-d_Q = proj d_T section.  A top boundary that is not materialised enters as
-one Echelon of its image (stream_group_top_image); the quotient's top image
-is its projection.
+(_selection), and a positional quotient is _quotient, d_Q = proj d_T
+section.  The L-relative subcomplex is the rack complex of Conj(G): the
+first-face equalizer of the group's cubical nerve is the rack space of Fenn,
+Rourke and Sanderson, lnerve_inclusion maps the rack nerve onto it, and the
+inclusion is certified a chain map.  The Gamma subcomplex, a kernel, is
+_subcomplex, d_S = incl^-1 d_T incl solved in the inclusion's analyses.  A
+top boundary that is not materialised enters as one Echelon of its image
+(stream_group_top_image); the quotient's top image is its projection, and
+the rack complex's top boundary must land in it.
 """
 
 from __future__ import annotations
@@ -55,8 +59,7 @@ from math import gcd
 
 import numpy as np
 
-from .cubical import (CubSet, Labels, Picked, TruncationTooLow, gamma_functor_with_projection,
-                      l_functor_with_inclusion)
+from .cubical import CubSet, Labels, Picked, TruncationTooLow, gamma_functor_with_projection
 from .exactfield import ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, column_space_analysis
 from .nerves import (BLOCK, BudgetExceeded, GroupArith, bar_nerve, cell_digits, cell_numbers,
                      group_cubical_nerve, lnerve_inclusion, rack_nerve)
@@ -335,17 +338,11 @@ def verify_chain_map(fmap: GradedMap):
     assert fmap.shift == 0, "chain-map check is for degree-0 maps"
     bad = []
     for n in fmap.degrees():
-        if n - 1 not in fmap.mats and n != 0:
-            continue
-        if n == 0:
+        if n == 0 or n - 1 not in fmap.mats:
             continue
         lhs = fmap.target.d(n) @ fmap.mat(n)
         rhs = fmap.mat(n - 1) @ fmap.source.d(n)
-        if lhs != rhs:
-            diff = lhs - rhs
-            for j in range(diff.cols):
-                if diff.column(j):
-                    bad.append((n, fmap.source.label(n, j)))
+        bad += [(n, fmap.source.label(n, j)) for j in _differing_columns(lhs, rhs)]
     return bad
 
 
@@ -358,12 +355,14 @@ def verify_homotopy(f: GradedMap, g: GradedMap, h: GradedMap):
         if n >= 1:
             lhs = lhs + h.mat(n - 1) @ h.source.d(n)
         rhs = g.mat(n) - f.mat(n)
-        if lhs != rhs:
-            diff = lhs - rhs
-            for j in range(diff.cols):
-                if diff.column(j):
-                    bad.append((n, h.source.label(n, j)))
+        bad += [(n, h.source.label(n, j)) for j in _differing_columns(lhs, rhs)]
     return bad
+
+
+def _differing_columns(lhs: Matrix, rhs: Matrix) -> list:
+    """The columns where two matrices of one shape differ.  Columns are
+    canonical, so these are the nonzero columns of lhs - rhs."""
+    return [j for j, (a, b) in enumerate(zip(lhs.cols_data, rhs.cols_data)) if a != b]
 
 
 # -- homology -----------------------------------------------------------------
@@ -713,56 +712,31 @@ def _quotient(T: ChainComplex, sub):
     return Q, proj, section
 
 
-def long_exact_sequence(kind: str, x: CubSet, field: FieldTag, max_n: int) -> LESResult:
-    """The two long exact sequences of a (fully materialised) cubical set:
-
-    kind "lrel":  (first-face equalizer subcomplex) -> C -> C/sub
-    kind "gamma": ker(C -> C(quotient)) -> C -> C(quotient by first faces)
-    """
-    if kind == "lrel":
-        if x.max_degree < max_n + 1:
-            raise TruncationTooLow("lrel LES through %d needs cells through %d"
-                                   % (max_n, max_n + 1))
-        T = build_complex(x, field, "normalized")
-        _, cells = l_functor_with_inclusion(x)
-        sub = []
-        for n in range(T.max_degree + 1):
-            rows = T.basis_rows(n, cells[n])
-            sub.append(np.unique(rows[rows >= 0]))
-        incl = [_selection(rows, T.dim(n), field) for n, rows in enumerate(sub)]
-        incl_an = [column_space_analysis(m) for m in incl[:T.max_degree]]
-        S = _subcomplex(T, incl, incl_an, [Picked(T.labels[n], rows)
-                                           for n, rows in enumerate(sub)])
-        Q, proj, section = _quotient(T, sub)
-        return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section,
-                             incl_an=incl_an)
-    if kind == "gamma":
-        if x.max_degree < max_n + 2:
-            raise TruncationTooLow("gamma LES through %d needs cells through %d"
-                                   % (max_n, max_n + 2))
-        gx, gproj = gamma_functor_with_projection(x)
-        N = gx.max_degree
-        T = build_complex(x.truncated(N), field, "normalized")
-        Q = build_complex(gx, field, "normalized")
-        proj = [_selection(Q.basis_rows(n, gproj[n][T.cell_of_pos[n]]), Q.dim(n), field)
-                for n in range(N + 1)]
-        # kernel subcomplex
-        incl = [column_space_analysis(proj[n]).kernel_basis for n in range(N + 1)]
-        incl_an = [column_space_analysis(kb) for kb in incl[:N]]
-        labels = [Labels(incl[n].cols, partial("{}{}".format, "k%d_" % n)) for n in range(N + 1)]
-        S = _subcomplex(T, incl, incl_an, labels)
-        section = []
-        for n in range(N + 1):
-            # a class's smallest cell, its representative, comes first
-            _, reps = np.unique(gproj[n], return_index=True)
-            rows = T.basis_rows(n, reps[Q.cell_of_pos[n]])
-            if (rows < 0).any():
-                raise ConstructionBug("quotient cell %r is degenerate in the total complex"
-                                      % (Q.label(n, int(np.argmax(rows < 0))),))
-            section.append(_selection(rows, T.dim(n), field))
-        return _les_assemble("gamma", field, max_n, S, T, Q, incl, proj, section,
-                             incl_an=incl_an)
-    raise ValueError("unknown LES kind %r" % (kind,))
+def _gamma_les(x: CubSet, field: FieldTag, max_n: int) -> LESResult:
+    """ker(C -> C(quotient)) -> C -> C(quotient by first faces) for a
+    cubical set x with cells through max_n + 2."""
+    gx, gproj = gamma_functor_with_projection(x)
+    N = gx.max_degree
+    T = build_complex(x.truncated(N), field, "normalized")
+    Q = build_complex(gx, field, "normalized")
+    proj = [_selection(Q.basis_rows(n, gproj[n][T.cell_of_pos[n]]), Q.dim(n), field)
+            for n in range(N + 1)]
+    # kernel subcomplex
+    incl = [column_space_analysis(proj[n]).kernel_basis for n in range(N + 1)]
+    incl_an = [column_space_analysis(kb) for kb in incl[:N]]
+    labels = [Labels(incl[n].cols, partial("{}{}".format, "k%d_" % n)) for n in range(N + 1)]
+    S = _subcomplex(T, incl, incl_an, labels)
+    section = []
+    for n in range(N + 1):
+        # a class's smallest cell, its representative, comes first
+        _, reps = np.unique(gproj[n], return_index=True)
+        rows = T.basis_rows(n, reps[Q.cell_of_pos[n]])
+        if (rows < 0).any():
+            raise ConstructionBug("quotient cell %r is degenerate in the total complex"
+                                  % (Q.label(n, int(np.argmax(rows < 0))),))
+        section.append(_selection(rows, T.dim(n), field))
+    return _les_assemble("gamma", field, max_n, S, T, Q, incl, proj, section,
+                         incl_an=incl_an)
 
 
 # -- streamed top boundary for group cubical nerves ---------------------------
@@ -1037,30 +1011,29 @@ MATERIALIZE_CELLS = 3000
 
 def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
                   cell_budget: int = 40_000_000) -> LESResult:
-    """LES front end for group cubical nerves.  The lrel side streams the
-    top boundary once the top degree exceeds MATERIALIZE_CELLS cells, and
-    raises BudgetExceeded when the stream reads cell_budget cells without
-    saturating; the gamma side is materialised (it needs cells two degrees
-    up).  A streamed lrel sequence takes the rack complex itself as the
-    subcomplex, through the explicit equalizer bijection."""
+    """LES front end for group cubical nerves.  The gamma side is
+    materialised: it needs cells two degrees up.  The lrel subcomplex is the
+    rack complex of conj_rack(g) through max_n + 1, mapped onto the
+    first-face equalizer by lnerve_inclusion and certified a chain map on
+    every degree of the nerve.  The nerve's top boundary is materialised
+    while the top degree has at most MATERIALIZE_CELLS cells.  Past that the
+    nerve stops at max_n and its top image is streamed: the stream raises
+    BudgetExceeded when it reads cell_budget cells without saturating, and
+    the rack complex's top boundary must land in the streamed image."""
     if kind == "gamma":
-        # the quotient side needs cells two degrees up, all materialised
         x = group_cubical_nerve(g, max_n + 2, budget=min(cell_budget, 200_000))
-        return long_exact_sequence("gamma", x, field, max_n)
+        return _gamma_les(x, field, max_n)
     if kind != "lrel":
         raise ValueError("unknown LES kind %r" % (kind,))
-    top_cells = g.order ** (2 ** (max_n + 1) - 1)
-    if top_cells <= MATERIALIZE_CELLS:
-        x = group_cubical_nerve(g, max_n + 1, budget=cell_budget)
-        return long_exact_sequence("lrel", x, field, max_n)
-    if g.order ** (2 ** max_n - 1) > 6000:
+    materialize = g.order ** (2 ** (max_n + 1) - 1) <= MATERIALIZE_CELLS
+    if not materialize and g.order ** (2 ** max_n - 1) > 6000:
         # the streamed route still materialises degree max_n and runs dense
         # rank certificates against it; past a few thousand cells the
         # quotient-side homology is out of reach as well
         raise TruncationTooLow(
             "degree %d of the cubical nerve of %s is beyond the cell budget"
             % (max_n, g.name or "G"))
-    x = group_cubical_nerve(g, max_n, budget=cell_budget)
+    x = group_cubical_nerve(g, max_n + 1 if materialize else max_n, budget=cell_budget)
     T = build_complex(x, field, "normalized")
     S = build_complex(rack_nerve(conj_rack(g), max_n + 1), field, "normalized")
     sub = [T.basis_rows(n, cells[S.cell_of_pos[n]])
@@ -1069,15 +1042,21 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
         raise ConstructionBug("rack cell mapped to a degenerate nerve cell")
     incl = [_selection(rows, T.dim(n), field) for n, rows in enumerate(sub)]
     # the inclusion is a chain map (certifies the explicit equalizer bijection)
-    gm = GradedMap(S, T, {n: incl[n] for n in range(max_n + 1)}, desc="CL inclusion")
-    bad = verify_chain_map(gm)
+    bad = verify_chain_map(GradedMap(S, T, dict(enumerate(incl)), desc="CL inclusion"))
     if bad:
         raise ConstructionBug("rack-chain inclusion is not a chain map: %s" % (bad[:3],))
     # the quotient before the stream, so that the top image is built in the
     # memory the tracker frees: a lower resident peak than the other order
     Q, proj, section = _quotient(T, sub)
+    if materialize:
+        return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section)
     image, _, note = stream_group_top_image(g, max_n + 1, T, field, cell_budget)
-    # the sub side has its own materialised top boundary through max_n+1
+    # the chain-map check at the top degree: an exhausted stream has only this
+    for j, col in enumerate(S.d(max_n + 1).cols_data):
+        if not image.contains(incl[max_n].apply(col)):
+            raise ConstructionBug(
+                "rack-chain inclusion is not a chain map: the boundary of rack cell %r"
+                " is outside the streamed top image" % (S.label(max_n + 1, j),))
     return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section,
                          top_image=image, notes=[note])
 

@@ -43,6 +43,7 @@ from .chains import (
     HomologySummary,
     NotChainMap,
     TensorComplex,
+    _differing_columns,
     _induced,
     _signed_matrix,
     homology_complex,
@@ -51,6 +52,7 @@ from .chains import (
 )
 from .cubical import CubSet
 from .exactfield import Echelon, FieldTag, Matrix, column_space_analysis
+from .glstable import star_components
 from .nerves import cell_digits, cell_numbers
 from .shuffles import All, FirstFixed, FirstIsPPlus1, Permutation, enumerate_shuffles, koszul_shuffle_sign
 
@@ -400,9 +402,7 @@ def check_laws(g: GradedCoalgebra, laws, max_total: int) -> dict:
         bad = report[law] = []
         for label, lhs, rhs, names_witnesses in _IDENTITIES[law](g, max_total):
             if lhs != rhs:
-                diff = lhs - rhs
-                wit = [j for j in range(diff.cols) if diff.column(j)] if names_witnesses else []
-                bad.append((label, wit[:3]))
+                bad.append((label, _differing_columns(lhs, rhs)[:3] if names_witnesses else []))
     return report
 
 
@@ -673,8 +673,6 @@ def graded_coalgebra_from_chain_maps(C: ChainComplex, prec: GradedMap = None,
         """The nonzero (p, q) blocks of a coproduct through degree up_to."""
         return {pq: b for n in gm.degrees() if n <= up_to
                 for pq, b in T.blocks(gm.mat(n), n).items() if not b.is_zero()}
-
-    from .glstable import star_components
 
     dims = list(C.dims[:up_to + 1])
     return GradedCoalgebra(C.field, dims, comps(prec) if prec is not None else {},

@@ -23,12 +23,16 @@ once per identity they conjugate.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 import numpy as np
 
+from .chains import GradedMap, _signed_matrix
 from .exactfield import Matrix as FieldMatrix
+from .nerves import cell_digits, cell_numbers
 from .racks import PointedRack
 
 
@@ -199,8 +203,6 @@ def random_invertible(ring: RingTag, n: int, rng) -> SquareMatrix:
 
 
 def all_invertible(ring: RingTag, n: int):
-    from itertools import product
-
     out = []
     for flat in product(range(ring.m), repeat=n * n):
         m = SquareMatrix(ring, [flat[i * n:(i + 1) * n] for i in range(n)])
@@ -239,8 +241,6 @@ def verify_matrix_lemmas(ring: RingTag, n_max: int, trials: int, seed: int = 0,
     the associativity and commutativity proofs with the explicit witnesses.
     Randomised over invertible matrices (seeded); optionally exhaustive
     through the given size."""
-    import random
-
     rng = random.Random(seed)
     report = {"ring": str(ring), "n_max": n_max, "trials": trials, "checks": [], "ok": True}
 
@@ -346,9 +346,6 @@ def pontryagin_rack_product(C, rack: PointedRack, mu_table, target=None,
 
     For an abelian rack with mu the group addition this is concatenation.
     Returns a certified chain map from the tensor square."""
-    from .chains import GradedMap, _signed_matrix
-    from .nerves import cell_digits, cell_numbers
-
     if target is None:
         target = C
     if target_rack is None:

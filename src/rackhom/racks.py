@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
 
 
 class UnknownPreset(Exception):
@@ -190,8 +190,6 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """Permutations of 0..n-1 as tuples; (a*b)(x) = a[b[x]] (b applied first)."""
-    from itertools import permutations
-
     if n < 1 or n > 5:
         raise UnknownPreset("symmetric:n supported for 1 <= n <= 5")
     elems = sorted(permutations(range(n)))

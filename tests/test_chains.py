@@ -17,7 +17,6 @@ from rackhom.chains import (
     homology,
     identity_map,
     les_for_group,
-    long_exact_sequence,
     rack_conjugation_data,
     s_map_cubical,
     s_map_rack_formula,
@@ -29,7 +28,7 @@ from rackhom.exactfield import QQ, Echelon, FieldTag, Matrix
 from rackhom.nerves import bar_nerve, group_cubical_nerve, rack_nerve
 from rackhom.racks import conj_rack, preset, symmetric_group
 
-from cellref import lnerve_inclusion_labels, rack_conjugation_reference
+from cellref import lnerve_inclusion_labels, lrel_les_reference, rack_conjugation_reference
 
 
 def test_rack_z2_complex_trivial_boundary():
@@ -525,11 +524,41 @@ def test_gamma_les_builds_no_degree_above_max_n_plus_1(monkeypatch):
     assert built and max(built) <= 2, built
 
 
-def test_les_generic_cubset_input():
-    x = group_cubical_nerve(preset("cyclic:2"), 3)
-    res = long_exact_sequence("lrel", x, QQ, 2)
-    assert res.all_exact
-    assert res.dims["sub"] == [1, 1, 1]
+@pytest.mark.parametrize("materialize", [chains.MATERIALIZE_CELLS, 0])
+@pytest.mark.parametrize("name, field, max_n", [
+    ("cyclic:2", QQ, 2), ("cyclic:3", QQ, 2), ("cyclic:3", FieldTag(3), 2),
+    ("symmetric:3", QQ, 1), ("symmetric:3", FieldTag(2), 1), ("cyclic:2x2", FieldTag(2), 1)])
+def test_lrel_les_equals_equalizer_reference(name, field, max_n, materialize, monkeypatch):
+    """The rack complex as the subcomplex, with a materialised or a streamed
+    top image, gives the sequence of the first-face equalizer's own cells
+    node for node."""
+    g = preset(name)
+    ref = lrel_les_reference(group_cubical_nerve(g, max_n + 1), field, max_n)
+    monkeypatch.setattr(chains, "MATERIALIZE_CELLS", materialize)
+    res = les_for_group("lrel", g, field, max_n)
+    assert res.all_exact and _les_table(res) == _les_table(ref)
+
+
+@pytest.mark.parametrize("materialize", [chains.MATERIALIZE_CELLS, 0])
+def test_broken_inclusion_is_a_construction_bug(materialize, monkeypatch):
+    """Two rack 1-cells with swapped images still give a chain map through
+    degree 1; only degree 2 tells.  The materialised route checks the chain
+    map there.  The streamed route exhausts (H_1(total) is nonzero over F_2),
+    so only its check of the rack complex's top boundary against the
+    streamed image catches it."""
+    g = symmetric_group(3)
+    a, b = g.elements.index((0, 2, 1)), g.elements.index((1, 2, 0))
+    orig = chains.lnerve_inclusion
+
+    def swapped(g, y):
+        maps = orig(g, y)
+        maps[1][[a, b]] = maps[1][[b, a]]
+        return maps
+
+    monkeypatch.setattr(chains, "lnerve_inclusion", swapped)
+    monkeypatch.setattr(chains, "MATERIALIZE_CELLS", materialize)
+    with pytest.raises(chains.ConstructionBug, match="not a chain map"):
+        les_for_group("lrel", g, FieldTag(2), 1)
 
 
 def test_les_over_prime_fields():
