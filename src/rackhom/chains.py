@@ -36,17 +36,22 @@ a label is computed only when a report prints it or a failure names it.
 The tensor square C (x) C is one TensorComplex per complex, built by
 ChainComplex.tensor_square; no other code knows its layout.
 
-Both long exact sequences (L-relative and Gamma) run through _les_assemble.
-Inclusions, projections and sections of cell bases are 0/1 matrices
-(_selection), and a positional quotient is _quotient, d_Q = proj d_T
-section.  The L-relative subcomplex is the rack complex of Conj(G): the
+Both long exact sequences (L-relative and Gamma) run through _les_assemble,
+and both arrive split on cell bases: each has an inclusion incl, a
+projection proj, a section of proj and a retraction of incl, all 0/1
+matrices (_selection, _restriction) or combinations of them, so no map of a
+sequence is eliminated or solved in.  A positional quotient is _quotient,
+d_Q = proj d_T section, with the retraction onto the subcomplex's rows
+beside proj.  The L-relative subcomplex is the rack complex of Conj(G): the
 first-face equalizer of the group's cubical nerve is the rack space of Fenn,
 Rourke and Sanderson, lnerve_inclusion maps the rack nerve onto it, and the
-inclusion is certified a chain map.  The Gamma subcomplex, a kernel, is
-_subcomplex, d_S = incl^-1 d_T incl solved in the inclusion's analyses.  A
-top boundary that is not materialised enters as one Echelon of its image
-(stream_group_top_image); the quotient's top image is its projection, and
-the rack complex's top boundary must land in it.
+inclusion is certified a chain map.  The Gamma subcomplex, the kernel of
+proj, is spanned by the cells that represent no class, each minus the
+section of its projection; _subcomplex gives it d_S = retract d_T incl,
+checked by incl d_S = d_T incl.  A top boundary that is not materialised
+enters as one Echelon of its image (stream_group_top_image); the quotient's
+top image is its projection, and the rack complex's top boundary must land
+in it.
 """
 
 from __future__ import annotations
@@ -59,16 +64,14 @@ from math import gcd
 
 import numpy as np
 
-from .cubical import CubSet, Labels, Picked, TruncationTooLow, gamma_functor_with_projection
-from .exactfield import ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, column_space_analysis
+from .cubical import (ConstructionBug, CubSet, Labels, Picked, TruncationTooLow,
+                      gamma_functor_with_projection)
+from .exactfield import (ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, ShapeError,
+                         column_space_analysis)
 from .nerves import (BLOCK, BudgetExceeded, GroupArith, bar_nerve, cell_digits, cell_numbers,
                      group_cubical_nerve, lnerve_inclusion, rack_nerve)
 from .racks import FiniteGroup, PointedRack, conj_rack
 from .shuffles import Permutation
-
-
-class ConstructionBug(AssertionError):
-    pass
 
 
 class NotChainMap(Exception):
@@ -593,16 +596,15 @@ def _induced(hs_src, hs_tgt, chain_mat, n):
     return Matrix(hs_src.complex.field, hs_tgt.dims[n], hs_src.dims[n], cols)
 
 
-def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
-                  top_image=None, notes=(), incl_an=()):
+def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section, retract,
+                  top_image=None, notes=()):
     """Homology of the three complexes, the induced maps, the snake
     connecting map, and the exactness report (im = ker by rank at each
-    node).  incl/proj/section are per-degree chain matrices; the section
-    satisfies proj @ section = id and is used for the snake lift.  incl_an
-    holds the analyses of incl[0], incl[1], ... a caller already made; the
-    missing degrees are analysed here.  top_image, when given, is an echelon
-    of the image of T's top boundary (T and Q then stop at degree max_n);
-    the quotient's is its projection."""
+    node).  incl/proj/section/retract are per-degree chain matrices that
+    split the sequence: proj @ section = id and retract @ incl = id, both
+    checked, so the snake lift of a boundary in im incl is its retraction.
+    top_image, when given, is an echelon of the image of T's top boundary
+    (T and Q then stop at degree max_n); the quotient's is its projection."""
     notes = list(notes)
     # projected first: built after the checks below, this echelon and its
     # neighbours left up to 1 MiB more resident for the next query
@@ -613,14 +615,14 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
             top_Q.add(proj[max_n].apply(col))
     # chain-level short exactness on the stored degrees
     avail = min(T.max_degree, max_n + 1 if top_image is None else max_n)
-    incl_an = list(incl_an[:avail + 1]) + [column_space_analysis(incl[n])
-                                          for n in range(len(incl_an), avail + 1)]
     for n in range(avail + 1):
         if not (proj[n] @ incl[n]).is_zero():
             raise ConstructionBug("proj o incl != 0 at degree %d" % n)
         if S.dim(n) + Q.dim(n) != T.dim(n):
             raise ConstructionBug("dim S + dim Q != dim T at degree %d" % n)
-        if incl_an[n].rank != S.dim(n):
+        # retract o incl = id makes incl injective; with proj o incl = 0, the
+        # dimension count and proj surjective (below), im incl = ker proj
+        if retract[n] @ incl[n] != Matrix.identity(field, S.dim(n)):
             raise ConstructionBug("inclusion not injective at degree %d" % n)
         # proj o section = id also certifies that proj is surjective
         if proj[n] @ section[n] != Matrix.identity(field, Q.dim(n)):
@@ -637,10 +639,9 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
         for col in hs_Q.reps[n]:
             y = section[n].apply(col)
             dy = T.d(n).apply(y)
-            w = incl_an[n - 1].solve(dy)
-            if w is None:
+            w = retract[n - 1].apply(dy)
+            if incl[n - 1].apply(w) != dy:
                 raise ConstructionBug("snake lift failed at degree %d" % n)
-            w = {j: v for j, v in enumerate(w) if v}
             # the lifted boundary is a cycle in the subcomplex
             if S.d(n - 1).apply(w):
                 raise ConstructionBug("snake image not a cycle at degree %d" % n)
@@ -671,45 +672,62 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section,
 
 def _selection(rows, n_rows: int, field: FieldTag) -> Matrix:
     """The 0/1 matrix with n_rows rows whose column j is the unit vector at
-    rows[j], or zero where rows[j] is -1."""
-    return _signed_matrix([rows], [1], n_rows, field)
+    rows[j], or zero where rows[j] is -1.  Its columns are canonical, the
+    row range is checked once on the array, and the zero columns share one
+    empty dict (a Matrix is never written), so a wide restriction holds
+    little more than its nonzero columns."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) and not (rows.min() >= -1 and rows.max() < n_rows):
+        raise ShapeError("selection row out of range")
+    one, zero = field.one(), {}
+    return Matrix.trusted(field, n_rows, len(rows),
+                          [{r: one} if r >= 0 else zero for r in rows.tolist()])
 
 
-def _subcomplex(T: ChainComplex, incl, incl_an, labels) -> ChainComplex:
-    """The subcomplex of T spanned by the columns of the injective chain
-    matrices incl[n], given the analyses incl_an[n] for n < T.max_degree:
-    d_S(n) = incl[n-1]^-1 d_T(n) incl[n], solved column by column."""
-    f = T.field
+def _restriction(rows, n_rows: int, field: FieldTag) -> Matrix:
+    """The 0/1 matrix that reads the entries rows[0], rows[1], ... off a
+    vector of n_rows entries: a left inverse of _selection(rows, n_rows)."""
+    at = np.full(n_rows, -1)
+    at[rows] = np.arange(len(rows))
+    return _selection(at, len(rows), field)
+
+
+def _others(rows, n_rows: int):
+    """The rows below n_rows that are not in rows, ascending."""
+    keep = np.ones(n_rows, dtype=bool)
+    keep[rows] = False
+    return np.flatnonzero(keep)
+
+
+def _subcomplex(T: ChainComplex, incl, retract, labels) -> ChainComplex:
+    """The subcomplex of T spanned by the columns of the chain matrices
+    incl[n], given left inverses retract[n]: d_S(n) = retract[n-1] d_T(n)
+    incl[n], checked by incl[n-1] d_S(n) = d_T(n) incl[n]."""
     bounds = []
     for n in range(1, T.max_degree + 1):
-        cols = []
-        for col in incl[n].cols_data:
-            w = incl_an[n - 1].solve(T.d(n).apply(col))
-            if w is None:
-                raise ConstructionBug("not a subcomplex at degree %d" % n)
-            cols.append({i: v for i, v in enumerate(w) if v})
-        bounds.append(Matrix(f, incl[n - 1].cols, incl[n].cols, cols))
-    return ChainComplex(f, labels, bounds)
+        image = T.d(n) @ incl[n]
+        bounds.append(retract[n - 1] @ image)
+        if incl[n - 1] @ bounds[-1] != image:
+            raise ConstructionBug("not a subcomplex at degree %d" % n)
+    return ChainComplex(T.field, labels, bounds)
 
 
 def _quotient(T: ChainComplex, sub):
     """The quotient of T by the subcomplex spanned by the basis rows sub[n]:
     its basis is the other rows, ascending, and d_Q(n) = proj[n-1] d_T(n)
-    section[n].  Returns (Q, proj, section)."""
+    section[n]; retract[n] restricts to the rows sub[n].  Returns (Q, proj,
+    section, retract)."""
     f = T.field
-    labels, proj, section = [], [], []
+    labels, proj, section, retract = [], [], [], []
     for n in range(T.max_degree + 1):
-        keep = np.ones(T.dim(n), dtype=bool)
-        keep[sub[n]] = False
-        rows = np.flatnonzero(keep)
-        at = np.full(T.dim(n), -1)
-        at[rows] = np.arange(len(rows))
+        rows = _others(sub[n], T.dim(n))
         labels.append(Picked(T.labels[n], rows))
-        proj.append(_selection(at, len(rows), f))
+        proj.append(_restriction(rows, T.dim(n), f))
         section.append(_selection(rows, T.dim(n), f))
+        retract.append(_restriction(sub[n], T.dim(n), f))
     bounds = [proj[n - 1] @ (T.d(n) @ section[n]) for n in range(1, T.max_degree + 1)]
     Q = ChainComplex(f, labels, bounds)
-    return Q, proj, section
+    return Q, proj, section, retract
 
 
 def _gamma_les(x: CubSet, field: FieldTag, max_n: int) -> LESResult:
@@ -719,15 +737,9 @@ def _gamma_les(x: CubSet, field: FieldTag, max_n: int) -> LESResult:
     N = gx.max_degree
     T = build_complex(x.truncated(N), field, "normalized")
     Q = build_complex(gx, field, "normalized")
-    proj = [_selection(Q.basis_rows(n, gproj[n][T.cell_of_pos[n]]), Q.dim(n), field)
-            for n in range(N + 1)]
-    # kernel subcomplex
-    incl = [column_space_analysis(proj[n]).kernel_basis for n in range(N + 1)]
-    incl_an = [column_space_analysis(kb) for kb in incl[:N]]
-    labels = [Labels(incl[n].cols, partial("{}{}".format, "k%d_" % n)) for n in range(N + 1)]
-    S = _subcomplex(T, incl, incl_an, labels)
-    section = []
+    proj, section, incl, retract = [], [], [], []
     for n in range(N + 1):
+        proj.append(_selection(Q.basis_rows(n, gproj[n][T.cell_of_pos[n]]), Q.dim(n), field))
         # a class's smallest cell, its representative, comes first
         _, reps = np.unique(gproj[n], return_index=True)
         rows = T.basis_rows(n, reps[Q.cell_of_pos[n]])
@@ -735,8 +747,14 @@ def _gamma_les(x: CubSet, field: FieldTag, max_n: int) -> LESResult:
             raise ConstructionBug("quotient cell %r is degenerate in the total complex"
                                   % (Q.label(n, int(np.argmax(rows < 0))),))
         section.append(_selection(rows, T.dim(n), field))
-    return _les_assemble("gamma", field, max_n, S, T, Q, incl, proj, section,
-                         incl_an=incl_an)
+        # ker proj: each other cell minus the section of its projection
+        others = _others(rows, T.dim(n))
+        picked = _selection(others, T.dim(n), field)
+        incl.append(picked - section[n] @ (proj[n] @ picked))
+        retract.append(_restriction(others, T.dim(n), field))
+    labels = [Labels(incl[n].cols, partial("{}{}".format, "k%d_" % n)) for n in range(N + 1)]
+    S = _subcomplex(T, incl, retract, labels)
+    return _les_assemble("gamma", field, max_n, S, T, Q, incl, proj, section, retract)
 
 
 # -- streamed top boundary for group cubical nerves ---------------------------
@@ -1047,9 +1065,9 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
         raise ConstructionBug("rack-chain inclusion is not a chain map: %s" % (bad[:3],))
     # the quotient before the stream, so that the top image is built in the
     # memory the tracker frees: a lower resident peak than the other order
-    Q, proj, section = _quotient(T, sub)
+    Q, proj, section, retract = _quotient(T, sub)
     if materialize:
-        return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section)
+        return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section, retract)
     image, _, note = stream_group_top_image(g, max_n + 1, T, field, cell_budget)
     # the chain-map check at the top degree: an exhausted stream has only this
     for j, col in enumerate(S.d(max_n + 1).cols_data):
@@ -1057,7 +1075,7 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
             raise ConstructionBug(
                 "rack-chain inclusion is not a chain map: the boundary of rack cell %r"
                 " is outside the streamed top image" % (S.label(max_n + 1, j),))
-    return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section,
+    return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section, retract,
                          top_image=image, notes=[note])
 
 

@@ -36,8 +36,8 @@ from .chains import (ConstructionBug, NotChainMap, build_complex, homology, les_
                      s_map_cubical, s_map_rack_formula, verify_chain_map)
 from .coalgebra import (LAWS, GradedCoalgebra, MissingStructure, check_laws, delta_halves,
                         half_shuffle_model, induced_coproduct_components, primitive_analysis)
-from .cubical import (InternalInvariantViolation, TruncationTooLow, cubset_to_json,
-                      l_functor_with_inclusion, subobject_cells, verify_cubset_map)
+from .cubical import (TruncationTooLow, cubset_to_json, l_functor_with_inclusion,
+                      subobject_cells, verify_cubset_map)
 from .exactfield import QQ, FieldTag
 from .glstable import RingTag, verify_matrix_lemmas
 from .nerves import (BudgetExceeded, bar_nerve, group_cubical_nerve, lnerve_inclusion,
@@ -392,7 +392,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, TruncationTooLow) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 3
-    except (ConstructionBug, NotChainMap, InternalInvariantViolation) as exc:
+    except (ConstructionBug, NotChainMap) as exc:
         sys.stderr.write("error: internal invariant violated: %s\n" % exc)
         return 4
 

@@ -42,8 +42,8 @@ from itertools import combinations
 import numpy as np
 
 
-class InternalInvariantViolation(AssertionError):
-    pass
+class ConstructionBug(AssertionError):
+    """An identity a construction guarantees failed: a program fault (CLI exit 4)."""
 
 
 class QuotientIllDefined(Exception):
@@ -178,7 +178,7 @@ class CubSet(CellTables):
     def validate(self):
         report = validate_cubical(self)
         if report:
-            raise InternalInvariantViolation(
+            raise ConstructionBug(
                 "cubical identities violated: %s" % (report[:3],))
         return self
 
@@ -377,7 +377,7 @@ def l_functor_with_inclusion(x: CubSet):
     if x.n_cells(0) != 1:
         zero = np.unique(x._face[(1, 1, 0)][keep[1]])
         if len(zero) != 1:
-            raise InternalInvariantViolation(
+            raise ConstructionBug(
                 "L functor needs a unique 0-cell; found endpoints %r" % (zero.tolist(),))
         keep[0] = np.arange(x.n_cells(0)) == zero[0]
     incl = [np.flatnonzero(k) for k in keep]
@@ -390,7 +390,7 @@ def l_functor_with_inclusion(x: CubSet):
     def restrict(table, cells, tgt, message):
         out = new[tgt][table[cells]]
         if (out < 0).any():
-            raise InternalInvariantViolation(message)
+            raise ConstructionBug(message)
         return out
 
     face = {(n, i, eps): restrict(t, incl[n], n - 1,

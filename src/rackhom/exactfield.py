@@ -17,7 +17,7 @@ chain sum with integer coefficients is accumulated in plain ints and
 converted once by `FieldTag.vector`.  No other code adds sparse vectors.
 
 One echelon per matrix: `column_space_analysis` eliminates a matrix once,
-and its rank, kernel, image and every solve are read from that `Echelon`.
+and its rank, kernel and image are read from that `Echelon`.
 Tagged columns are tracked as combinations of the tagged inputs; untagged
 columns are reduced but not tracked, so coordinates are read modulo their span.
 """
@@ -423,37 +423,13 @@ class Echelon:
 
 @dataclass
 class ColumnSpaceAnalysis:
-    """The one elimination of a matrix: its rank, kernel and image, and
-    solutions of m @ x == v read from the same tracked echelon."""
+    """The one elimination of a matrix: its rank, kernel and image.  The
+    echelon tags column j of m as j, so its coordinates of v solve
+    m @ x == v."""
 
     rank: int
     kernel_basis: Matrix
     echelon: Echelon
-
-    def solve(self, v) -> Optional[list]:
-        """Solve m @ x == v exactly; None when v is not in the image of m.
-
-        v may be a dense list or a sparse dict over row indices.
-        """
-        ech = self.echelon
-        f = ech.field
-        if isinstance(v, dict):
-            vec = v
-            for r, w in vec.items():
-                if w and not (0 <= r < ech.rows):
-                    raise ShapeError("rhs index out of range")
-        else:
-            v = list(v)
-            if len(v) != ech.rows:
-                raise ShapeError("rhs length %d != rows %d" % (len(v), ech.rows))
-            vec = f.vector(dict(enumerate(v)))
-        coords = ech.coordinates(vec)
-        if coords is None:
-            return None
-        x = [f.zero()] * self.kernel_basis.rows
-        for j, c in coords.items():
-            x[j] = c
-        return x
 
 
 def column_space_analysis(m: Matrix) -> ColumnSpaceAnalysis:
@@ -469,8 +445,3 @@ def column_space_analysis(m: Matrix) -> ColumnSpaceAnalysis:
             kernel_cols.append(ech.last_combo)
     kernel = Matrix(f, m.cols, len(kernel_cols), kernel_cols)
     return ColumnSpaceAnalysis(ech.rank, kernel, ech)
-
-
-def solve_in_image(m: Matrix, v) -> Optional[list]:
-    """One-call form of `column_space_analysis(m).solve(v)`."""
-    return column_space_analysis(m).solve(v)

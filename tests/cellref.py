@@ -15,7 +15,7 @@ glstable computed them before its numpy arrays.  `check_laws_reference`
 checks the coalgebra laws with one hand-written loop per law, as
 coalgebra.check_laws did before its identity generators.
 `lrel_les_reference` builds the L-relative long exact sequence with the
-first-face equalizer's own cells as the subcomplex, d_S = incl^-1 d_T incl,
+first-face equalizer's own cells as the subcomplex, d_S = retract d_T incl,
 as chains did before the rack complex became the subcomplex.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from rackhom.chains import _les_assemble, _quotient, _selection, _subcomplex, build_complex
 from rackhom.cubical import Picked, QuotientIllDefined, TruncationTooLow, l_functor_with_inclusion
-from rackhom.exactfield import Echelon, Matrix, column_space_analysis
+from rackhom.exactfield import Echelon, Matrix
 from rackhom.nerves import (BLOCK, GroupArith, _bar_face, _cube_faces, _insert, _rack_face,
                             cell_digits, cell_numbers)
 from rackhom.shuffles import All, FirstFixed, FirstIsPPlus1, Permutation, enumerate_shuffles
@@ -708,7 +708,7 @@ def check_laws_reference(g, laws, max_total):
 def lrel_les_reference(x, field, max_n):
     """The L-relative long exact sequence of a cubical set x with cells
     through max_n + 1: the subcomplex is spanned by the cells that
-    l_functor_with_inclusion keeps, d_S solved in the inclusion's analyses."""
+    l_functor_with_inclusion keeps, with d_S = retract d_T incl."""
     if x.max_degree < max_n + 1:
         raise TruncationTooLow("lrel LES through %d needs cells through %d"
                                % (max_n, max_n + 1))
@@ -719,9 +719,7 @@ def lrel_les_reference(x, field, max_n):
         rows = T.basis_rows(n, cells[n])
         sub.append(np.unique(rows[rows >= 0]))
     incl = [_selection(rows, T.dim(n), field) for n, rows in enumerate(sub)]
-    incl_an = [column_space_analysis(m) for m in incl[:T.max_degree]]
-    S = _subcomplex(T, incl, incl_an, [Picked(T.labels[n], rows)
+    Q, proj, section, retract = _quotient(T, sub)
+    S = _subcomplex(T, incl, retract, [Picked(T.labels[n], rows)
                                        for n, rows in enumerate(sub)])
-    Q, proj, section = _quotient(T, sub)
-    return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section,
-                         incl_an=incl_an)
+    return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section, retract)

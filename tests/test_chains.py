@@ -1,4 +1,5 @@
 import copy
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -474,30 +475,6 @@ def _les_table(res):
                       for n in res.nodes]
 
 
-def test_les_z3_materialized_vs_streamed(monkeypatch):
-    g = preset("cyclic:3")
-    a = les_for_group("lrel", g, QQ, 2)  # materialized (3^7 cells at top)
-    assert a.all_exact
-    assert a.dims["sub"] == [1, 2, 4]
-    assert a.dims["quotient"][2] == a.dims["sub"][1]
-    monkeypatch.setattr(chains, "MATERIALIZE_CELLS", 0)
-    b = les_for_group("lrel", g, QQ, 2)
-    assert "saturated" in b.notes[0]
-    assert _les_table(b) == _les_table(a)
-
-
-@pytest.mark.parametrize("name, field, max_n", [
-    ("cyclic:3", QQ, 1), ("symmetric:3", QQ, 1), ("cyclic:2", FieldTag(2), 2)])
-def test_streamed_top_image_matches_materialised(name, field, max_n, monkeypatch):
-    """Saturated over Q, exhausted at the field's own prime over F_2: both
-    stream routes give the materialised sequence node for node."""
-    a = les_for_group("lrel", preset(name), field, max_n)
-    monkeypatch.setattr(chains, "MATERIALIZE_CELLS", 0)
-    b = les_for_group("lrel", preset(name), field, max_n)
-    assert b.notes[0].startswith("top boundary streamed")
-    assert a.all_exact and _les_table(b) == _les_table(a)
-
-
 def test_exhausted_stream_over_q_is_a_construction_bug(monkeypatch):
     # H_1 of BZ/2 over Q is 0 but H_0 is not: the degree-1 stream never
     # reaches dim ker d_0, and its mod-p rank proves nothing over Q
@@ -526,17 +503,28 @@ def test_gamma_les_builds_no_degree_above_max_n_plus_1(monkeypatch):
 
 @pytest.mark.parametrize("materialize", [chains.MATERIALIZE_CELLS, 0])
 @pytest.mark.parametrize("name, field, max_n", [
-    ("cyclic:2", QQ, 2), ("cyclic:3", QQ, 2), ("cyclic:3", FieldTag(3), 2),
-    ("symmetric:3", QQ, 1), ("symmetric:3", FieldTag(2), 1), ("cyclic:2x2", FieldTag(2), 1)])
+    ("cyclic:2", QQ, 2), ("cyclic:3", QQ, 1), ("cyclic:3", QQ, 2), ("cyclic:3", FieldTag(3), 2),
+    ("symmetric:3", QQ, 1), ("symmetric:3", FieldTag(2), 1), ("cyclic:2x2", FieldTag(2), 1),
+    ("cyclic:2", FieldTag(2), 2)])
 def test_lrel_les_equals_equalizer_reference(name, field, max_n, materialize, monkeypatch):
     """The rack complex as the subcomplex, with a materialised or a streamed
     top image, gives the sequence of the first-face equalizer's own cells
-    node for node."""
+    node for node.  The stream saturates over Q; over F_2 it runs to
+    exhaustion and its image is the complete mod-2 echelon."""
     g = preset(name)
     ref = lrel_les_reference(group_cubical_nerve(g, max_n + 1), field, max_n)
     monkeypatch.setattr(chains, "MATERIALIZE_CELLS", materialize)
     res = les_for_group("lrel", g, field, max_n)
     assert res.all_exact and _les_table(res) == _les_table(ref)
+    if not materialize:
+        assert res.notes[0].startswith("top boundary streamed")
+        if field == QQ:
+            assert "saturated" in res.notes[0]
+        if field.p == 2:
+            assert "streamed to exhaustion" in res.notes[0]
+    if (name, field, max_n) == ("cyclic:3", QQ, 2):
+        assert res.dims["sub"] == [1, 2, 4]
+        assert res.dims["quotient"][2] == res.dims["sub"][1]
 
 
 @pytest.mark.parametrize("materialize", [chains.MATERIALIZE_CELLS, 0])
@@ -559,6 +547,105 @@ def test_broken_inclusion_is_a_construction_bug(materialize, monkeypatch):
     monkeypatch.setattr(chains, "MATERIALIZE_CELLS", materialize)
     with pytest.raises(chains.ConstructionBug, match="not a chain map"):
         les_for_group("lrel", g, FieldTag(2), 1)
+
+
+# -- the identities of a split short exact sequence, each broken in turn --
+#
+# T = S (+) Q with S = <a> in degree 0, Q = <b> in degree 0 and <c> in
+# degree 1, d_T c = a; degree 2 is empty.  The connecting map sends c to a.
+
+
+def _complex(dims, bounds=()):
+    labels = [["%s%d" % ("abc"[n], k) for k in range(d)] for n, d in enumerate(dims)]
+    bounds = list(bounds) + [Matrix.zeros(QQ, dims[n - 1], dims[n])
+                             for n in range(len(bounds) + 1, len(dims))]
+    return chains.ChainComplex(QQ, labels, bounds)
+
+
+def _units(rows, cols, ones):
+    """The 0/1 matrix with a 1 at (ones[j], j) for each column j in ones."""
+    return Matrix(QQ, rows, cols, [{ones[j]: 1} if j in ones else {} for j in range(cols)])
+
+
+def _split_sequence():
+    return dict(
+        S=_complex([1, 0, 0]),
+        T=_complex([2, 1, 0], [Matrix(QQ, 2, 1, [{0: 1}])]),
+        Q=_complex([1, 1, 0]),
+        incl=[_units(2, 1, {0: 0}), _units(1, 0, {}), _units(0, 0, {})],
+        proj=[_units(1, 2, {1: 0}), _units(1, 1, {0: 0}), _units(0, 0, {})],
+        section=[_units(2, 1, {0: 1}), _units(1, 1, {0: 0}), _units(0, 0, {})],
+        retract=[_units(1, 2, {0: 0}), _units(0, 1, {}), _units(0, 0, {})])
+
+
+def _assemble(parts):
+    return chains._les_assemble("test", QQ, 1, parts.pop("S"), parts.pop("T"),
+                                parts.pop("Q"), **parts)
+
+
+def test_split_sequence_is_exact_with_a_nonzero_connecting_map():
+    res = _assemble(_split_sequence())
+    assert res.all_exact
+    assert res.dims == {"sub": [1, 0], "total": [1, 0], "quotient": [1, 1]}
+    assert [n.rank_in for n in res.nodes if n.at == "H_0(sub)"] == [1]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    # proj(a) = b: proj does not kill the subcomplex
+    ("proj", _units(1, 2, {0: 0, 1: 0}), "proj o incl != 0 at degree 0"),
+    # S given a second 0-cell
+    ("S", _complex([2, 0, 0]), "dim S + dim Q != dim T at degree 0"),
+    # the retraction reads b, not a: no left inverse of incl
+    ("retract", _units(1, 2, {1: 0}), "inclusion not injective at degree 0"),
+    # the section sends b to a
+    ("section", _units(2, 1, {0: 0}), "section does not split proj at degree 0"),
+    # d_T c = a + b: every degree still splits, but proj is no chain map, so
+    # the boundary of the section of c leaves im incl
+    ("T", _complex([2, 1, 0], [Matrix(QQ, 2, 1, [{0: 1, 1: 1}])]),
+     "snake lift failed at degree 1"),
+])
+def test_each_split_identity_is_checked(key, value, message):
+    """One map broken at a time: a complex, or a map's degree-0 block."""
+    parts = _split_sequence()
+    if key in ("S", "T"):
+        parts[key] = value
+    else:
+        parts[key][0] = value
+    with pytest.raises(chains.ConstructionBug, match=re.escape(message)):
+        _assemble(parts)
+
+
+def test_subcomplex_checks_its_boundary_stays_in_the_span():
+    parts = _split_sequence()
+    sub = [_units(2, 1, {0: 0}), _units(1, 1, {0: 0}), _units(0, 0, {})]
+    retract = [_units(1, 2, {0: 0}), _units(1, 1, {0: 0}), _units(0, 0, {})]
+    labels = [["a"], ["c"], []]
+    # <a, c> is a subcomplex of T, with d c = a
+    S = chains._subcomplex(parts["T"], sub, retract, labels)
+    assert S.d(1) == Matrix(QQ, 1, 1, [{0: 1}])
+    # with d c = a + b it is not
+    T = _complex([2, 1, 0], [Matrix(QQ, 2, 1, [{0: 1, 1: 1}])])
+    with pytest.raises(chains.ConstructionBug, match="not a subcomplex at degree 1"):
+        chains._subcomplex(T, sub, retract, labels)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldTag(3)])
+def test_selection_and_restriction(field):
+    rows = np.array([4, -1, 0, 2])
+    sel = chains._selection(rows, 5, field)
+    assert sel == chains._signed_matrix([rows], [1], 5, field)
+    res = chains._restriction(np.array([4, 0, 2]), 5, field)
+    assert res @ chains._selection([4, 0, 2], 5, field) == Matrix.identity(field, 3)
+    assert chains._others([4, 0, 2], 5).tolist() == [1, 3]
+    for bad in ([5], [-2]):
+        with pytest.raises(chains.ShapeError):
+            chains._selection(np.array(bad), 5, field)
+
+
+def test_one_construction_fault_class():
+    from rackhom import cubical
+
+    assert chains.ConstructionBug is cubical.ConstructionBug
 
 
 def test_les_over_prime_fields():
@@ -593,11 +680,21 @@ def _count_analyses(monkeypatch):
     return seen
 
 
+def _les_analyses(max_n):
+    """The eliminations of a sequence through max_n: d_0 .. d_max_n of each
+    of its three complexes, and the rank of each induced map (incl and proj
+    in degrees 0 .. max_n, the connecting map in 1 .. max_n).  The sequence
+    is split by its section and retraction, so no inclusion, projection or
+    kernel basis is eliminated."""
+    return 3 * (max_n + 1) + 2 * (max_n + 1) + max_n
+
+
 def test_each_matrix_is_eliminated_once(monkeypatch):
     seen = _count_analyses(monkeypatch)
     res = les_for_group("lrel", preset("cyclic:3"), QQ, 3)
     assert res.all_exact
     assert "saturated" in res.notes[0]
+    assert sum(k for _, k in seen.values()) == _les_analyses(3)
     c = build_complex(rack_nerve(conj_rack(symmetric_group(3)), 4), QQ)
     hs = homology(c, up_to=3)
     cached = copy.deepcopy([c.analysis(n).echelon.pivots for n in range(1, 4)])
@@ -612,12 +709,13 @@ def test_each_matrix_is_eliminated_once(monkeypatch):
     assert all(id(c.d(n)) in analysed for n in range(1, 4))
     # only the image of the top boundary is needed: it is reduced untracked
     assert id(c.d(4)) not in analysed
-    # the gamma LES solves in its kernel-basis inclusions and checks them
-    # injective from the same analyses
+    # the gamma LES writes its kernel down: neither proj nor the kernel's
+    # inclusion is eliminated
     seen.clear()
-    assert les_for_group("gamma", preset("cyclic:2"), QQ, 1).all_exact
+    assert les_for_group("gamma", preset("cyclic:2"), QQ, 2).all_exact
     twice = [(m, k) for m, k in seen.values() if k > 1]
     assert not twice, twice
+    assert sum(k for _, k in seen.values()) == _les_analyses(2)
 
 
 # -- the blocked certificate tracker against a plain Echelon, one column at a
