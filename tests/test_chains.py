@@ -483,6 +483,42 @@ def test_exhausted_stream_over_q_is_a_construction_bug(monkeypatch):
         les_for_group("lrel", preset("cyclic:2"), QQ, 0)
 
 
+@pytest.mark.parametrize("name, field, materialize", [
+    # saturates over F_5 with the mod-5 tracker
+    ("dihedral:4", FieldTag(5), chains.MATERIALIZE_CELLS),
+    # over Q for an odd group order the tracker is _F2Rank
+    ("cyclic:3", QQ, 0)])
+def test_streamed_d_squared_check_catches_a_corrupted_face(name, field, materialize,
+                                                           monkeypatch):
+    """One face of the first live streamed cell is swapped for a degenerate
+    cell, so that cell's boundary column loses a face whose own boundary is
+    nonzero: d^2 != 0 on that cell, and the stream must say so."""
+    g = preset(name)
+    top = 2
+    T = build_complex(group_cubical_nerve(g, top), field)
+    degenerate_cell = int(np.flatnonzero(T.basis_rows(top, np.arange(g.order ** 3)) < 0)[0])
+    orig = chains._stream_block
+    corrupted = []
+
+    def corrupt(arith, order, top_degree, ks):
+        faces, degenerate = orig(arith, order, top_degree, ks)
+        if not corrupted:
+            i = int(np.flatnonzero(~degenerate)[0])
+            for k, nums in enumerate(faces):
+                row = int(T.basis_rows(top, nums[i:i + 1])[0])
+                if row >= 0 and T.d(top).cols_data[row]:
+                    nums[i] = degenerate_cell
+                    corrupted.append((i, k))
+                    break
+        return faces, degenerate
+
+    monkeypatch.setattr(chains, "_stream_block", corrupt)
+    monkeypatch.setattr(chains, "MATERIALIZE_CELLS", materialize)
+    with pytest.raises(chains.ConstructionBug, match="d\\^2 != 0 on a streamed degree-3 cell"):
+        les_for_group("lrel", g, field, top)
+    assert corrupted
+
+
 def test_les_gamma_z2():
     res = les_for_group("gamma", preset("cyclic:2"), QQ, 2)
     assert res.all_exact

@@ -77,6 +77,17 @@ def test_budget_exceeded_exit_3(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_stream_budget_stop_counts_whole_tracker_batches():
+    """The stream reads whole tracker batches of live cells, across block
+    boundaries, and reports the cells read up to the last one it handed the
+    tracker: 5027, not the 5000 of the budget nor the end of a block."""
+    proc = run_cli("les", "--kind", "lrel", "--preset", "cyclic:3", "--field", "f3",
+                   "--max-degree", "3", "--budget", "5000")
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: top boundary stream read 5027 of 14348907 degree-4 cells"
+                           " without saturating (cell budget 5000)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("nerve", "export", "--preset", "conj:cyclic:2"),
     ("nerve", "export", "--preset", "cyclic:2"),
