@@ -26,7 +26,7 @@ from rackhom.chains import (
 )
 from rackhom.cubical import TruncationTooLow, standard_model
 from rackhom.exactfield import QQ, Echelon, FieldTag, Matrix
-from rackhom.nerves import bar_nerve, group_cubical_nerve, rack_nerve
+from rackhom.nerves import GroupArith, bar_nerve, group_cubical_nerve, rack_nerve
 from rackhom.racks import conj_rack, preset, symmetric_group
 
 from cellref import lnerve_inclusion_labels, lrel_les_reference, rack_conjugation_reference
@@ -780,13 +780,41 @@ def _oracle_ranks(cols, dim, p):
     return ranks
 
 
+def _block(cols, dim):
+    """The int64 block whose row j holds the sparse column cols[j]."""
+    block = np.zeros((len(cols), dim), dtype=np.int64)
+    for j, col in enumerate(cols):
+        block[j, list(col)] = list(col.values())
+    return block
+
+
+def _batch(cols):
+    """The trackers' input for the sparse integer columns cols: face rows
+    and signs +-1, the first half of the terms positive and the second
+    negative, with each entry v at row r as |v| terms at r on its side and
+    -1 for an unused term."""
+    half = max([sum(abs(v) for v in col.values()) for col in cols] + [1])
+    faces = np.full((len(cols), 2 * half), -1, dtype=np.int64)
+    for j, col in enumerate(cols):
+        pos = [r for r, v in col.items() for _ in range(v)]
+        neg = [r for r, v in col.items() for _ in range(-v)]
+        faces[j, :len(pos)] = pos
+        faces[j, half:half + len(neg)] = neg
+    return faces, np.array([1] * half + [-1] * half)
+
+
+def test_batch_helper_spells_the_columns():
+    cols = [{0: 3, 2: -2}, {}, {1: -6, 3: 1, 4: 6}]
+    assert (chains._boundary_block(*_batch(cols), 5) == _block(cols, 5)).all()
+
+
 def _feed(tracker, cols, batch, bound):
     """Feed cols in batches until the rank reaches bound; returns the
     columns consumed and the rank after each batch."""
     used, ranks = 0, []
     while used < len(cols) and tracker.rank < bound:
         chunk = cols[used:used + batch]
-        used += tracker.add(chunk, bound)
+        used += tracker.add(*_batch(chunk), bound)
         ranks.append((used, tracker.rank))
     return used, ranks
 
@@ -833,6 +861,22 @@ def test_blocked_tracker_matches_echelon(batch, stream, p, data):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(column_streams(), st.data())
+@pytest.mark.parametrize("batch", [1, TRACKER_BATCH])
+def test_f2_tracker_matches_echelon(batch, stream, data):
+    dim, cols = stream
+    oracle = _oracle_ranks(cols, dim, 2)
+    tracker = _F2Rank(dim)
+    used, ranks = _feed(tracker, cols, batch, dim + 1)
+    assert used == len(cols)
+    assert all(rank == oracle[k] for k, rank in ranks)
+    if oracle[-1]:
+        bound = data.draw(st.integers(1, oracle[-1]))
+        used, _ = _feed(_F2Rank(dim), cols, batch, bound)
+        assert used == oracle.index(bound)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(column_streams(), st.sampled_from([1, 2, 3, 4, 6, 8, 15, 30, 210]))
 def test_q_tracker_rank_never_exceeds_rational_rank(stream, group_order):
     """Soundness of the Q certificate: the mod-p rank the tracker reports
@@ -846,11 +890,103 @@ def test_q_tracker_rank_never_exceeds_rational_rank(stream, group_order):
         assert isinstance(tracker, _ModRank) and group_order % tracker.p
     exact = _oracle_ranks(cols, dim, 0)
     for k, col in enumerate(cols, 1):
-        tracker.add([col], dim + 1)
+        tracker.add(*_batch([col]), dim + 1)
         assert tracker.rank <= exact[k]
     batched = _certificate_tracker(dim, QQ, group_order)
     _feed(batched, cols, TRACKER_BATCH, dim + 1)
     assert batched.rank == tracker.rank <= exact[-1]
+
+
+@pytest.mark.parametrize("name, field", [
+    ("cyclic:3", QQ), ("symmetric:3", FieldTag(5)), ("cyclic:2x2", FieldTag(2))])
+def test_stream_batch_arrays_match_the_column_loop(name, field):
+    """The stream's batch block and its d^2 check against the per-cell loop
+    they replace, _signed_column and then d_N.apply, on the genuine faces of
+    streamed degree-3 cells and on the same faces with some rows replaced
+    at random."""
+    g = preset(name)
+    T = build_complex(group_cubical_nerve(g, 2), field)
+    dN = T.d(2)
+    signs = np.array([(-1) ** sum(key) for key in chains._boundary_keys(3, True)])
+    M = g.order ** 7
+    faces, degenerate = chains._stream_block(GroupArith(g), g.order, 3,
+                                             [j * 7919 % M for j in range(600)])
+    rows = np.stack([T.basis_rows(2, nums)[~degenerate] for nums in faces], axis=1)
+    broken = rows.copy()
+    hit = np.random.default_rng(0).random(broken.shape) < 0.05
+    broken[hit] = np.random.default_rng(1).integers(-1, T.dim(2), size=hit.sum())
+    seen = set()
+    for cells in (rows, broken):
+        for lo in range(0, len(cells), TRACKER_BATCH):
+            batch = cells[lo:lo + TRACKER_BATCH]
+            cols = [chains._signed_column(r, signs.tolist()) for r in batch.tolist()]
+            assert (chains._boundary_block(batch, signs, T.dim(2)) == _block(cols, T.dim(2))).all()
+            vanishes = all(not dN.apply(field.vector(col)) for col in cols)
+            assert chains._d_squared_vanishes(T, 2, batch, signs) == vanishes
+            seen.add((cells is rows, vanishes))
+    assert (True, True) in seen and (False, False) in seen
+
+
+def _homology_by_search(cx, up_to, top_image=None):
+    """homology() with its representative search run at every degree, the
+    H_n = 0 shortcut left out: the reference the shortcut must match."""
+    dims, reps, echs = [], [], []
+    for n in range(up_to + 1):
+        if n < up_to:
+            ech = cx.analysis(n + 1).echelon.untracked_copy()
+        elif top_image is not None:
+            ech = top_image.untracked_copy()
+        else:
+            ech = Echelon(cx.field, cx.dim(n))
+            for col in cx.d(n + 1).cols_data:
+                ech.add(col)
+        myreps = []
+        for col in cx.analysis(n).kernel_basis.cols_data:
+            if ech.add(col, tag=("r", len(myreps))):
+                myreps.append(dict(col))
+        dims.append(len(myreps))
+        reps.append(myreps)
+        echs.append(ech)
+    return chains.HomologySummary(cx, up_to, dims, reps, echs)
+
+
+def _acceptance_complexes():
+    """(complex, up_to, top image) from the acceptance criteria: the L^n
+    and cube models, rack and bar nerves, and the total complex of the
+    L-relative sequence with its streamed top image."""
+    g = preset("cyclic:3")
+    T = build_complex(group_cubical_nerve(g, 2), QQ)
+    image, _, _ = chains.stream_group_top_image(g, 3, T, QQ, 10 ** 6)
+    return [
+        (build_complex(standard_model("lcube", 2, truncation=4), QQ), 3, None),
+        (build_complex(standard_model("cube", 2, truncation=3), QQ), 2, None),
+        (build_complex(rack_nerve(conj_rack(preset("cyclic:3")), 5), FieldTag(3)), 4, None),
+        (build_complex(rack_nerve(conj_rack(symmetric_group(3)), 4), QQ), 3, None),
+        (build_complex(bar_nerve(preset("cyclic:2"), 4), QQ), 3, None),
+        (T, 2, image),
+    ]
+
+
+def test_homology_shortcut_at_vanishing_degrees_matches_the_search():
+    shortcuts = 0
+    for cx, up_to, top_image in _acceptance_complexes():
+        hs = homology(cx, up_to, top_image=top_image)
+        ref = _homology_by_search(cx, up_to, top_image)
+        assert hs.dims == ref.dims and hs.reps == ref.reps
+        for n in range(up_to + 1):
+            assert hs.projection(n) == ref.projection(n)
+            shortcuts += hs.dims[n] == 0 < cx.dim(n) - cx.analysis(n).rank
+    assert shortcuts >= 5
+
+
+def test_top_image_of_rank_above_dim_ker_is_a_construction_bug():
+    c = build_complex(rack_nerve(conj_rack(symmetric_group(3)), 2), QQ)
+    everything = Echelon(QQ, c.dim(2))
+    for i in range(c.dim(2)):
+        everything.add({i: 1})
+    assert c.dim(2) - c.analysis(2).rank < everything.rank
+    with pytest.raises(chains.ConstructionBug, match="image above dim ker d_2"):
+        homology(c, up_to=2, top_image=everything)
 
 
 def test_stream_note_is_independent_of_batch_size(monkeypatch):
