@@ -873,38 +873,35 @@ class _ModRank:
         if k:
             self._subtract_product(R, self._entries(block, self.pivots), self.rows)
             R %= p
-        # the new rows collect in R[:m], each reduced against the earlier
-        # ones, with pivots `new` (positions in free); on those pivots they
-        # form a unit upper triangular matrix, whose inverse mod p is Uinv
-        new = np.zeros(n, dtype=np.intp)
-        Uinv = np.zeros((n, n), dtype=np.int64)
-        m = 0
+        # Gauss-Jordan on the batch in stream order: row i, reduced mod p,
+        # is zero when the rows before it span it; otherwise it is scaled to
+        # a unit at its first nonzero entry, its pivot, and cleared from
+        # every other row.  Entries are reduced lazily: a clearing moves one
+        # by less than (p-1)^2, at most dim times, so they stay below
+        # dim * p^2 in size
+        new, at = [], []
         used = n
         for i in range(n):
-            v = R[i]
-            if m:
-                c = v[new[:m]] @ Uinv[:m, :m] % p
-                v = (v - c @ R[:m]) % p
+            v = R[i] % p
             nz = v.nonzero()[0]
             if not len(nz):
                 continue
             piv = nz[0]
             if v[piv] != 1:
                 v = v * pow(int(v[piv]), p - 2, p) % p
-            if m:
-                Uinv[:m, m] = -(Uinv[:m, :m] @ R[:m, piv]) % p
-            Uinv[m, m] = 1
-            R[m] = v
-            new[m] = piv
-            m += 1
-            if k + m == bound:
+            col = R[:, piv] % p
+            col[i] = 0
+            R -= np.multiply.outer(col, v)
+            R[i] = v
+            new.append(piv)
+            at.append(i)
+            if k + len(new) == bound:
                 used = i + 1
                 break
+        m = len(new)
         if not m:
             return used
-        new = new[:m]
-        # fully reduced: the identity on new
-        R = Uinv[:m, :m] @ R[:m] % p
+        R = R[at] % p  # fully reduced: the identity on new
         if k:
             self._subtract_product(self.rows, self.rows[:, new], R)
         # the rows without the new pivot columns, in one new array: the old
@@ -992,9 +989,7 @@ def _boundary_block(faces, signs, dim: int):
     degenerate and dropped, and signs[k] its sign.  The block is a view
     that leaves out one last column, where the dropped faces land."""
     block = np.zeros((len(faces), dim + 1), dtype=np.int64)
-    cells = np.arange(len(faces))
-    for k, sign in enumerate(signs.tolist()):
-        block[cells, faces[:, k]] += sign
+    np.add.at(block, (np.arange(len(faces))[:, None], faces), signs)
     return block[:, :dim]
 
 
