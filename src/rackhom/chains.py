@@ -1,6 +1,6 @@
 """Chain complexes of cubical/simplicial sets, homology with exact
-projections, graded maps, the normalization section, the comparison map from
-rack chains to bar chains, and the two long exact sequences.
+projections, graded maps, the comparison map from rack chains to bar chains,
+and the two long exact sequences.
 
 Boundary conventions (fixed once, used everywhere):
 
@@ -54,8 +54,13 @@ top image is its projection.  The stream hands its rank tracker batches
 of face rows, which the mod-p tracker scatters into one int64 block, and
 checks d^2 = 0 on each batch with one gathered product.  A saturated stream's image is
 ker d itself: the rack complex's top boundary is checked against the image
-only when the stream is exhausted, and homology searches no
-representatives at a degree whose image has the rank of the kernel.
+only when the stream is exhausted.  homology stops its representative
+search once the image and the representatives reach the rank of ker d_n,
+and does not start it at H_n = 0.  Over Q the top image of a rack complex
+is reduced only at the columns that raise the rank of a mod-q probe, run
+until it reaches the cap the orbit-indicator cocycles of Etingof and Grana
+give (JPAA 177, 2003; the nerve records the orbits, and orbitcap checks
+the cocycles on its face tables); see homology for the argument.
 """
 
 from __future__ import annotations
@@ -71,9 +76,10 @@ import numpy as np
 from .cubical import (ConstructionBug, CubSet, Labels, Picked, TruncationTooLow,
                       gamma_functor_with_projection)
 from .exactfield import (ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, ShapeError,
-                         column_space_analysis)
+                         column_space_analysis, least_prime_not_dividing)
 from .nerves import (BLOCK, BudgetExceeded, GroupArith, bar_nerve, cell_digits, cell_numbers,
                      group_cubical_nerve, lnerve_inclusion, rack_nerve)
+from .orbitcap import capped_pivots
 from .racks import FiniteGroup, PointedRack, conj_rack
 from .shuffles import Permutation
 
@@ -424,11 +430,12 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     Kernels and images come from the cached analyses of d_1 .. d_up_to;
     d_{up_to+1} is reduced untracked, since only its image is needed.
 
-    A degree whose boundary image has the rank of ker d_n has H_n = 0, and
-    its representatives are not searched for: the image lies in ker d_n, so
-    equal ranks make the two equal and every kernel column would reduce to
-    zero, and the summary keeps the image's own echelon, which
-    project_vec never reads at a degree with H_n = 0.  The image lies in
+    The representative search stops once dim ker d_n - rank(image)
+    representatives are found: the image lies in ker d_n, so the image and
+    the representatives then span ker d_n, and every later kernel column
+    would reduce to zero without changing the echelon.  At a degree with
+    H_n = 0 it does not start, and the summary keeps the image's own
+    echelon, which project_vec never reads there.  The image lies in
     the kernel for every echelon the search would receive.  An analysis of d_{n+1}, or the top boundary reduced here,
     spans im d_{n+1}, and d_n d_{n+1} = 0 is checked when a ChainComplex
     is built (a tensor square's holds by the Koszul sign, and a homology
@@ -440,7 +447,34 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     chain map (d_Q proj = proj d_T, as the subcomplex's inclusion is a
     certified chain map), so it lands in ker d_n of the quotient.  An
     image of rank above dim ker d_n breaks this and raises
-    ConstructionBug."""
+    ConstructionBug.
+
+    Over Q, the top boundary of a rack complex is reduced only at the
+    columns orbitcap.capped_pivots returns, when it returns them.
+    Soundness: the indicator cochain phi_w of each orbit word w
+    (phi_w(c) = 1 when the entries of the cell c lie in the orbits
+    w_1 .. w_n, else 0) kills every column of d_{n+1}, because the faces
+    d_{i,1} c and d_{i,0} c of each cell c carry opposite signs and, as is
+    checked on the face tables (ConstructionBug if not), have one orbit
+    word or are both dropped.  So each phi_w is a cocycle, and a cocycle
+    vanishes on im d_{n+1}.  The pairing P[w, j] = phi_w(k_j) with a basis
+    k_j of ker d_n, each k_j scaled to integers, then kills every
+    combination of the k_j that is a boundary: rank_Q(P) <= dim H_n, and
+    rank_q(P) <= rank_Q(P) for the entries read mod a prime q.  So
+    cap = dim ker d_n - rank_q(P) >= rank d_{n+1}, q the least prime that
+    does not divide |X|.  The columns that raise the rank of a mod-q
+    echelon are independent mod q, hence over Q (a nonzero minor mod q is
+    a nonzero integer); cap of them are independent columns of d_{n+1}, so
+    rank d_{n+1} >= cap, the two are equal, and those columns span the
+    image.  The report reads only the
+    span of the image (the representatives, and project_vec's
+    coordinates, depend on nothing else).  The probe runs in natural
+    order, so its columns are the greedy pivot columns mod q; the
+    rational greedy pivots come no later one by one, and equal them on
+    every rack top the tests compare.  When the probe ends below the cap
+    (q-torsion in H_n, or a cap that is not tight), every column of
+    d_{n+1} is reduced, as over F_p, for a supplied top image and for
+    every other complex."""
     if up_to is None:
         up_to = cx.max_degree - 1
     if up_to < 0:
@@ -458,19 +492,24 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
         elif top_image is not None:
             ech = top_image
         else:
+            cols = cx.d(n + 1).cols_data
+            picks = capped_pivots(cx, n)
             ech = Echelon(f, cx.dim(n))
-            for col in cx.d(n + 1).cols_data:
+            for col in cols if picks is None else (cols[j] for j in picks):
                 ech.add(col)
         kernel = cx.analysis(n).kernel_basis
-        if ech.rank > kernel.cols:
+        missing = kernel.cols - ech.rank
+        if missing < 0:
             raise ConstructionBug("boundary image above dim ker d_%d" % n)
         myreps = []
-        if ech.rank < kernel.cols:
+        if missing:
             if n < up_to or top_image is not None:
                 ech = ech.untracked_copy()  # not to write into a shared echelon
             for col in kernel.cols_data:
                 if ech.add(col, tag=("r", len(myreps))):
                     myreps.append(dict(col))
+                    if len(myreps) == missing:
+                        break
         dims.append(len(myreps))
         reps.append(myreps)
         echs.append(ech)
@@ -485,37 +524,6 @@ def homology_complex(hs: HomologySummary) -> ChainComplex:
               for n in range(hs.up_to + 1)]
     bounds = [Matrix.zeros(f, hs.dims[n - 1], hs.dims[n]) for n in range(1, hs.up_to + 1)]
     return ChainComplex(f, labels, bounds, check=False)
-
-
-# -- normalization section ----------------------------------------------------
-
-
-def eta_section(x: CubSet, field: FieldTag, up_to=None) -> GradedMap:
-    """Section of the normalization quotient: on a degree-n cell apply
-    (id - s_1 d_{1,0}) ... (id - s_n d_{n,0}) rightmost factor first, inside
-    the unnormalized complex.  Kills degenerate cells; quotient o section
-    is the identity on normalized chains (both are asserted by tests)."""
-    if up_to is None:
-        up_to = x.max_degree
-    norm = build_complex(x, field, "normalized")
-    unnorm = build_complex(x, field, "unnormalized")
-    f = field
-    mats = {}
-    for n in range(up_to + 1):
-        cols = []
-        for k in range(norm.dim(n)):
-            vec = {int(norm.cell_of_pos[n][k]): 1}
-            for i in range(n, 0, -1):
-                out = dict(vec)
-                for c, v in vec.items():
-                    t = x.degen(n, i, x.face(n, i, 0, c))
-                    out[t] = out.get(t, 0) - v
-                vec = out
-            cols.append(f.vector(vec))
-        mats[n] = Matrix(f, unnorm.dim(n), norm.dim(n), cols)
-    gm = GradedMap(norm, unnorm, mats, desc="eta")
-    gm.unnormalized = unnorm
-    return gm
 
 
 # -- the comparison map S -----------------------------------------------------
@@ -965,9 +973,7 @@ def _certificate_tracker(dim: int, field: FieldTag, group_order: int):
     no rank is lost to torsion and saturation can actually occur."""
     if field.p:
         return _ModRank(dim, p=field.p)
-    p = 2
-    while group_order % p == 0:
-        p = {2: 3, 3: 5, 5: 7, 7: 11}.get(p, p + 2)
+    p = least_prime_not_dividing(group_order)
     if p == 2:
         return _F2Rank(dim)
     return _ModRank(dim, p=p)

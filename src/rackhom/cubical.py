@@ -152,14 +152,17 @@ class CellTables:
 
 
 class CubSet(CellTables):
-    __slots__ = ("is_lset",)
+    __slots__ = ("is_lset", "orbits")
 
-    def __init__(self, max_degree, labels, face, degen, is_lset=False):
+    def __init__(self, max_degree, labels, face, degen, is_lset=False, orbits=None):
         """labels: one sequence of cell labels per degree; face[(n,i,eps)]
         and degen[(n,i)] are integer sequences of target cells, stored as
-        int32 arrays (degen maps degree n-1 into degree n)."""
+        int32 arrays (degen maps degree n-1 into degree n).  orbits is set
+        on a rack nerve only: for each element, the entries of its cells,
+        the least element of its Inn(X)-orbit."""
         super().__init__(max_degree, labels, face, degen)
         self.is_lset = is_lset
+        self.orbits = orbits
 
     # -- structure maps --------------------------------------------------
 
@@ -171,7 +174,7 @@ class CubSet(CellTables):
         return CubSet(n, self.labels[:n + 1],
                       {k: t for k, t in self._face.items() if k[0] <= n},
                       {k: t for k, t in self._degen.items() if k[0] <= n},
-                      is_lset=self.is_lset)
+                      is_lset=self.is_lset, orbits=self.orbits)
 
     # -- validation --------------------------------------------------------
 
@@ -292,33 +295,6 @@ def precompose_sigma(f, i: int):
             out.append(("v", e[1] + 1))
         else:
             out.append(e)
-    return tuple(out)
-
-
-def morphism_normal_form(f, m: int):
-    """Canonical surjection-then-injection factorization of a cube-category
-    morphism: strictly increasing sigma indices (the unused inputs, deleted
-    largest-first so no reindexing occurs) followed by strictly increasing
-    delta insertions (i, eps) at the constant output positions."""
-    deltas = tuple((pos + 1, e[1]) for pos, e in enumerate(f) if e[0] == "c")
-    used = {e[1] for e in f if e[0] == "v"}
-    sigmas = tuple(sorted(set(range(1, m + 1)) - used))
-    return sigmas, deltas
-
-
-def morphism_from_normal_form(sigmas, deltas, m: int, n: int):
-    """Rebuild the output-tuple form; inverse of morphism_normal_form."""
-    used = [j for j in range(1, m + 1) if j not in set(sigmas)]
-    consts = dict()
-    for i, eps in deltas:
-        consts[i] = eps
-    out = []
-    it = iter(used)
-    for pos in range(1, n + 1):
-        if pos in consts:
-            out.append(("c", consts[pos]))
-        else:
-            out.append(("v", next(it)))
     return tuple(out)
 
 
@@ -519,80 +495,6 @@ def verify_cubset_map(x: CubSet, y: CubSet, maps, up_to=None) -> bool:
                 any((m[n][sx[i]] != sy[i][m[n - 1]]).any() for i in sx):
             return False
     return True
-
-
-def find_isomorphism(x: CubSet, y: CubSet, up_to=None):
-    """Backtracking search for a cubical isomorphism x -> y through degree
-    up_to; returns the degreewise maps or None.  Intended for small objects;
-    candidates are pruned by commuting with the already-fixed lower degrees.
-    """
-    N = min(x.max_degree, y.max_degree) if up_to is None else up_to
-    for n in range(N + 1):
-        if x.n_cells(n) != y.n_cells(n):
-            return None
-    maps = [None] * (N + 1)
-
-    def extend(n):
-        if n > N:
-            return True
-        kx, ky = x.n_cells(n), y.n_cells(n)
-        cands = []
-        for c in range(kx):
-            ok = []
-            for d in range(ky):
-                good = True
-                if n >= 1:
-                    for i in range(1, n + 1):
-                        for eps in (0, 1):
-                            if maps[n - 1][x.face(n, i, eps, c)] != y.face(n, i, eps, d):
-                                good = False
-                                break
-                        if not good:
-                            break
-                if good:
-                    ok.append(d)
-            cands.append(ok)
-
-        assign = [None] * kx
-        # degeneracy images are forced by the lower-degree map
-        if n >= 1:
-            for i in range(1, n + 1):
-                for c in range(x.n_cells(n - 1)):
-                    src = x.degen(n, i, c)
-                    tgt = y.degen(n, i, maps[n - 1][c])
-                    if assign[src] is not None and assign[src] != tgt:
-                        return False
-                    if tgt not in cands[src]:
-                        return False
-                    assign[src] = tgt
-        used = set(a for a in assign if a is not None)
-        if len(used) != sum(1 for a in assign if a is not None):
-            return False
-        free = [c for c in range(kx) if assign[c] is None]
-        free.sort(key=lambda c: len(cands[c]))
-
-        def place(t):
-            if t == len(free):
-                return extend(n + 1)
-            c = free[t]
-            for d in cands[c]:
-                if d in used:
-                    continue
-                assign[c] = d
-                used.add(d)
-                maps[n] = assign
-                if place(t + 1):
-                    return True
-                used.discard(d)
-                assign[c] = None
-            return False
-
-        maps[n] = assign
-        return place(0)
-
-    if extend(0):
-        return maps
-    return None
 
 
 def cubset_to_json(x: CubSet) -> str:

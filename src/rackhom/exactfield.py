@@ -55,6 +55,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def least_prime_not_dividing(m: int) -> int:
+    """The least prime that does not divide m."""
+    p = 2
+    while m % p == 0 or not _is_prime(p):
+        p += 1
+    return p
+
+
 # -- the operations of Q on canonical values (int, or Fraction off Z) ---------
 
 

@@ -27,7 +27,9 @@ chains runs the same GroupArith on blocks of its cells.
 Every face and degeneracy table is one int32 array, filled BLOCK cells at
 a time (_tables); a degree must have fewer than 2^31 cells.  Every nerve is
 validated as it is built (validate_cubical or validate_simplicial, whole
-tables at a time).
+tables at a time).  A rack nerve also records the Inn(X)-orbit of each
+element (CubSet.orbits), whose orbit-word cocycles cap the rank of its
+top boundary over Q in chains.homology.
 
 A cell is its number; labels are for reports only, and none is stored: the
 degree-n labels are a Words view that decodes label k from the base-|X|
@@ -262,14 +264,33 @@ def bar_nerve(g: FiniteGroup, max_degree: int, budget: int = 2_000_000) -> Simpl
     return x
 
 
+def _inn_orbits(op):
+    """The Inn(X)-orbit of each element of a rack with table op, named by
+    its least element: every right translation is a bijection, so an orbit
+    is a component of the graph b -> b <| c, and the least element not yet
+    named names the elements it reaches."""
+    least = [None] * len(op)
+    for a in range(len(op)):
+        if least[a] is None:
+            least[a], todo = a, [a]
+            while todo:
+                for c in op[todo.pop()]:
+                    if least[c] is None:
+                        least[c] = a
+                        todo.append(c)
+    return np.array(least)
+
+
 def rack_nerve(x: PointedRack, max_degree: int, budget: int = 2_000_000) -> CubSet:
     """Nerve of a pointed rack: degree-n cells are n-tuples; the eps=1 face
     at i acts on the earlier entries by <| x_i and drops entry i, the eps=0
-    face just drops it; degeneracies insert the neutral element."""
+    face just drops it; degeneracies insert the neutral element.  The nerve
+    records the Inn(X)-orbit of each element (_inn_orbits)."""
     labels, face, degen = _build("rack", x.elements, max_degree, budget, lambda n: n,
                                  _cube_faces, partial(_rack_face, np.array(x.op)),
                                  partial(_insert, x.basepoint))
-    return CubSet(max_degree, labels, face, degen, is_lset=True).validate()
+    return CubSet(max_degree, labels, face, degen, is_lset=True,
+                  orbits=_inn_orbits(x.op)).validate()
 
 
 def group_cubical_nerve(g: FiniteGroup, max_degree: int,

@@ -17,6 +17,11 @@ coalgebra.check_laws did before its identity generators.
 `lrel_les_reference` builds the L-relative long exact sequence with the
 first-face equalizer's own cells as the subcomplex, d_S = retract d_T incl,
 as chains did before the rack complex became the subcomplex.
+`morphism_normal_form`, `find_isomorphism` and `eta_section` have no
+caller in the package: the surjection-then-injection factorization of a
+cube-category morphism, a backtracking search for a cubical isomorphism
+between small cubical sets, and the section of the normalization quotient
+of a cubical set's chains.
 """
 
 from functools import partial
@@ -25,7 +30,8 @@ from math import gcd
 
 import numpy as np
 
-from rackhom.chains import _les_assemble, _quotient, _selection, _subcomplex, build_complex
+from rackhom.chains import (GradedMap, _les_assemble, _quotient, _selection, _subcomplex,
+                            build_complex)
 from rackhom.cubical import Picked, QuotientIllDefined, TruncationTooLow, l_functor_with_inclusion
 from rackhom.exactfield import Echelon, Matrix
 from rackhom.nerves import (BLOCK, GroupArith, _bar_face, _cube_faces, _insert, _rack_face,
@@ -723,3 +729,132 @@ def lrel_les_reference(x, field, max_n):
     S = _subcomplex(T, incl, retract, [Picked(T.labels[n], rows)
                                        for n, rows in enumerate(sub)])
     return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section, retract)
+
+
+def morphism_normal_form(f, m: int):
+    """Canonical surjection-then-injection factorization of a cube-category
+    morphism: strictly increasing sigma indices (the unused inputs, deleted
+    largest-first so no reindexing occurs) followed by strictly increasing
+    delta insertions (i, eps) at the constant output positions."""
+    deltas = tuple((pos + 1, e[1]) for pos, e in enumerate(f) if e[0] == "c")
+    used = {e[1] for e in f if e[0] == "v"}
+    sigmas = tuple(sorted(set(range(1, m + 1)) - used))
+    return sigmas, deltas
+
+
+def morphism_from_normal_form(sigmas, deltas, m: int, n: int):
+    """Rebuild the output-tuple form; inverse of morphism_normal_form."""
+    used = [j for j in range(1, m + 1) if j not in set(sigmas)]
+    consts = dict()
+    for i, eps in deltas:
+        consts[i] = eps
+    out = []
+    it = iter(used)
+    for pos in range(1, n + 1):
+        if pos in consts:
+            out.append(("c", consts[pos]))
+        else:
+            out.append(("v", next(it)))
+    return tuple(out)
+
+
+def find_isomorphism(x, y, up_to=None):
+    """Backtracking search for a cubical isomorphism x -> y through degree
+    up_to; returns the degreewise maps or None.  Intended for small objects;
+    candidates are pruned by commuting with the already-fixed lower degrees.
+    """
+    N = min(x.max_degree, y.max_degree) if up_to is None else up_to
+    for n in range(N + 1):
+        if x.n_cells(n) != y.n_cells(n):
+            return None
+    maps = [None] * (N + 1)
+
+    def extend(n):
+        if n > N:
+            return True
+        kx, ky = x.n_cells(n), y.n_cells(n)
+        cands = []
+        for c in range(kx):
+            ok = []
+            for d in range(ky):
+                good = True
+                if n >= 1:
+                    for i in range(1, n + 1):
+                        for eps in (0, 1):
+                            if maps[n - 1][x.face(n, i, eps, c)] != y.face(n, i, eps, d):
+                                good = False
+                                break
+                        if not good:
+                            break
+                if good:
+                    ok.append(d)
+            cands.append(ok)
+
+        assign = [None] * kx
+        # degeneracy images are forced by the lower-degree map
+        if n >= 1:
+            for i in range(1, n + 1):
+                for c in range(x.n_cells(n - 1)):
+                    src = x.degen(n, i, c)
+                    tgt = y.degen(n, i, maps[n - 1][c])
+                    if assign[src] is not None and assign[src] != tgt:
+                        return False
+                    if tgt not in cands[src]:
+                        return False
+                    assign[src] = tgt
+        used = set(a for a in assign if a is not None)
+        if len(used) != sum(1 for a in assign if a is not None):
+            return False
+        free = [c for c in range(kx) if assign[c] is None]
+        free.sort(key=lambda c: len(cands[c]))
+
+        def place(t):
+            if t == len(free):
+                return extend(n + 1)
+            c = free[t]
+            for d in cands[c]:
+                if d in used:
+                    continue
+                assign[c] = d
+                used.add(d)
+                maps[n] = assign
+                if place(t + 1):
+                    return True
+                used.discard(d)
+                assign[c] = None
+            return False
+
+        maps[n] = assign
+        return place(0)
+
+    if extend(0):
+        return maps
+    return None
+
+
+def eta_section(x, field, up_to=None):
+    """Section of the normalization quotient: on a degree-n cell apply
+    (id - s_1 d_{1,0}) ... (id - s_n d_{n,0}) rightmost factor first, inside
+    the unnormalized complex.  Kills degenerate cells; quotient o section
+    is the identity on normalized chains (both are asserted by tests)."""
+    if up_to is None:
+        up_to = x.max_degree
+    norm = build_complex(x, field, "normalized")
+    unnorm = build_complex(x, field, "unnormalized")
+    f = field
+    mats = {}
+    for n in range(up_to + 1):
+        cols = []
+        for k in range(norm.dim(n)):
+            vec = {int(norm.cell_of_pos[n][k]): 1}
+            for i in range(n, 0, -1):
+                out = dict(vec)
+                for c, v in vec.items():
+                    t = x.degen(n, i, x.face(n, i, 0, c))
+                    out[t] = out.get(t, 0) - v
+                vec = out
+            cols.append(f.vector(vec))
+        mats[n] = Matrix(f, unnorm.dim(n), norm.dim(n), cols)
+    gm = GradedMap(norm, unnorm, mats, desc="eta")
+    gm.unnormalized = unnorm
+    return gm

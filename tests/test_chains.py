@@ -1,5 +1,6 @@
 import copy
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackhom import chains
+from rackhom import chains, orbitcap
 from rackhom.chains import (
     TRACKER_BATCH,
     _certificate_tracker,
     _F2Rank,
     _ModRank,
     build_complex,
-    eta_section,
     homology,
     identity_map,
     les_for_group,
@@ -29,7 +29,8 @@ from rackhom.exactfield import QQ, Echelon, FieldTag, Matrix
 from rackhom.nerves import GroupArith, bar_nerve, group_cubical_nerve, rack_nerve
 from rackhom.racks import conj_rack, preset, symmetric_group
 
-from cellref import lnerve_inclusion_labels, lrel_les_reference, rack_conjugation_reference
+from cellref import (eta_section, lnerve_inclusion_labels, lrel_les_reference,
+                     rack_conjugation_reference)
 
 
 def test_rack_z2_complex_trivial_boundary():
@@ -348,6 +349,11 @@ def test_rack_conjugation_data_matches_per_cell_reference(name, depth):
 
 
 def rack_orbits(r):
+    """The number of orbits of X under x -> x <| y."""
+    return len(rack_orbit_sets(r))
+
+
+def rack_orbit_sets(r):
     """Orbits of X under x -> x <| y (conjugacy classes for conj:G)."""
     orbits = []
     for x in range(r.order):
@@ -360,7 +366,7 @@ def rack_orbits(r):
                         orbit.add(r.op[z][y])
                         todo.append(r.op[z][y])
             orbits.append(orbit)
-    return len(orbits)
+    return orbits
 
 
 # every rack preset family, with its orbit count and a prime p not dividing |Inn X|
@@ -377,6 +383,9 @@ def test_normalized_rack_betti_numbers_follow_etingof_grana(name, orbits, p):
     r = preset(name)
     assert rack_orbits(r) == orbits
     nerve = rack_nerve(r, 4)
+    # the nerve names each element's orbit by its least element
+    assert [min(next(o for o in rack_orbit_sets(r) if a in o)) for a in range(r.order)] \
+        == nerve.orbits.tolist()
     for field in (QQ, FieldTag(p)):
         for flavor, c in (("normalized", orbits - 1), ("unnormalized", orbits)):
             dims = homology(build_complex(nerve, field, flavor), up_to=3).dims
@@ -967,16 +976,106 @@ def _acceptance_complexes():
     ]
 
 
-def test_homology_shortcut_at_vanishing_degrees_matches_the_search():
-    shortcuts = 0
+def _echelon_adds(monkeypatch):
+    """Every Echelon.add call from now on, as (echelon, tag), in order."""
+    calls = []
+    add = Echelon.add
+
+    def recording(self, col, tag=None):
+        calls.append((self, tag))
+        return add(self, col, tag)
+
+    monkeypatch.setattr(Echelon, "add", recording)
+    return calls
+
+
+def test_homology_shortcut_at_vanishing_degrees_matches_the_search(monkeypatch):
+    """The search stops once dim ker d_n - rank(image) representatives are
+    found, and does not start at H_n = 0; the full search, run at every
+    degree, must give the same dims, reps and projections."""
+    shortcuts = stops = 0
     for cx, up_to, top_image in _acceptance_complexes():
+        calls = _echelon_adds(monkeypatch)
         hs = homology(cx, up_to, top_image=top_image)
+        monkeypatch.undo()
         ref = _homology_by_search(cx, up_to, top_image)
         assert hs.dims == ref.dims and hs.reps == ref.reps
+        # the kernel columns each search read: it tags them ("r", k)
+        read = iter(Counter(id(e) for e, tag in calls
+                            if isinstance(tag, tuple) and tag[0] == "r").values())
         for n in range(up_to + 1):
             assert hs.projection(n) == ref.projection(n)
-            shortcuts += hs.dims[n] == 0 < cx.dim(n) - cx.analysis(n).rank
-    assert shortcuts >= 5
+            kernel = cx.dim(n) - cx.analysis(n).rank
+            shortcuts += hs.dims[n] == 0 < kernel
+            if hs.dims[n]:
+                stops += next(read) < kernel
+    assert shortcuts >= 5 and stops >= 5
+
+
+# the conj racks whose rational top image is capped by the orbit cocycles,
+# with the degree of their homology
+CAPPED_RACKS = [("conj:cyclic:3", 3), ("conj:cyclic:2x2", 3), ("conj:symmetric:3", 3),
+                ("conj:dihedral:4", 3), ("conj:quaternion:8", 3), ("conj:symmetric:3", 4)]
+
+
+def _assert_same_homology(hs, ref):
+    """Equal dims, reps and projections at every degree, and the top
+    echelons store the same columns at the same pivots."""
+    assert hs.dims == ref.dims and hs.reps == ref.reps
+    for n in range(hs.up_to + 1):
+        assert hs.projection(n) == ref.projection(n)
+    top, want = hs.echelons[hs.up_to].pivots, ref.echelons[ref.up_to].pivots
+    assert [(r, col) for r, col, _ in top] == [(r, col) for r, col, _ in want]
+
+
+@pytest.mark.parametrize("name,up_to", CAPPED_RACKS)
+def test_capped_top_image_matches_the_full_reduce(name, up_to):
+    """Over Q the top image of a rack complex comes from the columns a
+    mod-q probe picks, capped by the orbit cocycles: it must equal the
+    natural-order reduce of every column of d_{up_to + 1}."""
+    c = build_complex(rack_nerve(preset(name), up_to + 1), QQ)
+    hs = homology(c, up_to)
+    picks = orbitcap.capped_pivots(c, up_to)
+    ref = _homology_by_search(c, up_to)
+    _assert_same_homology(hs, ref)
+    rank = c.dim(up_to) - c.analysis(up_to).rank - hs.dims[up_to]
+    assert picks is not None and len(picks) == rank
+
+
+def test_probe_that_stalls_below_the_cap_falls_back_to_the_full_reduce(monkeypatch):
+    """At q = 3, which divides |conj:symmetric:3| = 6, the 3-torsion of H_3
+    keeps the probe's rank below the cap; the full reduce then runs."""
+    c = build_complex(rack_nerve(preset("conj:symmetric:3"), 4), QQ)
+    monkeypatch.setattr(orbitcap, "least_prime_not_dividing", lambda m: 3)
+    assert orbitcap.capped_pivots(c, 3) is None
+    hs = homology(c, 3)
+    monkeypatch.undo()
+    assert hs.dims == [1, 2, 4, 8]
+    _assert_same_homology(hs, _homology_by_search(c, 3))
+
+
+def test_capped_top_image_of_q8_reduces_only_its_pivot_columns(monkeypatch):
+    """conj:quaternion:8 over Q at degree 3: d_4 has 2401 columns and rank
+    249, and the rational echelon of its image receives 249 of them (the
+    analyses tag their columns, the search its representatives)."""
+    c = build_complex(rack_nerve(preset("conj:quaternion:8"), 4), QQ)
+    calls = _echelon_adds(monkeypatch)
+    hs = homology(c, 3)
+    assert hs.dims == [1, 4, 16, 64] and c.dim(4) == 2401
+    received = sum(e.field == QQ and tag is None for e, tag in calls)
+    assert received == 249 == hs.echelons[3].rank - hs.dims[3]
+
+
+def test_wrong_orbit_label_fails_the_cocycle_check():
+    """Two elements of one orbit labelled apart: the indicator cochain of
+    an orbit word then fails to kill a column of d_{n+1}."""
+    nerve = rack_nerve(preset("conj:quaternion:8"), 3)
+    orbits = nerve.orbits.copy()
+    assert orbits[2] == orbits[3] == 2
+    orbits[3] = 3
+    nerve.orbits = orbits
+    with pytest.raises(chains.ConstructionBug, match="orbit cochain not a cocycle"):
+        homology(build_complex(nerve, QQ), 2)
 
 
 def test_top_image_of_rank_above_dim_ker_is_a_construction_bug():

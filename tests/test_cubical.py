@@ -11,14 +11,11 @@ from rackhom.cubical import (
     QuotientIllDefined,
     _component_minima,
     cube_morphisms,
-    find_isomorphism,
     first_face_classes,
     gamma_functor,
     gamma_functor_with_projection,
     l_functor,
     l_functor_with_inclusion,
-    morphism_from_normal_form,
-    morphism_normal_form,
     precompose_delta,
     precompose_sigma,
     standard_model,
@@ -36,7 +33,8 @@ from rackhom.nerves import (
 )
 from rackhom.racks import conj_rack, preset, symmetric_group
 
-from cellref import _UnionFind, gamma_reference, unionfind_classes
+from cellref import (_UnionFind, find_isomorphism, gamma_reference, morphism_from_normal_form,
+                     morphism_normal_form, unionfind_classes)
 
 
 def hom_count(m, n):
