@@ -58,9 +58,9 @@ only when the stream is exhausted.  homology stops its representative
 search once the image and the representatives reach the rank of ker d_n,
 and does not start it at H_n = 0.  Over Q the top image of a rack complex
 is reduced only at the columns that raise the rank of a mod-q probe, run
-until it reaches the cap the orbit-indicator cocycles of Etingof and Grana
-give (JPAA 177, 2003; the nerve records the orbits, and orbitcap checks
-the cocycles on its face tables); see homology for the argument.
+until it reaches the cap that the orbit-indicator cocycles of Etingof and
+Grana (JPAA 177, 2003) and the orbit-sum cycles give (the nerve records the
+orbits, and orbitcap checks both on its face tables); see homology.
 """
 
 from __future__ import annotations
@@ -457,18 +457,19 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     d_{i,1} c and d_{i,0} c of each cell c carry opposite signs and, as is
     checked on the face tables (ConstructionBug if not), have one orbit
     word or are both dropped.  So each phi_w is a cocycle, and a cocycle
-    vanishes on im d_{n+1}.  The pairing P[w, j] = phi_w(k_j) with a basis
-    k_j of ker d_n, each k_j scaled to integers, then kills every
-    combination of the k_j that is a boundary: rank_Q(P) <= dim H_n, and
-    rank_q(P) <= rank_Q(P) for the entries read mod a prime q.  So
-    cap = dim ker d_n - rank_q(P) >= rank d_{n+1}, q the least prime that
-    does not divide |X|.  The columns that raise the rank of a mod-q
-    echelon are independent mod q, hence over Q (a nonzero minor mod q is
-    a nonzero integer); cap of them are independent columns of d_{n+1}, so
-    rank d_{n+1} >= cap, the two are equal, and those columns span the
-    image.  The report reads only the
-    span of the image (the representatives, and project_vec's
-    coordinates, depend on nothing else).  The probe runs in natural
+    vanishes on im d_{n+1}.  The orbit sum s_w, the sum of the degree-n
+    basis cells of word w, is a cycle: d_{i,1} s_w = d_{i,0} s_w for each i,
+    checked on the face tables too, and phi_w(s_v) = [w = v] #cells of w.
+    So a boundary sum_v a_v s_v has a_w #cells of w = 0 for every w: the
+    s_w are independent in H_n, dim H_n >= #words, and
+    cap = dim C_n - rank d_n - #words >= rank d_{n+1}.  For q the least
+    prime that does not divide |X|, the columns that raise the rank of a
+    mod-q echelon are independent mod q, hence over Q (a nonzero minor
+    mod q is a nonzero integer); cap of them are independent columns of
+    d_{n+1}, so rank d_{n+1} >= cap, the two are equal, and those columns
+    span the image.  The report reads only the span of the image (the
+    representatives, and project_vec's coordinates, depend on nothing
+    else).  The probe runs in natural
     order, so its columns are the greedy pivot columns mod q; the
     rational greedy pivots come no later one by one, and equal them on
     every rack top the tests compare.  When the probe ends below the cap

@@ -333,17 +333,11 @@ def standard_model(kind: str, n: int, truncation=None) -> CubSet:
 # -- the L functor (equalizer of iterated first faces) ----------------------
 
 
-def l_functor(x: CubSet) -> CubSet:
-    """Subobject of x on the cells whose iterated first-face words all agree,
-    with a single 0-cell.  Raises if the 0-cell is not unique."""
-    lx, _ = l_functor_with_inclusion(x)
-    return lx
-
-
 def l_functor_with_inclusion(x: CubSet):
-    """l_functor plus its inclusion incl[n]: the kept cells of x in
-    ascending order, as an array, so cell c of the subobject is cell
-    incl[n][c] of x."""
+    """The subobject of x on the cells whose iterated first-face words all
+    agree, with a single 0-cell (raises if the 0-cell is not unique), and
+    its inclusion incl[n]: the kept cells of x in ascending order, as an
+    array, so cell c of the subobject is cell incl[n][c] of x."""
     N = x.max_degree
     keep = [np.ones(x.n_cells(0), dtype=bool)]
     for n in range(1, N + 1):

@@ -5,15 +5,15 @@ the cap.  chains.homology reduces only those columns over Q and gives the
 soundness argument.
 
 The indicator cochain phi_w of an orbit word w = (w_1 .. w_n) is 1 on a
-cell whose entries lie in the orbits w_1 .. w_n and 0 elsewhere.  A rack
-nerve records the orbit of each element (CubSet.orbits), so the word of a
-cell is read off its digits, and capped_pivots checks on the nerve's face
-tables that every phi_w kills every column of d_{n+1}.
+cell whose entries lie in the orbits w_1 .. w_n and 0 elsewhere; the orbit
+sum s_w is the sum of the degree-n basis cells of word w, so
+phi_w(s_v) = [w = v] #cells of w.  A rack nerve records the orbit of each
+element (CubSet.orbits), so the word of a cell is read off its digits, and
+capped_pivots checks on the nerve's face tables that every phi_w kills
+every column of d_{n+1} and that every s_w is a cycle.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 import numpy as np
 
@@ -27,14 +27,15 @@ def capped_pivots(cx, n: int):
     found by a mod-q probe capped by the orbit cocycles (see
     chains.homology), in order; None when cx is not a rack complex over Q
     or the probe ends below the cap.  Raises ConstructionBug when the orbit
-    cochains are not checked cocycles."""
+    cochains are not checked cocycles or the orbit sums not cycles."""
     x = cx.source
     if cx.field.p or not isinstance(x, CubSet) or x.orbits is None:
         return None
     # the orbit word of each degree-n basis cell, as the number of the cell
     # whose entries are the least elements of the orbits of its entries
     order = len(x.orbits)
-    words = cell_numbers(x.orbits[cell_digits(cx.cell_of_pos[n], order, n)], order)
+    base = cx.cell_of_pos[n]
+    words = cell_numbers(x.orbits[cell_digits(base, order, n)], order)
     # every phi_w kills the column of c when its faces d_{i,1} c and
     # d_{i,0} c, of opposite signs, have one orbit word (or both are
     # dropped, word -1) for each i
@@ -48,21 +49,20 @@ def capped_pivots(cx, n: int):
             raise ConstructionBug("orbit cochain not a cocycle: d_%d,1 and d_%d,0 of %r"
                                   " have different orbit words"
                                   % (i, i, cx.label(n + 1, int(bad[0]))))
+    # every s_w is a cycle when, for each i, the faces d_{i,1} and d_{i,0}
+    # of the cells of w, of opposite signs, are one multiset of rows (or of
+    # drops, row -1): compare the sorted keys (word, row)
+    width = cx.dim(n - 1) + 1
+    for i in range(1, n + 1):
+        acted, dropped = (np.sort(words * width + cx.basis_rows(n - 1, x._face[(n, i, eps)][base]))
+                          for eps in (1, 0))
+        bad = np.flatnonzero(acted != dropped)
+        if len(bad):
+            word = (min(acted[bad[0]], dropped[bad[0]]) + 1) // width
+            raise ConstructionBug("orbit sum not a cycle: d_%d,1 != d_%d,0 on the word of %r"
+                                  % (i, i, cx.label(n, int(np.flatnonzero(words == word)[0]))))
+    cap = cx.dim(n) - cx.analysis(n).rank - len(np.unique(words))
     fq = FieldTag(least_prime_not_dividing(order))
-    # the rank mod q of the pairing, its columns the kernel columns paired
-    word_of = words.tolist()
-    n_words = len(set(word_of))
-    kernel = cx.analysis(n).kernel_basis
-    pairing = Echelon(fq, order ** n)
-    for col in kernel.cols_data:
-        if pairing.rank == n_words:
-            break
-        scale = lcm(*(v.denominator for v in col.values() if type(v) is not int))
-        paired = {}
-        for r, v in col.items():
-            paired[word_of[r]] = paired.get(word_of[r], 0) + int(v * scale)
-        pairing.add(fq.vector(paired))
-    cap = kernel.cols - pairing.rank
     probe = Echelon(fq, cx.dim(n))
     picks = []
     for j, col in enumerate(cx.d(n + 1).cols_data):

@@ -148,6 +148,8 @@ def conj_rack(g: FiniteGroup) -> PointedRack:
 
 
 def trivial_rack(n: int) -> PointedRack:
+    if n < 1:
+        raise UnknownPreset("trivial_rack order must be >= 1")
     op = tuple(tuple(a for _ in range(n)) for a in range(n))
     return PointedRack(tuple(range(n)), op, 0, name="trivial_rack:%d" % n)
 
@@ -163,6 +165,8 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def product_of_cyclics(orders) -> FiniteGroup:
+    if min(orders) < 1:
+        raise UnknownPreset("cyclic orders must be >= 1")
     elems = list(product(*[range(n) for n in orders]))
     index = {e: i for i, e in enumerate(elems)}
     mul = [[index[tuple((a[k] + b[k]) % orders[k] for k in range(len(orders)))]

@@ -1012,10 +1012,12 @@ def test_homology_shortcut_at_vanishing_degrees_matches_the_search(monkeypatch):
     assert shortcuts >= 5 and stops >= 5
 
 
-# the conj racks whose rational top image is capped by the orbit cocycles,
-# with the degree of their homology
+# the racks whose rational top image is capped by the orbit cocycles, with
+# the degree of their homology; on trivial_rack:4 every cell is its own
+# orbit word, so the cap is 0
 CAPPED_RACKS = [("conj:cyclic:3", 3), ("conj:cyclic:2x2", 3), ("conj:symmetric:3", 3),
-                ("conj:dihedral:4", 3), ("conj:quaternion:8", 3), ("conj:symmetric:3", 4)]
+                ("conj:dihedral:4", 3), ("conj:quaternion:8", 3), ("conj:symmetric:3", 4),
+                ("trivial_rack:4", 3)]
 
 
 def _assert_same_homology(hs, ref):
@@ -1076,6 +1078,19 @@ def test_wrong_orbit_label_fails_the_cocycle_check():
     nerve.orbits = orbits
     with pytest.raises(chains.ConstructionBug, match="orbit cochain not a cocycle"):
         homology(build_complex(nerve, QQ), 2)
+
+
+def test_orbit_sum_that_is_not_a_cycle_fails_the_check():
+    """One d_{1,1} face of a degree-2 cell moved to another cell of its
+    orbit word, after the complex is built: every orbit cochain still
+    kills d_3, but the orbit sum of that word is no longer a cycle."""
+    c = build_complex(rack_nerve(preset("conj:quaternion:8"), 3), QQ)
+    face = c.source._face[(2, 1, 1)].copy()
+    assert c.source.orbits[2] == c.source.orbits[3]
+    face[next(k for k in c.cell_of_pos[2] if face[k] == 2)] = 3
+    c.source._face[(2, 1, 1)] = face
+    with pytest.raises(chains.ConstructionBug, match="orbit sum not a cycle"):
+        homology(c, 2)
 
 
 def test_top_image_of_rank_above_dim_ker_is_a_construction_bug():

@@ -52,9 +52,14 @@ def test_suite_gl_passes():
     assert set(doc["criteria"]) == {"criterion_11"}
 
 
-def test_unknown_preset_exit_2():
-    proc = run_cli("rack-homology", "--preset", "nonsense:9")
+@pytest.mark.parametrize("name", ["nonsense:9", "trivial_rack:0", "trivial_rack:-2",
+                                  "cyclic:2x0", "conj:cyclic:0x3"])
+def test_unknown_preset_exit_2(name):
+    proc = run_cli("rack-homology", "--preset", name)
     assert proc.returncode == 2
+    # one error: line and no traceback
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:")
 
 
 def test_group_preset_for_rack_homology_exit_2():

@@ -14,7 +14,6 @@ from rackhom.cubical import (
     first_face_classes,
     gamma_functor,
     gamma_functor_with_projection,
-    l_functor,
     l_functor_with_inclusion,
     precompose_delta,
     precompose_sigma,
@@ -262,22 +261,22 @@ def test_gamma_of_cube1_equals_lcube1():
 
 def test_l_functor_is_idempotent():
     x = group_cubical_nerve(preset("cyclic:2"), 3)
-    lx = l_functor(x)
-    llx = l_functor(lx)
+    lx = l_functor_with_inclusion(x)[0]
+    llx = l_functor_with_inclusion(lx)[0]
     assert llx.sizes == lx.sizes
     assert verify_cubset_map(lx, llx, [list(range(k)) for k in lx.sizes])
 
 
 def test_l_functor_of_group_nerve_counts():
     x = group_cubical_nerve(preset("cyclic:2"), 3)
-    lx = l_functor(x)
+    lx = l_functor_with_inclusion(x)[0]
     assert [lx.n_cells(n) for n in range(4)] == [1, 2, 4, 8]
 
 
 def test_l_functor_fixes_lsets():
     r = conj_rack(preset("cyclic:3"))
     nerve = rack_nerve(r, 3)
-    ln = l_functor(nerve)
+    ln = l_functor_with_inclusion(nerve)[0]
     assert ln.sizes == nerve.sizes
     assert verify_cubset_map(nerve, ln, [list(range(k)) for k in nerve.sizes])
 
@@ -292,13 +291,13 @@ def test_gamma_is_idempotent():
 
 def test_gamma_l_interchange():
     x = group_cubical_nerve(preset("cyclic:2"), 3)
-    lx = l_functor(x)
+    lx = l_functor_with_inclusion(x)[0]
     # Gamma(LX) iso LX (in the available truncation)
     glx = gamma_functor(lx)
     assert find_isomorphism(glx, lx, up_to=lx.max_degree - 1) is not None
     # L(Gamma X) iso Gamma X
     gx = gamma_functor(x)
-    lgx = l_functor(gx)
+    lgx = l_functor_with_inclusion(gx)[0]
     assert lgx.sizes == gx.sizes
     assert verify_cubset_map(gx, lgx, [list(range(k)) for k in gx.sizes])
 
@@ -409,14 +408,14 @@ def test_lset_flag_iff_fixed_by_both_functors():
     r = conj_rack(preset("cyclic:3"))
     nerve = rack_nerve(r, 3)
     assert nerve.is_lset
-    lx = l_functor(nerve)
+    lx = l_functor_with_inclusion(nerve)[0]
     assert lx.sizes == nerve.sizes
     gx = gamma_functor(nerve)
     assert gx.sizes == nerve.sizes[:-1]
     assert find_isomorphism(gx, nerve, up_to=gx.max_degree) is not None
     x = group_cubical_nerve(preset("cyclic:2"), 3)
     assert not x.is_lset
-    assert l_functor(x).sizes != x.sizes
+    assert l_functor_with_inclusion(x)[0].sizes != x.sizes
     assert gamma_functor(x).sizes != x.sizes[:-1]
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rackhom.chains import _boundary_keys, _coprime_stride, _stream_block
 from rackhom.cubical import (
-    l_functor,
     l_functor_with_inclusion,
     subobject_cells,
     validate_cubical,
@@ -148,7 +147,7 @@ def test_rack_nerve_degenerate_cells_are_tuples_with_e():
 
 
 def test_lnerve_isomorphism_explicit_bijection():
-    """rack_nerve(conj G) == l_functor(cubical nerve of G) via the explicit
+    """rack_nerve(conj G) == L(cubical nerve of G) via the explicit
     product-labeling bijection, checked cell-by-cell."""
     for name, depth in (("cyclic:2", 3), ("cyclic:3", 2), ("symmetric:3", 2)):
         g = preset(name)
@@ -187,7 +186,7 @@ def test_subobject_cells_rejects_a_cell_outside():
 
 def test_lnerve_iso_z2_degree3_counts():
     g = preset("cyclic:2")
-    lx = l_functor(group_cubical_nerve(g, 3))
+    lx = l_functor_with_inclusion(group_cubical_nerve(g, 3))[0]
     rn = rack_nerve(conj_rack(g), 3)
     assert lx.sizes == rn.sizes == (1, 2, 4, 8)
 

@@ -90,12 +90,10 @@ def test_presets_validate():
 
 
 def test_unknown_preset():
-    with pytest.raises(UnknownPreset):
-        preset("lie:8")
-    with pytest.raises(UnknownPreset):
-        preset("cyclic:x")
-    with pytest.raises(UnknownPreset):
-        preset("conj:trivial_rack:3")
+    for name in ("lie:8", "cyclic:x", "conj:trivial_rack:3", "trivial_rack:0",
+                 "trivial_rack:-2", "cyclic:2x0", "conj:cyclic:0x3"):
+        with pytest.raises(UnknownPreset):
+            preset(name)
 
 
 def test_random_tables_always_get_a_verdict():
