@@ -136,7 +136,7 @@ def criterion_4(seed=0):
     for name, depth in cases:
         g = preset(name)
         r = conj_rack(g)
-        x = group_cubical_nerve(g, depth, budget=10 ** 7)
+        x = group_cubical_nerve(g, depth)
         lx, incl = l_functor_with_inclusion(x)
         maps = subobject_cells(incl, lnerve_inclusion(g, x))
         good = maps is not None and verify_cubset_map(rack_nerve(r, depth), lx, maps)

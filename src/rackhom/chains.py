@@ -77,8 +77,9 @@ from .cubical import (ConstructionBug, CubSet, Labels, Picked, TruncationTooLow,
                       gamma_functor_with_projection)
 from .exactfield import (ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, ShapeError,
                          column_space_analysis, least_prime_not_dividing)
-from .nerves import (BLOCK, BudgetExceeded, GroupArith, bar_nerve, cell_digits, cell_numbers,
-                     group_cubical_nerve, lnerve_inclusion, rack_nerve)
+from .nerves import (BLOCK, DEFAULT_BUDGET, BudgetExceeded, GroupArith, bar_nerve,
+                     cell_digits, cell_numbers, group_cubical_nerve, lnerve_inclusion,
+                     rack_nerve)
 from .orbitcap import capped_pivots
 from .racks import FiniteGroup, PointedRack, conj_rack
 from .shuffles import Permutation
@@ -546,7 +547,7 @@ def _s_map(source, bar, order, width, term, desc):
 
 
 def s_map_rack_formula(g: FiniteGroup, field: FieldTag, up_to: int, bar=None,
-                       budget: int = 2_000_000) -> GradedMap:
+                       budget: int = DEFAULT_BUDGET) -> GradedMap:
     """S: normalized rack chains of Conj(G) -> normalized bar chains.  The
     term of sigma carries x_{sigma(i)} at position i, acted on by the
     earlier-placed larger values, in increasing order.  Each nerve built
@@ -568,7 +569,7 @@ def s_map_rack_formula(g: FiniteGroup, field: FieldTag, up_to: int, bar=None,
 
 
 def s_map_cubical(g: FiniteGroup, field: FieldTag, up_to: int, bar=None,
-                  budget: int = 2_000_000) -> GradedMap:
+                  budget: int = DEFAULT_BUDGET) -> GradedMap:
     """S: normalized cubical-nerve chains -> normalized bar chains; the term
     of sigma pulls back along the chain of subsets {sigma(1)},
     {sigma(1),sigma(2)}, ...: entry i is v(A_{i-1})^-1 v(A_i).  Each nerve
@@ -1119,20 +1120,31 @@ MATERIALIZE_CELLS = 3000
 
 
 def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
-                  cell_budget: int = 40_000_000) -> LESResult:
-    """LES front end for group cubical nerves.  The gamma side is
-    materialised: it needs cells two degrees up.  The lrel subcomplex is the
-    rack complex of conj_rack(g) through max_n + 1, mapped onto the
-    first-face equalizer by lnerve_inclusion and certified a chain map on
-    every degree of the nerve.  The nerve's top boundary is materialised
-    while the top degree has at most MATERIALIZE_CELLS cells.  Past that the
-    nerve stops at max_n and its top image is streamed: the stream raises
-    BudgetExceeded when it reads cell_budget cells without saturating.  A
-    saturated stream certifies its image to be ker d_T(max_n), which holds
-    the rack complex's top boundary by the chain-map check through max_n;
-    only an exhausted stream is checked to contain that boundary."""
+                  cell_budget: int = DEFAULT_BUDGET) -> LESResult:
+    """LES front end for group cubical nerves.  cell_budget is the one size
+    limit: every nerve built here raises BudgetExceeded past cell_budget
+    cells in a degree, and so does a streamed top boundary that reads
+    cell_budget cells without saturating.
+
+    The gamma side is materialised: it needs cells two degrees up.  Gamma of
+    a group nerve is a point (one class in each degree): given cells a, b of
+    degree n, the degree-(n+1) labelling v(A) = a(A) and v({1} u A) = b(A),
+    for A a subset of {2..n+1} read as one of {1..n}, has d_{1,0} v = a and
+    d_{1,1} v = b (v({1}) = b(empty) = e, so nothing is renormalized).  So a
+    QuotientIllDefined from a group nerve is a construction fault.
+
+    The lrel subcomplex is the rack complex of conj_rack(g) through
+    max_n + 1, mapped onto the first-face equalizer by lnerve_inclusion and
+    certified a chain map on every degree of the nerve.  The nerve's top
+    boundary is materialised while the top degree has at most
+    MATERIALIZE_CELLS cells.  Past that the nerve stops at max_n and its top
+    image is streamed; the streamed route takes at most 6000 cells in degree
+    max_n (TruncationTooLow past that, whatever the budget).  A saturated
+    stream certifies its image to be ker d_T(max_n), which holds the rack
+    complex's top boundary by the chain-map check through max_n; only an
+    exhausted stream is checked to contain that boundary."""
     if kind == "gamma":
-        x = group_cubical_nerve(g, max_n + 2, budget=min(cell_budget, 200_000))
+        x = group_cubical_nerve(g, max_n + 2, budget=cell_budget)
         return _gamma_les(x, field, max_n)
     if kind != "lrel":
         raise ValueError("unknown LES kind %r" % (kind,))
@@ -1142,11 +1154,12 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
         # rank certificates against it; past a few thousand cells the
         # quotient-side homology is out of reach as well
         raise TruncationTooLow(
-            "degree %d of the cubical nerve of %s is beyond the cell budget"
-            % (max_n, g.name or "G"))
+            "the streamed route handles at most 6000 cells at degree max_n, and degree"
+            " %d of the cubical nerve of %s has %d" % (max_n, g.name or "G",
+                                                      g.order ** (2 ** max_n - 1)))
     x = group_cubical_nerve(g, max_n + 1 if materialize else max_n, budget=cell_budget)
     T = build_complex(x, field, "normalized")
-    S = build_complex(rack_nerve(conj_rack(g), max_n + 1), field, "normalized")
+    S = build_complex(rack_nerve(conj_rack(g), max_n + 1, cell_budget), field, "normalized")
     sub = [T.basis_rows(n, cells[S.cell_of_pos[n]])
            for n, cells in enumerate(lnerve_inclusion(g, x))]
     if any((rows < 0).any() for rows in sub):

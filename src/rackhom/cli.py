@@ -7,13 +7,15 @@ Exit codes: 0 all requested checks pass; 1 a check failed; 2 bad input
 below 1; an unknown law; a product law for a target without a product, at
 any --max-degree; a field other than q for a tensor target; a composite p
 in --ring f:<p>; or a flag the command does not take; files, presets, a
-prime too large for the streamed certificate); 3 cell budget exceeded (a
-nerve, or for les a streamed top boundary that reads --budget cells
-without saturating); 4 an internal invariant was violated (a construction
-bug, reported on stderr).  Reports are JSON with sorted keys; apart from
-the timing block they are byte-stable for fixed flags and seed.  Only
-rack-homology and group-homology take --csv (a degree,dim table), and only
-gl verify and suite take --seed.
+prime too large for the streamed certificate); 3 a size limit reached (a
+nerve degree over --budget cells, the one cell budget of every command;
+for les a streamed top boundary that reads --budget cells without
+saturating, or an lrel degree past the 6000 cells of the streamed route);
+4 an internal invariant was violated (a construction bug, such as an ill
+defined Gamma quotient of a group nerve, reported on stderr).  Reports are
+JSON with sorted keys; apart from the timing block they are byte-stable for
+fixed flags and seed.  Only rack-homology and group-homology take --csv (a
+degree,dim table), and only gl verify and suite take --seed.
 
 OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS is set: a second
 thread saves no wall time on the BLAS products of the streamed certificate
@@ -36,12 +38,12 @@ from .chains import (ConstructionBug, NotChainMap, build_complex, homology, les_
                      s_map_cubical, s_map_rack_formula, verify_chain_map)
 from .coalgebra import (LAWS, GradedCoalgebra, MissingStructure, check_laws, delta_halves,
                         half_shuffle_model, induced_coproduct_components, primitive_analysis)
-from .cubical import (TruncationTooLow, cubset_to_json, l_functor_with_inclusion,
-                      subobject_cells, verify_cubset_map)
+from .cubical import (QuotientIllDefined, TruncationTooLow, cubset_to_json,
+                      l_functor_with_inclusion, subobject_cells, verify_cubset_map)
 from .exactfield import QQ, FieldTag
 from .glstable import RingTag, verify_matrix_lemmas
-from .nerves import (BudgetExceeded, bar_nerve, group_cubical_nerve, lnerve_inclusion,
-                     rack_nerve)
+from .nerves import (DEFAULT_BUDGET, BudgetExceeded, bar_nerve, group_cubical_nerve,
+                     lnerve_inclusion, rack_nerve)
 from .racks import (FiniteGroup, PointedRack, UnknownPreset, conj_rack, preset,
                     rack_from_json)
 
@@ -265,7 +267,7 @@ def cmd_verify_lset_iso(args, started):
     depth = args.max_degree
     x = group_cubical_nerve(g, depth, budget=args.budget)
     lx, incl = l_functor_with_inclusion(x)
-    rn = rack_nerve(conj_rack(g), depth)
+    rn = rack_nerve(conj_rack(g), depth, budget=args.budget)
     maps = subobject_cells(incl, lnerve_inclusion(g, x))
     ok = maps is not None and verify_cubset_map(rn, lx, maps)
     report = {"command": "verify lset-iso", "preset": args.preset,
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", default="q", help="q or f<p>")
         if degree:
             p.add_argument("--max-degree", type=_degree, default=3)
-        p.add_argument("--budget", type=_count, default=2_000_000)
+        p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
         p.add_argument("--out")
 
     p = sub.add_parser("rack", help="rack table utilities")
@@ -392,7 +394,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, TruncationTooLow) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 3
-    except (ConstructionBug, NotChainMap) as exc:
+    except (ConstructionBug, NotChainMap, QuotientIllDefined) as exc:
         sys.stderr.write("error: internal invariant violated: %s\n" % exc)
         return 4
 

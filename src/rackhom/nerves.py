@@ -52,6 +52,10 @@ from .racks import FiniteGroup, PointedRack
 # allocator keeps resident after they are freed.
 BLOCK = 1024
 
+# The default cell budget of every nerve, in the library and the CLI alike:
+# a degree with more cells raises BudgetExceeded.
+DEFAULT_BUDGET = 2_000_000
+
 
 class BudgetExceeded(Exception):
     def __init__(self, message, degree):
@@ -234,10 +238,11 @@ def _build(kind, elements, max_degree, budget, width, face_keys, face, degen):
     are the words of width(n) elements: face(rows, *key[1:]) for each key in
     face_keys(n) maps degree n to n-1, degen(rows, i) maps n-1 to n."""
     order = len(elements)
+    limit = min(budget, MAX_CELLS)
     for n in range(max_degree + 1):
-        if order ** width(n) > min(budget, MAX_CELLS):
-            raise BudgetExceeded("%s nerve degree %d needs %d cells"
-                                 % (kind, n, order ** width(n)), n)
+        if order ** width(n) > limit:
+            raise BudgetExceeded("%s nerve degree %d needs %d cells (cell budget %d)"
+                                 % (kind, n, order ** width(n), limit), n)
     faces, degens = {}, {}
     for n in range(1, max_degree + 1):
         faces.update(_tables(order, width(n), face_keys(n), face))
@@ -252,7 +257,8 @@ def _cube_faces(n):
 # -- the three nerves ------------------------------------------------------------
 
 
-def bar_nerve(g: FiniteGroup, max_degree: int, budget: int = 2_000_000) -> SimplicialSet:
+def bar_nerve(g: FiniteGroup, max_degree: int,
+              budget: int = DEFAULT_BUDGET) -> SimplicialSet:
     """Degree-n cells are n-tuples of group elements; the three-case face
     formula drops, multiplies, or truncates; degeneracies insert the unit."""
     labels, face, degen = _build("bar", g.elements, max_degree, budget, lambda n: n,
@@ -281,7 +287,7 @@ def _inn_orbits(op):
     return np.array(least)
 
 
-def rack_nerve(x: PointedRack, max_degree: int, budget: int = 2_000_000) -> CubSet:
+def rack_nerve(x: PointedRack, max_degree: int, budget: int = DEFAULT_BUDGET) -> CubSet:
     """Nerve of a pointed rack: degree-n cells are n-tuples; the eps=1 face
     at i acts on the earlier entries by <| x_i and drops entry i, the eps=0
     face just drops it; degeneracies insert the neutral element.  The nerve
@@ -294,7 +300,7 @@ def rack_nerve(x: PointedRack, max_degree: int, budget: int = 2_000_000) -> CubS
 
 
 def group_cubical_nerve(g: FiniteGroup, max_degree: int,
-                        budget: int = 2_000_000) -> CubSet:
+                        budget: int = DEFAULT_BUDGET) -> CubSet:
     """Degree-n cells: vertex labelings v of the nonzero masks of {0,1}^n
     (v(0) = e implicitly), as tuples indexed by mask-1.  Faces precompose
     with the insertion delta_{i,eps} and renormalize so the new origin maps

@@ -24,7 +24,7 @@ from rackhom.chains import (
     verify_chain_map,
     verify_homotopy,
 )
-from rackhom.cubical import TruncationTooLow, standard_model
+from rackhom.cubical import TruncationTooLow, gamma_functor_with_projection, standard_model
 from rackhom.exactfield import QQ, Echelon, FieldTag, Matrix
 from rackhom.nerves import GroupArith, bar_nerve, group_cubical_nerve, rack_nerve
 from rackhom.racks import conj_rack, preset, symmetric_group
@@ -544,6 +544,25 @@ def test_gamma_les_builds_no_degree_above_max_n_plus_1(monkeypatch):
     monkeypatch.setattr(chains, "build_complex", recording)
     assert les_for_group("gamma", preset("cyclic:2"), QQ, 1).all_exact
     assert built and max(built) <= 2, built
+
+
+@pytest.mark.parametrize("name, k", [
+    ("cyclic:1", 3), ("cyclic:3", 3), ("cyclic:2x2", 3), ("symmetric:3", 3), ("cyclic:2", 4),
+    ("dihedral:4", 2), ("quaternion:8", 2)])
+def test_gamma_of_a_group_nerve_is_a_point(name, k):
+    """Gamma of the cubical nerve of a group has one cell in each degree:
+    cells a, b of degree n are the first faces d_{1,0}, d_{1,1} of the
+    labelling v(A) = a(A), v({1} u A) = b(A) (A a subset of {2..n+1}).  So
+    the gamma sequence has quotient H = [1, 0, ...], and its subcomplex
+    has the homology of the total complex outside degree 0."""
+    g = preset(name)
+    gx, proj = gamma_functor_with_projection(group_cubical_nerve(g, k))
+    assert [gx.n_cells(n) for n in range(k)] == [1] * k
+    assert all((cls == 0).all() for cls in proj)
+    res = les_for_group("gamma", g, QQ, k - 2)
+    assert res.all_exact
+    assert res.dims["quotient"] == [1] + [0] * (k - 2)
+    assert res.dims["sub"] == [0] + res.dims["total"][1:]
 
 
 @pytest.mark.parametrize("materialize", [chains.MATERIALIZE_CELLS, 0])

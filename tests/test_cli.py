@@ -75,11 +75,17 @@ def test_group_preset_for_rack_homology_exit_2():
      "--budget", "10"),
     ("map", "s", "--mode", "cubical", "--preset", "cyclic:2", "--max-degree", "3",
      "--budget", "10"),
+    # --budget is the only cap on the gamma nerve (279936 cells at degree 3)
+    ("les", "--kind", "gamma", "--preset", "symmetric:3", "--max-degree", "1",
+     "--budget", "200000"),
+    # and it caps the lrel subcomplex's rack nerve (225 cells at degree 2)
+    ("les", "--kind", "lrel", "--preset", "cyclic:15", "--max-degree", "1", "--budget", "100"),
 ])
 def test_budget_exceeded_exit_3(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
+    assert "(cell budget %s)" % argv[-1] in proc.stderr
 
 
 def test_stream_budget_stop_counts_whole_tracker_batches():
@@ -91,6 +97,16 @@ def test_stream_budget_stop_counts_whole_tracker_batches():
     assert proc.returncode == 3
     assert proc.stderr == ("error: top boundary stream read 5027 of 14348907 degree-4 cells"
                            " without saturating (cell budget 5000)\n")
+
+
+def test_gamma_les_nerve_fits_the_default_budget():
+    """The 279936-cell degree-3 nerve is within the default budget, and
+    Gamma of a group nerve is a point."""
+    proc = run_cli("les", "--kind", "gamma", "--preset", "symmetric:3", "--max-degree", "1")
+    assert proc.returncode == 0
+    doc = report_of(proc)
+    assert doc["dims"] == {"sub": [0, 0], "total": [1, 0], "quotient": [1, 0]}
+    assert doc["nodes"] and all(node["exact"] for node in doc["nodes"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -220,6 +236,23 @@ def test_internal_invariant_violation_exit_4(monkeypatch, capsys):
     assert err == "error: internal invariant violated: snake lift failed at degree 1\n"
 
 
+def test_ill_defined_gamma_quotient_of_a_group_nerve_exit_4(monkeypatch, capsys):
+    """Gamma of a group nerve is a point, so an ill-defined quotient there is
+    a construction fault: exit 4 with one line, not a traceback."""
+    from rackhom import chains, cli
+    from rackhom.cubical import QuotientIllDefined
+
+    def broken(x):
+        raise QuotientIllDefined("induced face d_1,0 not constant on a class", witnesses=[])
+
+    monkeypatch.setattr(chains, "gamma_functor_with_projection", broken)
+    code = cli.main(["les", "--kind", "gamma", "--preset", "cyclic:2", "--max-degree", "1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == ("error: internal invariant violated: induced face d_1,0 not constant"
+                   " on a class\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("coalgebra", "verify", "--target", "tensor:2", "--laws", "foo"),
     ("coalgebra", "verify", "--target", "tensor:x"),
@@ -283,6 +316,7 @@ SWEEP = [
     ("group-homology", "--preset", "dihedral:4", "--field", "q"),
     ("les", "--preset", "cyclic:2x2", "--field", "f5"),
     ("les", "--kind", "gamma", "--preset", "cyclic:3", "--field", "q"),
+    ("les", "--kind", "gamma", "--preset", "symmetric:3"),
     ("coalgebra", "verify", "--target", "conj:quaternion:8", "--field", "f2"),
     ("coalgebra", "verify", "--target", "tensor:0"),
     ("coalgebra", "verify", "--target", "tensor:1", "--field", "fx"),
