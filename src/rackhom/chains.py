@@ -39,20 +39,20 @@ ChainComplex.tensor_square; no other code knows its layout.
 Both long exact sequences (L-relative and Gamma) run through _les_assemble,
 and both arrive split on cell bases: each has an inclusion incl, a
 projection proj, a section of proj and a retraction of incl, all 0/1
-matrices (_selection, _restriction) or combinations of them, so no map of a
-sequence is eliminated or solved in.  A positional quotient is _quotient,
-d_Q = proj d_T section, with the retraction onto the subcomplex's rows
-beside proj.  The L-relative subcomplex is the rack complex of Conj(G): the
-first-face equalizer of the group's cubical nerve is the rack space of Fenn,
-Rourke and Sanderson, lnerve_inclusion maps the rack nerve onto it, and the
-inclusion is certified a chain map.  The Gamma subcomplex, the kernel of
-proj, is spanned by the cells that represent no class, each minus the
-section of its projection; _subcomplex gives it d_S = retract d_T incl,
-checked by incl d_S = d_T incl.  A top boundary that is not materialised
-enters as one Echelon of its image (stream_group_top_image); the quotient's
-top image is its projection.  The stream hands its rank tracker batches
-of face rows, which the mod-p tracker scatters into one int64 block, and
-checks d^2 = 0 on each batch with one gathered product.  A saturated stream's image is
+matrices (_selection, _restriction), so no map of a sequence is eliminated
+or solved in.  Both quotients are _quotient, d_Q = proj d_T section, with
+the retraction onto the subcomplex's rows beside proj.  The L-relative
+subcomplex is the rack complex of Conj(G): the first-face equalizer of the
+group's cubical nerve is the rack space of Fenn, Rourke and Sanderson,
+lnerve_inclusion maps the rack nerve onto it, and the inclusion is
+certified a chain map.  Gamma of a group's cubical nerve is a point, so the
+Gamma quotient is k in degree 0 and the Gamma subcomplex, the kernel of
+proj, is spanned by every cell above degree 0; _subcomplex gives it
+d_S = retract d_T incl, checked by incl d_S = d_T incl.  A top boundary
+that is not materialised enters as one Echelon of its image
+(stream_group_top_image); the quotient's top image is its projection.
+The stream hands its rank tracker batches of face rows, which the mod-p
+tracker scatters into one int64 block, and checks d^2 = 0 on each batch with one gathered product.  A saturated stream's image is
 ker d itself: the rack complex's top boundary is checked against the image
 only when the stream is exhausted.  homology stops its representative
 search once the image and the representatives reach the rank of ker d_n,
@@ -73,8 +73,7 @@ from math import gcd
 
 import numpy as np
 
-from .cubical import (ConstructionBug, CubSet, Labels, Picked, TruncationTooLow,
-                      gamma_functor_with_projection)
+from .cubical import ConstructionBug, CubSet, Labels, Picked, TruncationTooLow
 from .exactfield import (ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, ShapeError,
                          column_space_analysis, least_prime_not_dividing)
 from .nerves import (BLOCK, DEFAULT_BUDGET, BudgetExceeded, GroupArith, bar_nerve,
@@ -767,33 +766,6 @@ def _quotient(T: ChainComplex, sub):
     return Q, proj, section, retract
 
 
-def _gamma_les(x: CubSet, field: FieldTag, max_n: int) -> LESResult:
-    """ker(C -> C(quotient)) -> C -> C(quotient by first faces) for a
-    cubical set x with cells through max_n + 2."""
-    gx, gproj = gamma_functor_with_projection(x)
-    N = gx.max_degree
-    T = build_complex(x.truncated(N), field, "normalized")
-    Q = build_complex(gx, field, "normalized")
-    proj, section, incl, retract = [], [], [], []
-    for n in range(N + 1):
-        proj.append(_selection(Q.basis_rows(n, gproj[n][T.cell_of_pos[n]]), Q.dim(n), field))
-        # a class's smallest cell, its representative, comes first
-        _, reps = np.unique(gproj[n], return_index=True)
-        rows = T.basis_rows(n, reps[Q.cell_of_pos[n]])
-        if (rows < 0).any():
-            raise ConstructionBug("quotient cell %r is degenerate in the total complex"
-                                  % (Q.label(n, int(np.argmax(rows < 0))),))
-        section.append(_selection(rows, T.dim(n), field))
-        # ker proj: each other cell minus the section of its projection
-        others = _others(rows, T.dim(n))
-        picked = _selection(others, T.dim(n), field)
-        incl.append(picked - section[n] @ (proj[n] @ picked))
-        retract.append(_restriction(others, T.dim(n), field))
-    labels = [Labels(incl[n].cols, partial("{}{}".format, "k%d_" % n)) for n in range(N + 1)]
-    S = _subcomplex(T, incl, retract, labels)
-    return _les_assemble("gamma", field, max_n, S, T, Q, incl, proj, section, retract)
-
-
 # -- streamed top boundary for group cubical nerves ---------------------------
 
 
@@ -1126,12 +1098,14 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
     cells in a degree, and so does a streamed top boundary that reads
     cell_budget cells without saturating.
 
-    The gamma side is materialised: it needs cells two degrees up.  Gamma of
-    a group nerve is a point (one class in each degree): given cells a, b of
-    degree n, the degree-(n+1) labelling v(A) = a(A) and v({1} u A) = b(A),
-    for A a subset of {2..n+1} read as one of {1..n}, has d_{1,0} v = a and
-    d_{1,1} v = b (v({1}) = b(empty) = e, so nothing is renormalized).  So a
-    QuotientIllDefined from a group nerve is a construction fault.
+    The gamma side is materialised through max_n + 1.  Gamma of a group
+    nerve is a point (one class in each degree): given cells a, b of degree
+    n, the degree-(n+1) labelling v(A) = a(A) and v({1} u A) = b(A), for A a
+    subset of {2..n+1} read as one of {1..n}, has d_{1,0} v = a and
+    d_{1,1} v = b (v({1}) = b(empty) = e, so nothing is renormalized).  The
+    class in degree n >= 1 is that of the degenerate cell at the unit, so
+    the normalized quotient is k in degree 0, and its kernel, the
+    subcomplex, is spanned by every cell above degree 0.
 
     The lrel subcomplex is the rack complex of conj_rack(g) through
     max_n + 1, mapped onto the first-face equalizer by lnerve_inclusion and
@@ -1144,8 +1118,15 @@ def les_for_group(kind: str, g: FiniteGroup, field: FieldTag, max_n: int,
     complex's top boundary by the chain-map check through max_n; only an
     exhausted stream is checked to contain that boundary."""
     if kind == "gamma":
-        x = group_cubical_nerve(g, max_n + 2, budget=cell_budget)
-        return _gamma_les(x, field, max_n)
+        T = build_complex(group_cubical_nerve(g, max_n + 1, budget=cell_budget), field,
+                          "normalized")
+        # the kernel of T -> k[0]: every cell above degree 0
+        sub = [np.arange(0)] + [np.arange(T.dim(n)) for n in range(1, max_n + 2)]
+        incl = [_selection(rows, T.dim(n), field) for n, rows in enumerate(sub)]
+        Q, proj, section, retract = _quotient(T, sub)
+        S = _subcomplex(T, incl, retract, [Picked(T.labels[n], rows)
+                                           for n, rows in enumerate(sub)])
+        return _les_assemble("gamma", field, max_n, S, T, Q, incl, proj, section, retract)
     if kind != "lrel":
         raise ValueError("unknown LES kind %r" % (kind,))
     materialize = g.order ** (2 ** (max_n + 1) - 1) <= MATERIALIZE_CELLS

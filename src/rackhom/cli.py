@@ -12,7 +12,7 @@ nerve degree over --budget cells, the one cell budget of every command;
 for les a streamed top boundary that reads --budget cells without
 saturating, or an lrel degree past the 6000 cells of the streamed route);
 4 an internal invariant was violated (a construction bug, such as an ill
-defined Gamma quotient of a group nerve, reported on stderr).  Reports are
+defined Gamma quotient of a standard cube, reported on stderr).  Reports are
 JSON with sorted keys; apart from the timing block they are byte-stable for
 fixed flags and seed.  Only rack-homology and group-homology take --csv (a
 degree,dim table), and only gl verify and suite take --seed.

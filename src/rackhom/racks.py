@@ -54,18 +54,6 @@ class FiniteGroup:
         n = self.order
         return all(self.mul[a][b] == self.mul[b][a] for a in range(n) for b in range(n))
 
-    def conjugacy_classes(self):
-        n = self.order
-        seen = set()
-        classes = []
-        for a in range(n):
-            if a in seen:
-                continue
-            cls = {self.mul[self.mul[self.inv[g]][a]][g] for g in range(n)}
-            classes.append(sorted(cls))
-            seen.update(cls)
-        return classes
-
     def to_json(self) -> str:
         return json.dumps({"elements": [repr(e) for e in self.elements],
                            "mul": [list(r) for r in self.mul],
@@ -82,10 +70,6 @@ class PointedRack:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def is_trivial(self) -> bool:
-        n = self.order
-        return all(self.op[a][b] == a for a in range(n) for b in range(n))
 
     def to_json(self) -> str:
         return json.dumps({"elements": [repr(e) for e in self.elements],

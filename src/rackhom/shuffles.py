@@ -54,10 +54,6 @@ class Permutation:
         return -1 if inv % 2 else 1
 
 
-def identity_perm(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 # -- shuffle kinds ---------------------------------------------------------
 
 

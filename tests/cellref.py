@@ -17,6 +17,12 @@ coalgebra.check_laws did before its identity generators.
 `lrel_les_reference` builds the L-relative long exact sequence with the
 first-face equalizer's own cells as the subcomplex, d_S = retract d_T incl,
 as chains did before the rack complex became the subcomplex.
+`gamma_les_reference` builds the Gamma long exact sequence by running
+gamma_functor_with_projection over a nerve with cells through max_n + 2, as
+chains did before it wrote down that Gamma of a group's nerve is a point.
+`identity_perm`, `conjugacy_classes` and `is_trivial` are the identity
+permutation, the conjugacy classes of a group and the triviality of a
+rack, which only tests ask for.
 `morphism_normal_form`, `find_isomorphism` and `eta_section` have no
 caller in the package: the surjection-then-injection factorization of a
 cube-category morphism, a backtracking search for a cubical isomorphism
@@ -30,9 +36,11 @@ from math import gcd
 
 import numpy as np
 
-from rackhom.chains import (GradedMap, _les_assemble, _quotient, _selection, _subcomplex,
-                            build_complex)
-from rackhom.cubical import Picked, QuotientIllDefined, TruncationTooLow, l_functor_with_inclusion
+from rackhom.chains import (GradedMap, _les_assemble, _others, _quotient, _restriction,
+                            _selection, _subcomplex, build_complex)
+from rackhom.cubical import (ConstructionBug, Labels, Picked, QuotientIllDefined,
+                             TruncationTooLow, gamma_functor_with_projection,
+                             l_functor_with_inclusion)
 from rackhom.exactfield import Echelon, Matrix
 from rackhom.nerves import (BLOCK, GroupArith, _bar_face, _cube_faces, _insert, _rack_face,
                             cell_digits, cell_numbers)
@@ -729,6 +737,60 @@ def lrel_les_reference(x, field, max_n):
     S = _subcomplex(T, incl, retract, [Picked(T.labels[n], rows)
                                        for n, rows in enumerate(sub)])
     return _les_assemble("lrel", field, max_n, S, T, Q, incl, proj, section, retract)
+
+
+def gamma_les_reference(x, field, max_n):
+    """The Gamma long exact sequence ker(C -> C(quotient)) -> C -> C(quotient
+    by first faces) of a cubical set x with cells through max_n + 2: the
+    quotient is gamma_functor_with_projection's, each class represented by
+    its smallest cell, and the subcomplex is spanned by the cells that
+    represent no class, each minus the section of its projection."""
+    gx, gproj = gamma_functor_with_projection(x)
+    N = gx.max_degree
+    T = build_complex(x.truncated(N), field, "normalized")
+    Q = build_complex(gx, field, "normalized")
+    proj, section, incl, retract = [], [], [], []
+    for n in range(N + 1):
+        proj.append(_selection(Q.basis_rows(n, gproj[n][T.cell_of_pos[n]]), Q.dim(n), field))
+        # a class's smallest cell, its representative, comes first
+        _, reps = np.unique(gproj[n], return_index=True)
+        rows = T.basis_rows(n, reps[Q.cell_of_pos[n]])
+        if (rows < 0).any():
+            raise ConstructionBug("quotient cell %r is degenerate in the total complex"
+                                  % (Q.label(n, int(np.argmax(rows < 0))),))
+        section.append(_selection(rows, T.dim(n), field))
+        # ker proj: each other cell minus the section of its projection
+        others = _others(rows, T.dim(n))
+        picked = _selection(others, T.dim(n), field)
+        incl.append(picked - section[n] @ (proj[n] @ picked))
+        retract.append(_restriction(others, T.dim(n), field))
+    labels = [Labels(incl[n].cols, partial("{}{}".format, "k%d_" % n)) for n in range(N + 1)]
+    S = _subcomplex(T, incl, retract, labels)
+    return _les_assemble("gamma", field, max_n, S, T, Q, incl, proj, section, retract)
+
+
+def identity_perm(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def conjugacy_classes(g):
+    """The conjugacy classes of the group g, each a sorted list of element
+    indices, in the order of their least elements."""
+    n = g.order
+    seen = set()
+    classes = []
+    for a in range(n):
+        if a in seen:
+            continue
+        cls = {g.mul[g.mul[g.inv[h]][a]][h] for h in range(n)}
+        classes.append(sorted(cls))
+        seen.update(cls)
+    return classes
+
+
+def is_trivial(rack) -> bool:
+    n = rack.order
+    return all(rack.op[a][b] == a for a in range(n) for b in range(n))
 
 
 def morphism_normal_form(f, m: int):

@@ -29,8 +29,8 @@ from rackhom.exactfield import QQ, Echelon, FieldTag, Matrix
 from rackhom.nerves import GroupArith, bar_nerve, group_cubical_nerve, rack_nerve
 from rackhom.racks import conj_rack, preset, symmetric_group
 
-from cellref import (eta_section, lnerve_inclusion_labels, lrel_les_reference,
-                     rack_conjugation_reference)
+from cellref import (eta_section, gamma_les_reference, lnerve_inclusion_labels,
+                     lrel_les_reference, rack_conjugation_reference)
 
 
 def test_rack_z2_complex_trivial_boundary():
@@ -534,16 +534,22 @@ def test_les_gamma_z2():
 
 
 def test_gamma_les_builds_no_degree_above_max_n_plus_1(monkeypatch):
-    built = []
-    orig = chains.build_complex
+    built, nerves = [], []
+    orig_complex, orig_nerve = chains.build_complex, chains.group_cubical_nerve
 
     def recording(x, *args, **kwargs):
         built.append(x.max_degree)
-        return orig(x, *args, **kwargs)
+        return orig_complex(x, *args, **kwargs)
+
+    def recording_nerve(g, max_degree, *args, **kwargs):
+        nerves.append(max_degree)
+        return orig_nerve(g, max_degree, *args, **kwargs)
 
     monkeypatch.setattr(chains, "build_complex", recording)
+    monkeypatch.setattr(chains, "group_cubical_nerve", recording_nerve)
     assert les_for_group("gamma", preset("cyclic:2"), QQ, 1).all_exact
     assert built and max(built) <= 2, built
+    assert nerves and max(nerves) <= 2, nerves
 
 
 @pytest.mark.parametrize("name, k", [
@@ -553,16 +559,21 @@ def test_gamma_of_a_group_nerve_is_a_point(name, k):
     """Gamma of the cubical nerve of a group has one cell in each degree:
     cells a, b of degree n are the first faces d_{1,0}, d_{1,1} of the
     labelling v(A) = a(A), v({1} u A) = b(A) (A a subset of {2..n+1}).  So
-    the gamma sequence has quotient H = [1, 0, ...], and its subcomplex
-    has the homology of the total complex outside degree 0."""
+    the gamma sequence has quotient H = [1, 0, ...], its subcomplex has the
+    homology of the total complex outside degree 0, and the sequence that
+    les_for_group writes down equals the functor's node for node (over F2
+    as well on the inputs of the F2 gamma report digests)."""
     g = preset(name)
-    gx, proj = gamma_functor_with_projection(group_cubical_nerve(g, k))
+    x = group_cubical_nerve(g, k)
+    gx, proj = gamma_functor_with_projection(x)
     assert [gx.n_cells(n) for n in range(k)] == [1] * k
     assert all((cls == 0).all() for cls in proj)
-    res = les_for_group("gamma", g, QQ, k - 2)
-    assert res.all_exact
-    assert res.dims["quotient"] == [1] + [0] * (k - 2)
-    assert res.dims["sub"] == [0] + res.dims["total"][1:]
+    for field in (QQ, FieldTag(2)) if name in ("cyclic:2", "cyclic:2x2") else (QQ,):
+        res = les_for_group("gamma", g, field, k - 2)
+        assert res.all_exact
+        assert _les_table(res) == _les_table(gamma_les_reference(x, field, k - 2))
+        assert res.dims["quotient"] == [1] + [0] * (k - 2)
+        assert res.dims["sub"] == [0] + res.dims["total"][1:]
 
 
 @pytest.mark.parametrize("materialize", [chains.MATERIALIZE_CELLS, 0])

@@ -75,9 +75,9 @@ def test_group_preset_for_rack_homology_exit_2():
      "--budget", "10"),
     ("map", "s", "--mode", "cubical", "--preset", "cyclic:2", "--max-degree", "3",
      "--budget", "10"),
-    # --budget is the only cap on the gamma nerve (279936 cells at degree 3)
+    # --budget is the only cap on the gamma nerve (216 cells at degree 2)
     ("les", "--kind", "gamma", "--preset", "symmetric:3", "--max-degree", "1",
-     "--budget", "200000"),
+     "--budget", "200"),
     # and it caps the lrel subcomplex's rack nerve (225 cells at degree 2)
     ("les", "--kind", "lrel", "--preset", "cyclic:15", "--max-degree", "1", "--budget", "100"),
 ])
@@ -99,10 +99,13 @@ def test_stream_budget_stop_counts_whole_tracker_batches():
                            " without saturating (cell budget 5000)\n")
 
 
-def test_gamma_les_nerve_fits_the_default_budget():
-    """The 279936-cell degree-3 nerve is within the default budget, and
-    Gamma of a group nerve is a point."""
-    proc = run_cli("les", "--kind", "gamma", "--preset", "symmetric:3", "--max-degree", "1")
+@pytest.mark.parametrize("name", ["symmetric:3", "dihedral:4", "quaternion:8"])
+def test_gamma_les_nerve_fits_the_default_budget(name):
+    """Gamma of a group nerve is a point, so the gamma side builds the nerve
+    through max_n + 1 only: its degree-2 top (|G|^3 cells) is far within
+    the default budget, where degree 3 of dihedral:4 and quaternion:8
+    (8^7 cells) is not."""
+    proc = run_cli("les", "--kind", "gamma", "--preset", name, "--max-degree", "1")
     assert proc.returncode == 0
     doc = report_of(proc)
     assert doc["dims"] == {"sub": [0, 0], "total": [1, 0], "quotient": [1, 0]}
@@ -236,17 +239,18 @@ def test_internal_invariant_violation_exit_4(monkeypatch, capsys):
     assert err == "error: internal invariant violated: snake lift failed at degree 1\n"
 
 
-def test_ill_defined_gamma_quotient_of_a_group_nerve_exit_4(monkeypatch, capsys):
-    """Gamma of a group nerve is a point, so an ill-defined quotient there is
-    a construction fault: exit 4 with one line, not a traceback."""
-    from rackhom import chains, cli
+def test_ill_defined_gamma_quotient_of_a_standard_model_exit_4(monkeypatch, capsys):
+    """The collapsed cube models are Gamma of a standard cube, which is
+    well defined, so an ill-defined quotient there is a construction fault:
+    exit 4 with one line, not a traceback."""
+    from rackhom import cli, cubical
     from rackhom.cubical import QuotientIllDefined
 
     def broken(x):
         raise QuotientIllDefined("induced face d_1,0 not constant on a class", witnesses=[])
 
-    monkeypatch.setattr(chains, "gamma_functor_with_projection", broken)
-    code = cli.main(["les", "--kind", "gamma", "--preset", "cyclic:2", "--max-degree", "1"])
+    monkeypatch.setattr(cubical, "gamma_functor_with_projection", broken)
+    code = cli.main(["suite", "nerves"])
     assert code == 4
     err = capsys.readouterr().err
     assert err == ("error: internal invariant violated: induced face d_1,0 not constant"

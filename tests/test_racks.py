@@ -11,6 +11,8 @@ from rackhom.racks import (
     validate_rack,
 )
 
+from cellref import conjugacy_classes, is_trivial
+
 
 def test_trivial_rack_valid():
     for n in (1, 2, 5):
@@ -50,7 +52,7 @@ def test_abelian_conjugation_is_trivial():
     for name in ("cyclic:2", "cyclic:5", "cyclic:2x2"):
         g = preset(name)
         r = conj_rack(g)
-        assert r.is_trivial()
+        assert is_trivial(r)
         assert r.op == trivial_rack(g.order).op
 
 
@@ -75,7 +77,7 @@ def test_conj_orbits_are_conjugacy_classes():
                         frontier.append(d)
             orbits.append(sorted(orbit))
             seen |= orbit
-        classes = [cls for cls in g.conjugacy_classes() if cls != [g.unit]]
+        classes = [cls for cls in conjugacy_classes(g) if cls != [g.unit]]
         assert sorted(orbits) == sorted(classes)
 
 

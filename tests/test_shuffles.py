@@ -14,11 +14,12 @@ from rackhom.shuffles import (
     alpha,
     beta,
     enumerate_shuffles,
-    identity_perm,
     iota,
     is_shuffle,
     koszul_shuffle_sign,
 )
+
+from cellref import identity_perm
 
 
 def brute_force_shuffles(blocks):
