@@ -56,11 +56,12 @@ tracker scatters into one int64 block, and checks d^2 = 0 on each batch with one
 ker d itself: the rack complex's top boundary is checked against the image
 only when the stream is exhausted.  homology stops its representative
 search once the image and the representatives reach the rank of ker d_n,
-and does not start it at H_n = 0.  Over Q the top image of a rack complex
-is reduced only at the columns that raise the rank of a mod-q probe, run
-until it reaches the cap that the orbit-indicator cocycles of Etingof and
-Grana (JPAA 177, 2003) and the orbit-sum cycles give (the nerve records the
-orbits, and orbitcap checks both on its face tables); see homology.
+and does not start it at H_n = 0.  The top degree of a rack complex over a
+field whose characteristic does not divide |Inn X| is read off the
+Inn(X)-orbit complex and the orbit-indicator cocycles of Etingof and Grana
+(JPAA 177, 2003), and its top boundary is not reduced (orbitcap; see
+homology).  The Gamma subcomplex shares T's boundaries above degree 1, and
+their eliminations (ChainComplex.shares).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from .exactfield import (ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, ShapeEr
 from .nerves import (BLOCK, DEFAULT_BUDGET, BudgetExceeded, GroupArith, bar_nerve,
                      cell_digits, cell_numbers, group_cubical_nerve, lnerve_inclusion,
                      rack_nerve)
-from .orbitcap import capped_pivots
+from .orbitcap import orbit_words, phi
 from .racks import FiniteGroup, PointedRack, conj_rack
 from .shuffles import Permutation
 
@@ -94,7 +95,7 @@ class ChainComplex:
     given."""
 
     def __init__(self, field, labels, boundaries, source=None, cell_rows=None,
-                 cell_of_pos=None, check=True):
+                 cell_of_pos=None, check=True, shares=None):
         self.field = field
         self.labels = list(labels)
         self.dims = [len(l) for l in self.labels]
@@ -103,10 +104,17 @@ class ChainComplex:
         self.source = source
         self._rows = cell_rows  # per degree: cell -> basis position, -1 when degenerate
         self.cell_of_pos = cell_of_pos
+        # degree n -> a checked complex whose d_n is this complex's d_n, the
+        # same Matrix: it owns the eliminations of d_n, and d_{n-1} d_n = 0
+        # is its check where it owns d_{n-1} as well
+        self.shares = shares or {}
         self._analyses = {}
+        self._images = {}
         self._square = None
         if check:
             for n in range(2, self.max_degree + 1):
+                if self.shares.get(n, self) is self.shares.get(n - 1):
+                    continue
                 if not (self.d(n - 1) @ self.d(n)).is_zero():
                     for j in range(self.dims[n]):
                         if self.d(n - 1).apply(self.d(n).column(j)):
@@ -127,9 +135,22 @@ class ChainComplex:
     def analysis(self, n: int) -> ColumnSpaceAnalysis:
         """The one elimination of d_n: rank, ker d_n and im d_n all come
         from it.  Callers read it and never add to its echelon."""
-        if n not in self._analyses:
-            self._analyses[n] = column_space_analysis(self.d(n))
-        return self._analyses[n]
+        owner = self.shares.get(n, self)
+        if n not in owner._analyses:
+            owner._analyses[n] = column_space_analysis(owner.d(n))
+        return owner._analyses[n]
+
+    def image(self, n: int) -> Echelon:
+        """An echelon of im d_n, its columns reduced once and untracked:
+        the top image homology reads, where ker d_n is not needed.  Callers
+        never add to it."""
+        owner = self.shares.get(n, self)
+        if n not in owner._images:
+            ech = Echelon(owner.field, owner.dim(n - 1))
+            for col in owner.d(n).cols_data:
+                ech.add(col)
+            owner._images[n] = ech
+        return owner._images[n]
 
     def tensor_square(self) -> "TensorComplex":
         """C (x) C through the top degree, built once; every coproduct and
@@ -388,18 +409,37 @@ class HomologySummary:
     with unit vectors tagged ("a", i).  projection(n) therefore kills
     boundaries and the chosen complement of the cycles, and is the identity
     on the stored representatives, so projection o inclusion = id.
+
+    At a degree in words (a rack top read off its orbit cocycles, see
+    homology), echelons[n] holds Phi of the representatives instead, a
+    basis of k^#words, and a chain v is read out as Phi of its kernel part,
+    the sum of v_i K_i over the non-pivot columns i of d_n (K_i the kernel
+    column with its unit at i): the same matrix, since the unit complement
+    above is the pivot columns of d_n.
     """
 
-    def __init__(self, cx: ChainComplex, up_to: int, dims, reps, echelons):
+    def __init__(self, cx: ChainComplex, up_to: int, dims, reps, echelons, words=None):
         self.complex = cx
         self.up_to = up_to
         self.dims = dims
         self.reps = reps
         self.echelons = echelons
+        self.words = words or {}
+        self._readouts = {}
         self._projections = {}
 
     def rep_matrix(self, n: int) -> Matrix:
         return Matrix(self.complex.field, self.complex.dim(n), self.dims[n], self.reps[n])
+
+    def _readout(self, n: int) -> Matrix:
+        """The matrix of v -> Phi(kernel part of v) at a degree in words."""
+        if n not in self._readouts:
+            f, words = self.complex.field, self.words[n]
+            cols = [{}] * self.complex.dim(n)
+            for col in self.complex.analysis(n).kernel_basis.cols_data:
+                cols[max(col)] = phi(words, f, col)
+            self._readouts[n] = Matrix.trusted(f, self.echelons[n].rows, len(cols), cols)
+        return self._readouts[n]
 
     def project_vec(self, n: int, vec: dict) -> dict:
         """Homology coordinates of a chain (sparse dict in, sparse dict out)."""
@@ -407,8 +447,10 @@ class HomologySummary:
         if self.dims[n] == 0:
             return {}
         ech = self.echelons[n]
-        if ech.rank < self.complex.dim(n):
-            for i in range(self.complex.dim(n)):
+        if n in self.words:
+            vec = self._readout(n).apply(vec)
+        elif ech.rank < ech.rows:
+            for i in range(ech.rows):
                 ech.add({i: f.one()}, tag=("a", i))
         coords = ech.coordinates(vec)
         if coords is None:
@@ -428,7 +470,8 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     """Homology through degree up_to; boundaries must exist through
     up_to + 1, or an echelon of the image of the top boundary is supplied.
     Kernels and images come from the cached analyses of d_1 .. d_up_to;
-    d_{up_to+1} is reduced untracked, since only its image is needed.
+    the image of d_{up_to+1} is cx.image, reduced untracked, since only
+    its span is needed.
 
     The representative search stops once dim ker d_n - rank(image)
     representatives are found: the image lies in ker d_n, so the image and
@@ -436,8 +479,9 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     would reduce to zero without changing the echelon.  At a degree with
     H_n = 0 it does not start, and the summary keeps the image's own
     echelon, which project_vec never reads there.  The image lies in
-    the kernel for every echelon the search would receive.  An analysis of d_{n+1}, or the top boundary reduced here,
-    spans im d_{n+1}, and d_n d_{n+1} = 0 is checked when a ChainComplex
+    the kernel for every echelon the search would receive.  An analysis of
+    d_{n+1}, or cx.image of the top boundary, spans im d_{n+1}, and
+    d_n d_{n+1} = 0 is checked when a ChainComplex
     is built (a tensor square's holds by the Koszul sign, and a homology
     complex has zero differentials).  A supplied top image must lie in
     ker d_n as well; its one supplier is _les_assemble.  The total
@@ -449,33 +493,24 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     image of rank above dim ker d_n breaks this and raises
     ConstructionBug.
 
-    Over Q, the top boundary of a rack complex is reduced only at the
-    columns orbitcap.capped_pivots returns, when it returns them.
-    Soundness: the indicator cochain phi_w of each orbit word w
-    (phi_w(c) = 1 when the entries of the cell c lie in the orbits
-    w_1 .. w_n, else 0) kills every column of d_{n+1}, because the faces
-    d_{i,1} c and d_{i,0} c of each cell c carry opposite signs and, as is
-    checked on the face tables (ConstructionBug if not), have one orbit
-    word or are both dropped.  So each phi_w is a cocycle, and a cocycle
-    vanishes on im d_{n+1}.  The orbit sum s_w, the sum of the degree-n
-    basis cells of word w, is a cycle: d_{i,1} s_w = d_{i,0} s_w for each i,
-    checked on the face tables too, and phi_w(s_v) = [w = v] #cells of w.
-    So a boundary sum_v a_v s_v has a_w #cells of w = 0 for every w: the
-    s_w are independent in H_n, dim H_n >= #words, and
-    cap = dim C_n - rank d_n - #words >= rank d_{n+1}.  For q the least
-    prime that does not divide |X|, the columns that raise the rank of a
-    mod-q echelon are independent mod q, hence over Q (a nonzero minor
-    mod q is a nonzero integer); cap of them are independent columns of
-    d_{n+1}, so rank d_{n+1} >= cap, the two are equal, and those columns
-    span the image.  The report reads only the span of the image (the
-    representatives, and project_vec's coordinates, depend on nothing
-    else).  The probe runs in natural
-    order, so its columns are the greedy pivot columns mod q; the
-    rational greedy pivots come no later one by one, and equal them on
-    every rack top the tests compare.  When the probe ends below the cap
-    (q-torsion in H_n, or a cap that is not tight), every column of
-    d_{n+1} is reduced, as over F_p, for a supplied top image and for
-    every other complex."""
+    The top degree n of a rack complex is read off the orbit cocycles, and
+    d_{n+1} is never reduced, when orbitcap.orbit_words returns the orbit
+    word of each basis cell: cx is the complex of a rack nerve,
+    the characteristic of the field does not divide |Inn X|, and b_n of the
+    Inn(X)-orbit complex equals the number of orbit words (the orbitcap
+    docstring gives the argument, and checks the cocycles and cycles).
+    Then Phi = (phi_w)_w is an isomorphism H_n -> k^#words that kills the
+    boundaries, so a kernel column is independent of im d_{n+1} and of the
+    earlier representatives exactly when its Phi-vector is independent of
+    theirs: the search, run in a #words-dimensional echelon, picks the
+    columns the search against the image would pick.  b_n <= dim ker d_n
+    (rank d_{n+1} = dim ker d_n - b_n) and b_n representatives found are
+    checked (ConstructionBug).  project_vec gives the same matrix as the
+    unit completion: that completion is the pivot columns of d_n, the
+    greedy complement of ker d_n, which it sends to 0, and at any other
+    column i, e_i is the kernel column K_i minus pivot columns, sent to
+    (Phi R)^-1 Phi(K_i), R the representatives.  When a guard fails every
+    column of d_{n+1} is reduced, as for every other complex."""
     if up_to is None:
         up_to = cx.max_degree - 1
     if up_to < 0:
@@ -487,34 +522,38 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     dims = []
     reps = []
     echs = []
+    words = {}
     for n in range(up_to + 1):
-        if n < up_to:
-            ech = cx.analysis(n + 1).echelon
-        elif top_image is not None:
-            ech = top_image
-        else:
-            cols = cx.d(n + 1).cols_data
-            picks = capped_pivots(cx, n)
-            ech = Echelon(f, cx.dim(n))
-            for col in cols if picks is None else (cols[j] for j in picks):
-                ech.add(col)
         kernel = cx.analysis(n).kernel_basis
-        missing = kernel.cols - ech.rank
-        if missing < 0:
-            raise ConstructionBug("boundary image above dim ker d_%d" % n)
+        w = orbit_words(cx, n) if n == up_to and top_image is None else None
+        if w is None:
+            ech = (cx.analysis(n + 1).echelon if n < up_to else
+                   cx.image(n + 1) if top_image is None else top_image)
+            missing = kernel.cols - ech.rank
+            if missing < 0:
+                raise ConstructionBug("boundary image above dim ker d_%d" % n)
+            if missing:
+                ech = ech.untracked_copy()  # not to write into a shared echelon
+        else:
+            words[n] = w
+            missing = max(w, default=-1) + 1
+            if missing > kernel.cols:
+                raise ConstructionBug("orbit Betti number above dim ker d_%d" % n)
+            ech = Echelon(f, missing)
         myreps = []
         if missing:
-            if n < up_to or top_image is not None:
-                ech = ech.untracked_copy()  # not to write into a shared echelon
             for col in kernel.cols_data:
-                if ech.add(col, tag=("r", len(myreps))):
+                if ech.add(col if w is None else phi(w, f, col), tag=("r", len(myreps))):
                     myreps.append(dict(col))
                     if len(myreps) == missing:
                         break
+            if len(myreps) < missing:
+                raise ConstructionBug("%d of %d representatives found at degree %d"
+                                      % (len(myreps), missing, n))
         dims.append(len(myreps))
         reps.append(myreps)
         echs.append(ech)
-    return HomologySummary(cx, up_to, dims, reps, echs)
+    return HomologySummary(cx, up_to, dims, reps, echs, words)
 
 
 def homology_complex(hs: HomologySummary) -> ChainComplex:
@@ -735,17 +774,29 @@ def _others(rows, n_rows: int):
     return np.flatnonzero(keep)
 
 
+def _is_identity(m: Matrix) -> bool:
+    return m.rows == m.cols and all(col.keys() == {j} and col[j] == 1
+                                    for j, col in enumerate(m.cols_data))
+
+
 def _subcomplex(T: ChainComplex, incl, retract, labels) -> ChainComplex:
     """The subcomplex of T spanned by the columns of the chain matrices
     incl[n], given left inverses retract[n]: d_S(n) = retract[n-1] d_T(n)
-    incl[n], checked by incl[n-1] d_S(n) = d_T(n) incl[n]."""
+    incl[n], checked by incl[n-1] d_S(n) = d_T(n) incl[n].  Where incl[n],
+    incl[n-1] and retract[n-1] are identities, d_S(n) is d_T(n) itself,
+    the check holds as it stands, and S shares T's eliminations of it."""
     bounds = []
+    shares = {}
     for n in range(1, T.max_degree + 1):
+        if all(map(_is_identity, (incl[n], incl[n - 1], retract[n - 1]))):
+            bounds.append(T.d(n))
+            shares[n] = T
+            continue
         image = T.d(n) @ incl[n]
         bounds.append(retract[n - 1] @ image)
         if incl[n - 1] @ bounds[-1] != image:
             raise ConstructionBug("not a subcomplex at degree %d" % n)
-    return ChainComplex(T.field, labels, bounds)
+    return ChainComplex(T.field, labels, bounds, shares=shares)
 
 
 def _quotient(T: ChainComplex, sub):
@@ -1007,8 +1058,8 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
     ker d_{top-1} (d^2 = 0, asserted on every streamed cell, a batch at a
     time), so the moment the tracked rank reaches dim ker d_{top-1} we have
     im = ker exactly.  The nondegenerate cells go to the tracker in batches
-    of TRACKER_BATCH, as face rows read off each BLOCK of cells, a batch
-    spanning BLOCK boundaries; the tracker stops at the column that reaches
+    of TRACKER_BATCH, as face rows read off each decoded block of cells, a
+    batch spanning block boundaries; the tracker stops at the column that reaches
     the bound, so `processed` counts the cells up to and including that
     one, as a column-at-a-time stream would.  Once cell_budget cells are
     read without saturating while cells remain, it raises BudgetExceeded.
@@ -1032,11 +1083,15 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
 
     def batches():
         """(cells read through each cell, face rows) per batch of
-        TRACKER_BATCH nondegenerate cells; the last batch may be short."""
+        TRACKER_BATCH nondegenerate cells; the last batch may be short.
+        Cells are decoded in blocks of TRACKER_BATCH cells, doubling up to
+        BLOCK, so a stream that saturates early decodes at most about twice
+        the cells it reads."""
         read = np.zeros(0, dtype=np.int64)
         rows = np.zeros((0, len(signs)), dtype=np.int64)
-        for start in range(0, M, BLOCK):
-            ks = [j * stride % M for j in range(start, min(start + BLOCK, M))]
+        start, size = 0, TRACKER_BATCH
+        while start < M:
+            ks = [j * stride % M for j in range(start, min(start + size, M))]
             faces, degenerate = _stream_block(arith, g.order, n1, ks)
             live = np.flatnonzero(~degenerate)
             read = np.concatenate((read, start + live + 1))
@@ -1046,6 +1101,7 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
             for lo in range(0, full, TRACKER_BATCH):
                 yield read[lo:lo + TRACKER_BATCH], rows[lo:lo + TRACKER_BATCH]
             read, rows = read[full:], rows[full:]
+            start, size = start + len(ks), min(2 * size, BLOCK)
         if len(read):
             yield read, rows
 

@@ -28,8 +28,8 @@ Every face and degeneracy table is one int32 array, filled BLOCK cells at
 a time (_tables); a degree must have fewer than 2^31 cells.  Every nerve is
 validated as it is built (validate_cubical or validate_simplicial, whole
 tables at a time).  A rack nerve also records the Inn(X)-orbit of each
-element (CubSet.orbits), whose orbit-word cocycles cap the rank of its
-top boundary over Q in chains.homology.
+element (CubSet.orbits), from which orbitcap reads the orbit complex and
+the orbit-word cocycles that give its top homology in chains.homology.
 
 A cell is its number; labels are for reports only, and none is stored: the
 degree-n labels are a Words view that decodes label k from the base-|X|
@@ -198,7 +198,11 @@ class GroupArith:
         self.unit = g.unit
 
     def _vertices(self, rows, i):
-        v = np.insert(rows, 0, self.unit, axis=1)
+        # filled in place: np.insert costs more than the gathers on a block
+        # of a few dozen cells, where the streamed certificate starts
+        v = np.empty((len(rows), rows.shape[1] + 1), dtype=rows.dtype)
+        v[:, 0] = self.unit
+        v[:, 1:] = rows
         return v.reshape(len(v), -1, 2 ** (i - 1))
 
     def face(self, rows, i, eps):

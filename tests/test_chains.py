@@ -24,9 +24,11 @@ from rackhom.chains import (
     verify_chain_map,
     verify_homotopy,
 )
-from rackhom.cubical import TruncationTooLow, gamma_functor_with_projection, standard_model
+from rackhom.cubical import (TruncationTooLow, gamma_functor_with_projection, standard_model,
+                             verify_cubset_map)
 from rackhom.exactfield import QQ, Echelon, FieldTag, Matrix
-from rackhom.nerves import GroupArith, bar_nerve, group_cubical_nerve, rack_nerve
+from rackhom.nerves import (GroupArith, bar_nerve, cell_digits, cell_numbers, group_cubical_nerve,
+                            rack_nerve)
 from rackhom.racks import conj_rack, preset, symmetric_group
 
 from cellref import (eta_section, gamma_les_reference, lnerve_inclusion_labels,
@@ -785,12 +787,23 @@ def test_each_matrix_is_eliminated_once(monkeypatch):
     # only the image of the top boundary is needed: it is reduced untracked
     assert id(c.d(4)) not in analysed
     # the gamma LES writes its kernel down: neither proj nor the kernel's
-    # inclusion is eliminated
-    seen.clear()
-    assert les_for_group("gamma", preset("cyclic:2"), QQ, 2).all_exact
-    twice = [(m, k) for m, k in seen.values() if k > 1]
-    assert not twice, twice
-    assert sum(k for _, k in seen.values()) == _les_analyses(2)
+    # inclusion is eliminated.  Above degree 1 incl and retract are
+    # identities, so the subcomplex shares T's boundaries: d_2 is analysed
+    # once for both, and the top boundary d_3 is reduced once
+    calls = _echelon_adds(monkeypatch)
+    for max_n in (2, 3):
+        seen.clear()
+        calls.clear()
+        assert les_for_group("gamma", preset("cyclic:2"), QQ, max_n).all_exact
+        twice = [(m, k) for m, k in seen.values() if k > 1]
+        assert not twice, twice
+        assert sum(k for _, k in seen.values()) == _les_analyses(max_n) - (max_n - 1)
+        T = build_complex(group_cubical_nerve(preset("cyclic:2"), max_n + 1), QQ)
+        for n in range(1, max_n + 1):
+            assert sum(k for m, k in seen.values() if m == T.d(n)) == 1, n
+        top = Counter(frozenset(col.items()) for col in T.d(max_n + 1).cols_data if col)
+        assert Counter(frozenset(col.items()) for _, tag, col in calls
+                       if tag is None and col) == top
 
 
 # -- the blocked certificate tracker against a plain Echelon, one column at a
@@ -1007,12 +1020,13 @@ def _acceptance_complexes():
 
 
 def _echelon_adds(monkeypatch):
-    """Every Echelon.add call from now on, as (echelon, tag), in order."""
+    """Every Echelon.add call from now on, as (echelon, tag, column), in
+    order."""
     calls = []
     add = Echelon.add
 
     def recording(self, col, tag=None):
-        calls.append((self, tag))
+        calls.append((self, tag, col))
         return add(self, col, tag)
 
     monkeypatch.setattr(Echelon, "add", recording)
@@ -1031,7 +1045,7 @@ def test_homology_shortcut_at_vanishing_degrees_matches_the_search(monkeypatch):
         ref = _homology_by_search(cx, up_to, top_image)
         assert hs.dims == ref.dims and hs.reps == ref.reps
         # the kernel columns each search read: it tags them ("r", k)
-        read = iter(Counter(id(e) for e, tag in calls
+        read = iter(Counter(id(e) for e, tag, _ in calls
                             if isinstance(tag, tuple) and tag[0] == "r").values())
         for n in range(up_to + 1):
             assert hs.projection(n) == ref.projection(n)
@@ -1042,60 +1056,144 @@ def test_homology_shortcut_at_vanishing_degrees_matches_the_search(monkeypatch):
     assert shortcuts >= 5 and stops >= 5
 
 
-# the racks whose rational top image is capped by the orbit cocycles, with
-# the degree of their homology; on trivial_rack:4 every cell is its own
-# orbit word, so the cap is 0
+# the racks whose top homology is read off the orbit cocycles, with the
+# degree of their homology; on trivial_rack:4 every cell is its own orbit
+# word, so the top image is 0
 CAPPED_RACKS = [("conj:cyclic:3", 3), ("conj:cyclic:2x2", 3), ("conj:symmetric:3", 3),
                 ("conj:dihedral:4", 3), ("conj:quaternion:8", 3), ("conj:symmetric:3", 4),
                 ("trivial_rack:4", 3)]
 
 
 def _assert_same_homology(hs, ref):
-    """Equal dims, reps and projections at every degree, and the top
-    echelons store the same columns at the same pivots."""
+    """Equal dims, reps and projections at every degree."""
     assert hs.dims == ref.dims and hs.reps == ref.reps
     for n in range(hs.up_to + 1):
         assert hs.projection(n) == ref.projection(n)
-    top, want = hs.echelons[hs.up_to].pivots, ref.echelons[ref.up_to].pivots
-    assert [(r, col) for r, col, _ in top] == [(r, col) for r, col, _ in want]
 
 
 @pytest.mark.parametrize("name,up_to", CAPPED_RACKS)
-def test_capped_top_image_matches_the_full_reduce(name, up_to):
-    """Over Q the top image of a rack complex comes from the columns a
-    mod-q probe picks, capped by the orbit cocycles: it must equal the
-    natural-order reduce of every column of d_{up_to + 1}."""
+def test_capped_top_image_matches_the_full_reduce(name, up_to, monkeypatch):
+    """Over Q the top homology of a rack complex is read off the orbit
+    cocycles: it must equal the natural-order reduce of every column of
+    d_{up_to + 1}, and no column of d_{up_to + 1} is reduced."""
     c = build_complex(rack_nerve(preset(name), up_to + 1), QQ)
+    top = {id(col) for col in c.d(up_to + 1).cols_data}
+    calls = _echelon_adds(monkeypatch)
     hs = homology(c, up_to)
-    picks = orbitcap.capped_pivots(c, up_to)
-    ref = _homology_by_search(c, up_to)
-    _assert_same_homology(hs, ref)
-    rank = c.dim(up_to) - c.analysis(up_to).rank - hs.dims[up_to]
-    assert picks is not None and len(picks) == rank
-
-
-def test_probe_that_stalls_below_the_cap_falls_back_to_the_full_reduce(monkeypatch):
-    """At q = 3, which divides |conj:symmetric:3| = 6, the 3-torsion of H_3
-    keeps the probe's rank below the cap; the full reduce then runs."""
-    c = build_complex(rack_nerve(preset("conj:symmetric:3"), 4), QQ)
-    monkeypatch.setattr(orbitcap, "least_prime_not_dividing", lambda m: 3)
-    assert orbitcap.capped_pivots(c, 3) is None
-    hs = homology(c, 3)
+    for n in range(up_to + 1):
+        hs.projection(n)
     monkeypatch.undo()
-    assert hs.dims == [1, 2, 4, 8]
-    _assert_same_homology(hs, _homology_by_search(c, 3))
+    assert up_to in hs.words
+    assert not any(id(col) in top for _, _, col in calls)
+    _assert_same_homology(hs, _homology_by_search(c, up_to))
 
 
-def test_capped_top_image_of_q8_reduces_only_its_pivot_columns(monkeypatch):
+def test_failed_orbit_guard_falls_back_to_the_full_reduce(monkeypatch):
+    """Two guards refuse the route, and homology then reduces every column
+    of d_4: F3, whose characteristic divides |Inn conj:symmetric:3| = 6,
+    and an orbit b_3 made to differ from the number of orbit words."""
+    nerve = rack_nerve(preset("conj:symmetric:3"), 4)
+    rank = orbitcap._orbit_rank
+    for field, patch, dims in [(FieldTag(3), False, [1, 2, 5, 13]), (QQ, True, [1, 2, 4, 8])]:
+        c = build_complex(nerve, field)
+        top = {id(col) for col in c.d(4).cols_data}
+        if patch:
+            monkeypatch.setattr(orbitcap, "_orbit_rank", lambda *args: rank(*args) + 1)
+        calls = _echelon_adds(monkeypatch)
+        assert orbitcap.orbit_words(c, 3) is None
+        hs = homology(c, 3)
+        monkeypatch.undo()
+        assert hs.dims == dims and not hs.words
+        assert sum(id(col) in top for _, _, col in calls) == c.dim(4)
+        _assert_same_homology(hs, _homology_by_search(c, 3))
+    assert len(orbitcap.inn_group(nerve)) == 6
+
+
+def test_top_boundary_of_q8_is_not_reduced(monkeypatch):
     """conj:quaternion:8 over Q at degree 3: d_4 has 2401 columns and rank
-    249, and the rational echelon of its image receives 249 of them (the
-    analyses tag their columns, the search its representatives)."""
+    249, and no echelon receives any of them; the analyses tag their
+    columns, the search its representatives' Phi-vectors."""
     c = build_complex(rack_nerve(preset("conj:quaternion:8"), 4), QQ)
+    top = {id(col) for col in c.d(4).cols_data}
     calls = _echelon_adds(monkeypatch)
     hs = homology(c, 3)
     assert hs.dims == [1, 4, 16, 64] and c.dim(4) == 2401
-    received = sum(e.field == QQ and tag is None for e, tag in calls)
-    assert received == 249 == hs.echelons[3].rank - hs.dims[3]
+    assert c.dim(3) - c.analysis(3).rank - hs.dims[3] == 249
+    received = sum(e.field == QQ and id(col) in top for e, _, col in calls)
+    assert received == 0
+
+
+def test_inn_group_of_a_conjugation_rack_is_g_mod_its_centre():
+    """|Inn conj(G)| = |G / Z(G)|, and a trivial rack has Inn = 1."""
+    for name, order in [("conj:symmetric:3", 6), ("conj:quaternion:8", 4),
+                        ("conj:dihedral:4", 4), ("conj:cyclic:3", 1), ("conj:cyclic:2x2", 1),
+                        ("trivial_rack:4", 1)]:
+        inn = orbitcap.inn_group(rack_nerve(preset(name), 2))
+        assert len(inn) == order, name
+        assert len({tuple(g) for g in inn}) == order
+
+
+# every rack preset family, with the degree through which its orbit Betti
+# numbers are compared with the full complex's: degree 4 where the full
+# reduce of d_5 takes a few seconds over all fields, degree 3 for the
+# 8-element racks (16807 columns of d_5 per field)
+ORBIT_ORACLE = [("trivial_rack:4", 4), ("conj:cyclic:2", 4), ("conj:cyclic:3", 4),
+                ("conj:cyclic:2x2", 4), ("conj:symmetric:3", 4), ("conj:dihedral:4", 3),
+                ("conj:quaternion:8", 3)]
+
+
+@pytest.mark.parametrize("name,top", ORBIT_ORACLE)
+def test_orbit_betti_numbers_equal_the_full_complex(name, top):
+    """Over Q and over every F_p with p < 12 not dividing |Inn X|, b_n of
+    the Inn(X)-orbit complex is b_n of the rack complex, n = 1 .. top; the
+    route is taken at the top, and its homology equals the full reduce."""
+    nerve = rack_nerve(preset(name), top + 1)
+    fields = [QQ] + [FieldTag(p) for p in (2, 3, 5, 7, 11)
+                     if len(orbitcap.inn_group(nerve)) % p]
+    assert len(fields) >= 4
+    for field in fields:
+        c = build_complex(nerve, field)
+        inn = orbitcap.inn_group(c.source)
+        ref = _homology_by_search(c, top)
+        assert [orbitcap.orbit_betti(c, inn, n) for n in range(1, top + 1)] == ref.dims[1:]
+        hs = homology(c, top)
+        assert top in hs.words
+        assert hs.dims == ref.dims and hs.reps == ref.reps
+        assert hs.projection(top) == ref.projection(top)
+
+
+@pytest.mark.parametrize("name,p,orbit,full", [
+    ("conj:symmetric:3", 3, [2, 4, 10], [2, 5, 13]),
+    ("conj:dihedral:4", 2, [4, 16, 70], [4, 19, 88])], ids=["conj:symmetric:3-F3", "conj:dihedral:4-F2"])
+def test_orbit_complex_departs_when_p_divides_inn(name, p, orbit, full):
+    """Negative controls: p divides |Inn X|, the orbit complex then has the
+    wrong Betti numbers, and the guard refuses the route: the result is the
+    full reduce."""
+    c = build_complex(rack_nerve(preset(name), 4), FieldTag(p))
+    inn = orbitcap.inn_group(c.source)
+    assert len(inn) % p == 0
+    assert [orbitcap.orbit_betti(c, inn, n) for n in range(1, 4)] == orbit
+    assert orbitcap.orbit_words(c, 3) is None
+    hs = homology(c, 3)
+    assert hs.dims == [1] + full and not hs.words
+    _assert_same_homology(hs, _homology_by_search(c, 3))
+
+
+@pytest.mark.parametrize("name,top", ORBIT_ORACLE)
+def test_conjugation_is_a_cubical_map_homotopic_to_the_identity(name, top):
+    """What the route's argument rests on, for every a in X: c_a is a map
+    of cubical sets (its cell table commutes with every face and
+    degeneracy), and d h_a + h_a d = c_a - id through the oracle's degrees."""
+    r = preset(name)
+    nerve = rack_nerve(r, top + 1)
+    c = build_complex(nerve, QQ)
+    op = np.array(r.op)
+    for a in range(r.order):
+        table = [cell_numbers(op[cell_digits(np.arange(r.order ** n), r.order, n), a], r.order)
+                 for n in range(top + 2)]
+        assert verify_cubset_map(nerve, nerve, table)
+        c_a, h_a = rack_conjugation_data(c, r, a)
+        assert verify_homotopy(identity_map(c, top), c_a, h_a) == []
 
 
 def test_wrong_orbit_label_fails_the_cocycle_check():
@@ -1142,6 +1240,37 @@ def test_stream_note_is_independent_of_batch_size(monkeypatch):
         notes.append(res.notes)
     assert notes[0] == notes[1]
     assert "saturated" in notes[0][0]
+
+
+@pytest.mark.parametrize("name, p, max_n, materialize, processed, total", [
+    ("quaternion:8", 5, 2, chains.MATERIALIZE_CELLS, 492, 2097152),
+    ("symmetric:3", 5, 2, chains.MATERIALIZE_CELLS, 201, 279936),
+    ("cyclic:2", 3, 3, 0, 108, 32768),
+    ("cyclic:2x2", 3, 2, 0, 61, 16384)])
+def test_stream_decodes_about_twice_the_cells_it_reads(name, p, max_n, materialize, processed,
+                                                       total, monkeypatch):
+    """The stream decodes blocks of TRACKER_BATCH cells, doubling up to
+    BLOCK, and stops at the block that completes the saturating batch.
+    Each block is at most the cells before it plus one batch, and the last
+    one starts at most a batch of live cells past the last cell read, so
+    at most 2 * read + 3 * TRACKER_BATCH cells are decoded when few cells
+    are degenerate.  The notes are those of whole-BLOCK decoding."""
+    decoded = []
+    orig = chains._stream_block
+
+    def counting(arith, order, top_degree, ks):
+        decoded.append(len(ks))
+        return orig(arith, order, top_degree, ks)
+
+    monkeypatch.setattr(chains, "_stream_block", counting)
+    monkeypatch.setattr(chains, "MATERIALIZE_CELLS", materialize)
+    res = les_for_group("lrel", preset(name), FieldTag(p), max_n)
+    assert res.all_exact
+    assert res.notes[0] == ("top boundary streamed: %d of %d degree-%d cells processed,"
+                            " rank saturated at dim ker d (im = ker certified)"
+                            % (processed, total, max_n + 1))
+    assert decoded[:2] == [TRACKER_BATCH, 2 * TRACKER_BATCH]
+    assert sum(decoded) <= 2 * processed + 3 * TRACKER_BATCH
 
 
 def test_les_z3_over_f5_through_3():
