@@ -40,8 +40,9 @@ Both long exact sequences (L-relative and Gamma) run through _les_assemble,
 and both arrive split on cell bases: each has an inclusion incl, a
 projection proj, a section of proj and a retraction of incl, all 0/1
 matrices (_selection, _restriction), so no map of a sequence is eliminated
-or solved in.  Both quotients are _quotient, d_Q = proj d_T section, with
-the retraction onto the subcomplex's rows beside proj.  The L-relative
+or solved in.  Both quotients are _quotient, d_Q = proj d_T section, read
+off d_T by renumbering rows, with the retraction onto the subcomplex's rows
+beside proj.  The L-relative
 subcomplex is the rack complex of Conj(G): the first-face equalizer of the
 group's cubical nerve is the rack space of Fenn, Rourke and Sanderson,
 lnerve_inclusion maps the rack nerve onto it, and the inclusion is
@@ -52,12 +53,18 @@ d_S = retract d_T incl, checked by incl d_S = d_T incl.  A top boundary
 that is not materialised enters as one Echelon of its image
 (stream_group_top_image); the quotient's top image is its projection.
 The stream hands its rank tracker batches of face rows, which the mod-p
-tracker scatters into one int64 block, and checks d^2 = 0 on each batch with one gathered product.  A saturated stream's image is
-ker d itself: the rack complex's top boundary is checked against the image
-only when the stream is exhausted.  homology stops its representative
-search once the image and the representatives reach the rank of ker d_n,
-and does not start it at H_n = 0.  The top degree of a rack complex over a
-field whose characteristic does not divide |Inn X| is read off the
+tracker scatters into one int64 block, and checks d^2 = 0 on each batch
+with one gathered product.  A saturated stream's image is ker d itself,
+handed on as the kernel basis of T's analysis (inserted unreduced, and
+projected to the quotient mostly the same way; see _les_assemble): the
+rack complex's top boundary is checked against the image only when the
+stream is exhausted.  Every analysis of a boundary is
+dense.boundary_analysis: a verified dense row reduction mod p where the
+size rule admits it, the tagged Echelon otherwise, with the same answer.
+homology stops its representative search once the image and the
+representatives reach the rank of ker d_n, and does not start it at
+H_n = 0.  The top degree of a rack complex with Inn X not trivial, over a
+field whose characteristic does not divide |Inn X|, is read off the
 Inn(X)-orbit complex and the orbit-indicator cocycles of Etingof and Grana
 (JPAA 177, 2003), and its top boundary is not reduced (orbitcap; see
 homology).  The Gamma subcomplex shares T's boundaries above degree 1, and
@@ -75,6 +82,7 @@ from math import gcd
 import numpy as np
 
 from .cubical import ConstructionBug, CubSet, Labels, Picked, TruncationTooLow
+from .dense import boundary_analysis
 from .exactfield import (ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, ShapeError,
                          column_space_analysis, least_prime_not_dividing)
 from .nerves import (BLOCK, DEFAULT_BUDGET, BudgetExceeded, GroupArith, bar_nerve,
@@ -134,10 +142,22 @@ class ChainComplex:
 
     def analysis(self, n: int) -> ColumnSpaceAnalysis:
         """The one elimination of d_n: rank, ker d_n and im d_n all come
-        from it.  Callers read it and never add to its echelon."""
+        from it.  Callers read it and never add to its echelon.
+
+        It is dense.boundary_analysis, which equals column_space_analysis
+        entry for entry.  A boundary with 200 columns to 2^21 entries (one
+        float64 copy, 16 MiB at most) is row-reduced densely mod p: the
+        field's p, or over Q a prime below 2^22, whose answer is checked
+        over Z, m[:, P] R = m[:, not P] for the pivot columns P and the
+        reduced form R.  P is independent mod p, so over Q, and the check
+        writes each other column as an integer combination of the pivots
+        before it, so P are the greedy pivots and R gives today's kernel
+        columns.  A failed check (a kernel with fractions), an entry that is
+        not an int, or a boundary outside the size rule takes
+        column_space_analysis."""
         owner = self.shares.get(n, self)
         if n not in owner._analyses:
-            owner._analyses[n] = column_space_analysis(owner.d(n))
+            owner._analyses[n] = boundary_analysis(owner.d(n))
         return owner._analyses[n]
 
     def image(self, n: int) -> Echelon:
@@ -491,14 +511,18 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     chain map (d_Q proj = proj d_T, as the subcomplex's inclusion is a
     certified chain map), so it lands in ker d_n of the quotient.  An
     image of rank above dim ker d_n breaks this and raises
-    ConstructionBug.
+    ConstructionBug.  A saturated image is the kernel basis of
+    cx.analysis(n), handed on: its columns were inserted unreduced (each
+    has its unit at its own non-pivot row), and the search reads only its
+    span and rank, which equal dim ker d_n, so the search does not start.
 
     The top degree n of a rack complex is read off the orbit cocycles, and
     d_{n+1} is never reduced, when orbitcap.orbit_words returns the orbit
-    word of each basis cell: cx is the complex of a rack nerve,
-    the characteristic of the field does not divide |Inn X|, and b_n of the
-    Inn(X)-orbit complex equals the number of orbit words (the orbitcap
-    docstring gives the argument, and checks the cocycles and cycles).
+    word of each basis cell: cx is the complex of a rack nerve, Inn X is
+    not trivial, the characteristic of the field does not divide |Inn X|,
+    and b_n of the Inn(X)-orbit complex equals the number of orbit words
+    (the orbitcap docstring gives the argument, and checks the cocycles and
+    cycles).
     Then Phi = (phi_w)_w is an isomorphism H_n -> k^#words that kills the
     boundaries, so a kernel column is independent of im d_{n+1} and of the
     earlier representatives exactly when its Phi-vector is independent of
@@ -679,15 +703,37 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section, retract,
     split the sequence: proj @ section = id and retract @ incl = id, both
     checked, so the snake lift of a boundary in im incl is its retraction.
     top_image, when given, is an echelon of the image of T's top boundary
-    (T and Q then stop at degree max_n); the quotient's is its projection."""
+    (T and Q then stop at degree max_n); the quotient's is its projection.
+
+    A top image of rank dim ker d_T(max_n) is that kernel, handed on by a
+    saturated stream as the kernel basis of T.analysis(max_n): column K_j
+    has its unit at its own non-pivot row j of d_T(max_n), its max key,
+    and its other entries on pivot columns of d_T(max_n), which no K_j has
+    as its unit.  proj keeps the quotient rows in order and drops the
+    others, so the projections of the K_j with j in the quotient are
+    already reduced against each other, and enter top_Q by the checked
+    Echelon.insert, with no sweep.  The other projections lie on the at
+    most rank d_T(max_n) pivot rows in the quotient, which no inserted
+    column has as its pivot row, and go through add.  Only the span of
+    top_Q is read (homology), and it is the span of all the projections.
+    Any other top image (an exhausted stream) has each projection added in
+    order."""
     notes = list(notes)
     # projected first: built after the checks below, this echelon and its
     # neighbours left up to 1 MiB more resident for the next query
     top_Q = None
     if top_image is not None:
         top_Q = Echelon(field, Q.dim(max_n))
-        for _, col, _ in top_image.pivots:
-            top_Q.add(proj[max_n].apply(col))
+        handed = top_image.rank == T.dim(max_n) - T.analysis(max_n).rank
+        rest = []
+        for prow, col, _ in top_image.pivots:
+            col = proj[max_n].apply(col)
+            if handed and proj[max_n].cols_data[prow]:
+                top_Q.insert(col)
+            else:
+                rest.append(col)
+        for col in rest:
+            top_Q.add(col)
     # chain-level short exactness on the stored degrees
     avail = min(T.max_degree, max_n + 1 if top_image is None else max_n)
     for n in range(avail + 1):
@@ -803,16 +849,27 @@ def _quotient(T: ChainComplex, sub):
     """The quotient of T by the subcomplex spanned by the basis rows sub[n]:
     its basis is the other rows, ascending, and d_Q(n) = proj[n-1] d_T(n)
     section[n]; retract[n] restricts to the rows sub[n].  Returns (Q, proj,
-    section, retract)."""
+    section, retract).  d_Q(n) is read off d_T(n) with no product: section
+    picks the columns of the quotient rows, and proj keeps each quotient
+    row once, renumbered, and drops the subcomplex rows, so column j of
+    d_Q(n) is column rows[j] of d_T(n) with its rows renumbered or
+    dropped.  Q checks d^2 = 0 as every complex does."""
     f = T.field
-    labels, proj, section, retract = [], [], [], []
+    labels, proj, section, retract, bounds = [], [], [], [], []
     for n in range(T.max_degree + 1):
         rows = _others(sub[n], T.dim(n))
+        at = np.full(T.dim(n), -1)
+        at[rows] = np.arange(len(rows))
         labels.append(Picked(T.labels[n], rows))
-        proj.append(_restriction(rows, T.dim(n), f))
+        proj.append(_selection(at, len(rows), f))
         section.append(_selection(rows, T.dim(n), f))
         retract.append(_restriction(sub[n], T.dim(n), f))
-    bounds = [proj[n - 1] @ (T.d(n) @ section[n]) for n in range(1, T.max_degree + 1)]
+        if n:
+            d = T.d(n).cols_data
+            bounds.append(Matrix.trusted(f, proj[n - 1].rows, len(rows), [
+                {k: v for r, v in d[j].items() if (k := below[r]) >= 0}
+                for j in rows.tolist()]))
+        below = at.tolist()
     Q = ChainComplex(f, labels, bounds)
     return Q, proj, section, retract
 
@@ -1010,8 +1067,10 @@ def _stream_block(arith, order: int, top_degree: int, ks):
     _boundary_keys.  Cell k labels vertex m by the (m-1)th base-|G| digit
     of k, least significant first."""
     rows = cell_digits(ks, order, 2 ** top_degree - 1)[:, ::-1]
-    return ([cell_numbers(arith.face(rows, *key), order)
-             for key in _boundary_keys(top_degree, True)], arith.degenerate(rows))
+    keys = _boundary_keys(top_degree, True)
+    faces = [arith.face(rows, *key) for key in keys]
+    return ([cell_numbers(face, order) for face in faces],
+            arith.degenerate(rows, [face for (_, eps), face in zip(keys, faces) if eps == 0]))
 
 
 def _boundary_block(faces, signs, dim: int):
@@ -1068,7 +1127,11 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
     when the stream saturates, and of the exhausted tracker's reduced rows
     when it runs at the field's own prime; an exhausted stream over Q raises
     ConstructionBug, since its mod-p rank only bounds the image from below.
-    note says which of the two happened."""
+    note says which of the two happened.  A saturated image is the kernel
+    basis T.analysis(top-1) already holds, handed on: each kernel column
+    has its unit at its own non-pivot row, its max key, and its other
+    entries on pivot columns only, so the columns are reduced against each
+    other and enter by the checked Echelon.insert, shared and unreduced."""
     n1 = top_degree
     N = n1 - 1
     f = field
@@ -1128,7 +1191,7 @@ def stream_group_top_image(g: FiniteGroup, top_degree: int, T: ChainComplex,
         note = ("top boundary streamed: %d of %d degree-%d cells processed,"
                 " rank saturated at dim ker d (im = ker certified)" % (processed, M, n1))
         for col in T.analysis(N).kernel_basis.cols_data:
-            image.add(col)
+            image.insert(col)
     elif field.p:
         # over the field's own prime the exhausted tracker is the exact image
         note = ("top boundary streamed to exhaustion (%d cells): the top homology is"

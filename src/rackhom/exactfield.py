@@ -20,6 +20,18 @@ One echelon per matrix: `column_space_analysis` eliminates a matrix once,
 and its rank, kernel and image are read from that `Echelon`.
 Tagged columns are tracked as combinations of the tagged inputs; untagged
 columns are reduced but not tracked, so coordinates are read modulo their span.
+A boundary of a chain complex gets the same analysis, entry for entry, from
+dense.boundary_analysis: a dense row reduction mod p (the field's p, or a
+prime below 2^22 over Q) gives the pivot columns P and the reduced form R,
+and over Q the check m[:, P] R = m[:, not P] exactly over Z proves that P
+is the greedy pivot set over Q and R the kernel's coefficients (P is
+independent mod p, hence over Q, and each non-pivot column is an integer
+combination of the pivots before it).  Only the pivot columns then enter
+the tagged echelon, which stores nothing for a dependent column.  A failed
+check, an entry that is not an int, and a matrix outside the size rule
+(fewer than 200 columns, or more than 2^21 entries: 16 MiB of float64)
+take column_space_analysis.  A column already reduced against an echelon
+enters it by `Echelon.insert`, checked, with no sweep.
 """
 
 from __future__ import annotations
@@ -408,6 +420,23 @@ class Echelon:
         self._order[prow] = len(self.pivots)
         self.pivots.append((prow, col, combo))
         return True
+
+    def insert(self, col: dict) -> None:
+        """Add an untagged column that is reduced already: one with no entry
+        at a pivot row.  Its max key becomes its pivot row, with no sweep.
+        Such a column is outside the span, since a nonzero vector of the
+        span has an entry at the pivot row of the earliest stored column in
+        its combination, and the invariant holds as for add.  The column is
+        stored as given (no echelon writes a stored column).  Raises
+        ConstructionBug on a column that would need reduction: an empty one,
+        or one with an entry at a pivot row (its max key among them)."""
+        order = self._order
+        if not col or any(r in order for r in col):
+            from .cubical import ConstructionBug  # not at the top: cubical loads numpy
+            raise ConstructionBug("inserted column is not reduced: %r" % (sorted(col)[:8],))
+        prow = max(col)
+        order[prow] = len(self.pivots)
+        self.pivots.append((prow, col, None))
 
     def coordinates(self, col: dict) -> Optional[dict]:
         """The tagged combination equal to col modulo the untagged columns,

@@ -215,11 +215,13 @@ class GroupArith:
         """s_i: precompose with the deletion of coordinate i."""
         return np.repeat(self._vertices(rows, i), 2, axis=1).reshape(len(rows), -1)[:, 1:]
 
-    def degenerate(self, rows):
-        """Flags of the degenerate cells: c = s_i d_{i,0} c for some i."""
+    def degenerate(self, rows, zero_faces):
+        """Flags of the degenerate cells: c = s_i d_{i,0} c for some i.
+        zero_faces holds face(rows, i, 0) for i = 1, 2, .. n, which the
+        caller has computed for the boundary already."""
         flags = np.zeros(len(rows), dtype=bool)
-        for i in range(1, rows.shape[1].bit_length() + 1):
-            flags |= (self.degen(self.face(rows, i, 0), i) == rows).all(axis=1)
+        for i, face in enumerate(zero_faces, 1):
+            flags |= (self.degen(face, i) == rows).all(axis=1)
         return flags
 
 

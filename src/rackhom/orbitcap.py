@@ -32,9 +32,13 @@ The argument holds for the unnormalized complex as well, where the words
 run over every orbit.
 
 Guards: cx is the complex of a rack nerve, n >= 1 (the rack table is read
-off the degree-2 face d_{2,1}(x, y) = x <| y), the
+off the degree-2 face d_{2,1}(x, y) = x <| y), Inn X is not trivial, the
 characteristic of k does not divide |Inn X|, and b_n = #words.  When one
-fails, orbit_words returns None and homology reduces d_{n+1} in full.
+fails, orbit_words returns None and homology reduces d_{n+1} in full.  For
+a trivial Inn X (a trivial rack, the conjugation rack of an abelian group)
+the orbit complex is the complex itself and every boundary is zero
+(d_{i,1} = d_{i,0}), so the full reduce of d_{n+1} costs less than the
+orbit complex and gives the same answer.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ def orbit_words(cx, n: int):
         return None
     order = len(x.orbits)
     inn = inn_group(x)
-    if cx.field.p and len(inn) % cx.field.p == 0:
+    if len(inn) == 1 or (cx.field.p and len(inn) % cx.field.p == 0):
         return None
     # the orbit word of each degree-n basis cell, as the number of the cell
     # whose entries are the least elements of the orbits of its entries

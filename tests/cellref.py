@@ -20,6 +20,14 @@ as chains did before the rack complex became the subcomplex.
 `gamma_les_reference` builds the Gamma long exact sequence by running
 gamma_functor_with_projection over a nerve with cells through max_n + 2, as
 chains did before it wrote down that Gamma of a group's nerve is a point.
+`tagged_echelon_analysis` is the analysis of a matrix as
+exactfield.column_space_analysis computes it, every column into one tagged
+`Echelon`: the oracle of the dense route (dense.dense_analysis).
+`product_quotient_boundaries` gives the quotient's boundaries as the
+product proj d_T section, as chains._quotient did before it re-indexed d_T.
+`added_top_images` builds a saturated top image and its projection to the
+quotient through `Echelon.add`, as chains did before it handed the kernel
+basis on through `Echelon.insert`.
 `identity_perm`, `conjugacy_classes` and `is_trivial` are the identity
 permutation, the conjugacy classes of a group and the triviality of a
 rack, which only tests ask for.
@@ -41,7 +49,7 @@ from rackhom.chains import (GradedMap, _les_assemble, _others, _quotient, _restr
 from rackhom.cubical import (ConstructionBug, Labels, Picked, QuotientIllDefined,
                              TruncationTooLow, gamma_functor_with_projection,
                              l_functor_with_inclusion)
-from rackhom.exactfield import Echelon, Matrix
+from rackhom.exactfield import ColumnSpaceAnalysis, Echelon, Matrix
 from rackhom.nerves import (BLOCK, GroupArith, _bar_face, _cube_faces, _insert, _rack_face,
                             cell_digits, cell_numbers)
 from rackhom.shuffles import All, FirstFixed, FirstIsPPlus1, Permutation, enumerate_shuffles
@@ -453,6 +461,34 @@ class FullScanEchelon(Echelon):
         ech = FullScanEchelon(self.field, self.rows)
         ech.pivots = [(prow, pcol, None) for prow, pcol, _ in self.pivots]
         return ech
+
+
+def tagged_echelon_analysis(m: Matrix) -> ColumnSpaceAnalysis:
+    """Rank, kernel basis and image echelon of m from every column, tagged
+    by its index, added to one Echelon in order; a dependent column's
+    combination is its kernel column."""
+    ech = Echelon(m.field, m.rows)
+    kernel = [ech.last_combo for j in range(m.cols) if not ech.add(m.column(j), tag=j)]
+    return ColumnSpaceAnalysis(ech.rank, Matrix(m.field, m.cols, len(kernel), kernel), ech)
+
+
+def product_quotient_boundaries(T, proj, section):
+    """d_Q(n) = proj[n-1] d_T(n) section[n] for n = 1 .. T.max_degree, by
+    two matrix products."""
+    return [proj[n - 1] @ (T.d(n) @ section[n]) for n in range(1, T.max_degree + 1)]
+
+
+def added_top_images(kernel: Matrix, proj: Matrix):
+    """The top image spanned by the columns of kernel, each added to an
+    Echelon, and its projection by proj, each projected pivot column added
+    in order."""
+    image = Echelon(kernel.field, kernel.rows)
+    for col in kernel.cols_data:
+        image.add(col)
+    top_q = Echelon(kernel.field, proj.rows)
+    for _, col, _ in image.pivots:
+        top_q.add(proj.apply(col))
+    return image, top_q
 
 
 class TupleSquareMatrix:

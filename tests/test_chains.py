@@ -31,8 +31,9 @@ from rackhom.nerves import (GroupArith, bar_nerve, cell_digits, cell_numbers, gr
                             rack_nerve)
 from rackhom.racks import conj_rack, preset, symmetric_group
 
-from cellref import (eta_section, gamma_les_reference, lnerve_inclusion_labels,
-                     lrel_les_reference, rack_conjugation_reference)
+from cellref import (added_top_images, eta_section, gamma_les_reference,
+                     lnerve_inclusion_labels, lrel_les_reference, product_quotient_boundaries,
+                     rack_conjugation_reference)
 
 
 def test_rack_z2_complex_trivial_boundary():
@@ -741,19 +742,41 @@ def test_les_over_prime_fields():
 
 
 def _count_analyses(monkeypatch):
-    """Count column_space_analysis calls per matrix object; the matrices are
-    kept alive so that ids are not reused."""
-    from rackhom import chains, exactfield
+    """Count the eliminations per matrix object, at both entry points:
+    boundary_analysis (every ChainComplex.analysis) and
+    column_space_analysis (the induced maps).  A call made inside another
+    one (boundary_analysis handing a narrow matrix to
+    column_space_analysis) is the same elimination and is not counted
+    again; a dense route that fails its check and falls back is counted
+    twice.  The matrices are kept alive so that ids are not reused."""
+    from rackhom import chains, dense, exactfield
 
     seen = {}
-    orig = exactfield.column_space_analysis
+    depth = [0]
+    for name, owner in (("boundary_analysis", dense), ("column_space_analysis", exactfield)):
+        orig = getattr(owner, name)
 
-    def counting(m):
-        seen.setdefault(id(m), [m, 0])[1] += 1
-        return orig(m)
+        def counting(m, orig=orig):
+            if not depth[0]:
+                seen.setdefault(id(m), [m, 0])[1] += 1
+            depth[0] += 1
+            try:
+                return orig(m)
+            finally:
+                depth[0] -= 1
 
-    monkeypatch.setattr(exactfield, "column_space_analysis", counting)
-    monkeypatch.setattr(chains, "column_space_analysis", counting, raising=False)
+        for module in (chains, dense, exactfield):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    route = dense.dense_analysis
+
+    def attempt(m):
+        # a dense route that fails its check eliminates m a second time
+        out = route(m)
+        if out is None:
+            seen[id(m)][1] += 1
+        return out
+
+    monkeypatch.setattr(dense, "dense_analysis", attempt)
     return seen
 
 
@@ -1056,9 +1079,10 @@ def test_homology_shortcut_at_vanishing_degrees_matches_the_search(monkeypatch):
     assert shortcuts >= 5 and stops >= 5
 
 
-# the racks whose top homology is read off the orbit cocycles, with the
-# degree of their homology; on trivial_rack:4 every cell is its own orbit
-# word, so the top image is 0
+# rack complexes with the degree of their homology.  The top homology is
+# read off the orbit cocycles where Inn X is not trivial; conj:cyclic:3,
+# conj:cyclic:2x2 and trivial_rack:4 have a trivial Inn X, where every
+# boundary is 0 and the full reduce is taken
 CAPPED_RACKS = [("conj:cyclic:3", 3), ("conj:cyclic:2x2", 3), ("conj:symmetric:3", 3),
                 ("conj:dihedral:4", 3), ("conj:quaternion:8", 3), ("conj:symmetric:3", 4),
                 ("trivial_rack:4", 3)]
@@ -1073,18 +1097,21 @@ def _assert_same_homology(hs, ref):
 
 @pytest.mark.parametrize("name,up_to", CAPPED_RACKS)
 def test_capped_top_image_matches_the_full_reduce(name, up_to, monkeypatch):
-    """Over Q the top homology of a rack complex is read off the orbit
-    cocycles: it must equal the natural-order reduce of every column of
-    d_{up_to + 1}, and no column of d_{up_to + 1} is reduced."""
+    """Over Q the top homology of a rack complex with Inn X not trivial is
+    read off the orbit cocycles: it must equal the natural-order reduce of
+    every column of d_{up_to + 1}, and no column of d_{up_to + 1} is
+    reduced.  With Inn X trivial, d_{up_to + 1} is reduced in full."""
     c = build_complex(rack_nerve(preset(name), up_to + 1), QQ)
+    capped = len(orbitcap.inn_group(c.source)) > 1
+    assert capped == (name in ("conj:symmetric:3", "conj:dihedral:4", "conj:quaternion:8"))
     top = {id(col) for col in c.d(up_to + 1).cols_data}
     calls = _echelon_adds(monkeypatch)
     hs = homology(c, up_to)
     for n in range(up_to + 1):
         hs.projection(n)
     monkeypatch.undo()
-    assert up_to in hs.words
-    assert not any(id(col) in top for _, _, col in calls)
+    assert (up_to in hs.words) == capped
+    assert any(id(col) in top for _, _, col in calls) != capped
     _assert_same_homology(hs, _homology_by_search(c, up_to))
 
 
@@ -1146,7 +1173,8 @@ ORBIT_ORACLE = [("trivial_rack:4", 4), ("conj:cyclic:2", 4), ("conj:cyclic:3", 4
 def test_orbit_betti_numbers_equal_the_full_complex(name, top):
     """Over Q and over every F_p with p < 12 not dividing |Inn X|, b_n of
     the Inn(X)-orbit complex is b_n of the rack complex, n = 1 .. top; the
-    route is taken at the top, and its homology equals the full reduce."""
+    route is taken at the top unless Inn X is trivial, and its homology
+    equals the full reduce."""
     nerve = rack_nerve(preset(name), top + 1)
     fields = [QQ] + [FieldTag(p) for p in (2, 3, 5, 7, 11)
                      if len(orbitcap.inn_group(nerve)) % p]
@@ -1157,7 +1185,7 @@ def test_orbit_betti_numbers_equal_the_full_complex(name, top):
         ref = _homology_by_search(c, top)
         assert [orbitcap.orbit_betti(c, inn, n) for n in range(1, top + 1)] == ref.dims[1:]
         hs = homology(c, top)
-        assert top in hs.words
+        assert (top in hs.words) == (len(inn) > 1)
         assert hs.dims == ref.dims and hs.reps == ref.reps
         assert hs.projection(top) == ref.projection(top)
 
@@ -1282,3 +1310,79 @@ def test_les_z3_over_f5_through_3():
                         "quotient": [0, 0, 2, 4]}
     assert ("top boundary streamed: 2197 of 14348907 degree-4 cells processed,"
             " rank saturated at dim ker d (im = ker certified)") in res.notes
+
+
+# -- the quotient read off d_T, and the saturated image handed on -------------
+
+
+def _assembled(monkeypatch, kind, name, field, max_n):
+    """Run the sequence and return what _les_assemble received, with the
+    top image each homology call received."""
+    got = {}
+    assemble, hom = chains._les_assemble, chains.homology
+
+    def recording(kind, field, max_n, S, T, Q, incl, proj, section, retract, *rest, **kw):
+        got.update(T=T, Q=Q, proj=proj, section=section)
+        return assemble(kind, field, max_n, S, T, Q, incl, proj, section, retract, *rest, **kw)
+
+    def homology_recording(cx, up_to=None, top_image=None):
+        got.setdefault("tops", {})[id(cx)] = top_image
+        return hom(cx, up_to, top_image)
+
+    monkeypatch.setattr(chains, "_les_assemble", recording)
+    monkeypatch.setattr(chains, "homology", homology_recording)
+    assert les_for_group(kind, preset(name), field, max_n).all_exact
+    monkeypatch.undo()
+    return got
+
+
+@pytest.mark.parametrize("kind,name,field,max_n", [
+    ("lrel", "cyclic:3", QQ, 3), ("lrel", "cyclic:2", QQ, 3), ("lrel", "symmetric:3", QQ, 2),
+    ("lrel", "quaternion:8", FieldTag(5), 2), ("lrel", "cyclic:2", FieldTag(2), 3),
+    ("gamma", "cyclic:2", QQ, 2), ("gamma", "cyclic:3", QQ, 1)])
+def test_quotient_reindexes_the_product(monkeypatch, kind, name, field, max_n):
+    """d_Q read off d_T equals proj d_T section, entry for entry."""
+    got = _assembled(monkeypatch, kind, name, field, max_n)
+    T, Q = got["T"], got["Q"]
+    assert Q.boundaries == product_quotient_boundaries(T, got["proj"], got["section"])
+
+
+def _same_span(a: Echelon, b: Echelon):
+    assert a.rank == b.rank
+    assert all(a.contains(col) for _, col, _ in b.pivots)
+    assert all(b.contains(col) for _, col, _ in a.pivots)
+
+
+@pytest.mark.parametrize("name,field,max_n", [("cyclic:3", QQ, 3),
+                                              ("quaternion:8", FieldTag(5), 2)])
+def test_saturated_image_is_handed_on_with_the_same_spans(monkeypatch, name, field, max_n):
+    """A saturated stream hands its image on as the kernel basis, inserted
+    unreduced, and the quotient's top image inserts the projections whose
+    unit row lies in the quotient: both spans equal the ones Echelon.add
+    built from the same columns."""
+    got = _assembled(monkeypatch, "lrel", name, field, max_n)
+    T, Q, proj = got["T"], got["Q"], got["proj"][max_n]
+    image, top_q = got["tops"][id(T)], got["tops"][id(Q)]
+    kernel = T.analysis(max_n).kernel_basis
+    assert image.rank == kernel.cols
+    # the kernel columns themselves, shared and unreduced, each at its max key
+    assert all(col is kcol for (_, col, _), kcol in zip(image.pivots, kernel.cols_data))
+    assert [prow for prow, _, _ in image.pivots] == [max(col) for col in kernel.cols_data]
+    ref_image, ref_q = added_top_images(kernel, proj)
+    _same_span(image, ref_image)
+    _same_span(top_q, ref_q)
+    inserted = sum(bool(proj.cols_data[max(col)]) for col in kernel.cols_data)
+    assert 0 < inserted < kernel.cols
+
+
+def test_exhausted_stream_keeps_the_added_images(monkeypatch):
+    """Over F_2 the stream of BZ/2 exhausts: its image is the tracker's and
+    the quotient's top image is every projection added in order."""
+    got = _assembled(monkeypatch, "lrel", "cyclic:2", FieldTag(2), 3)
+    T, Q, proj = got["T"], got["Q"], got["proj"][3]
+    image, top_q = got["tops"][id(T)], got["tops"][id(Q)]
+    assert image.rank < T.dim(3) - T.analysis(3).rank
+    ref = Echelon(FieldTag(2), Q.dim(3))
+    for _, col, _ in image.pivots:
+        ref.add(proj.apply(col))
+    assert top_q.pivots == ref.pivots

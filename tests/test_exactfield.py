@@ -6,8 +6,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellref import FullScanEchelon
+from cellref import FullScanEchelon, tagged_echelon_analysis
+from rackhom import chains, dense
+from rackhom.acceptance import CRITERIA
 from rackhom.chains import build_complex
+from rackhom.cubical import ConstructionBug
+from rackhom.dense import (DENSE_MIN_COLS, DENSE_PRIME, PANEL, boundary_analysis,
+                          dense_analysis)
 from rackhom.exactfield import (
     QQ,
     Echelon,
@@ -382,3 +387,178 @@ def test_heap_echelon_equals_full_scan(data):
     a = column_space_analysis(m)
     assert a.echelon.pivots == full.pivots
     assert a.kernel_basis == Matrix(f, m.cols, len(kernel), kernel)
+
+
+# -- the dense route of boundary analyses against the tagged echelon ----------
+
+
+def _same_analysis(a, ref, probes=()):
+    """a is ref: rank, pivots, kernel entry for entry, echelon pivots and
+    combos, and the coordinates of the probes."""
+    assert a.rank == ref.rank
+    assert a.kernel_basis == ref.kernel_basis
+    assert a.echelon.pivots == ref.echelon.pivots
+    for v in probes:
+        assert a.echelon.coordinates(v) == ref.echelon.coordinates(v)
+
+
+def _has_fraction(m: Matrix) -> bool:
+    return any(type(v) is Fraction for col in m.cols_data for v in col.values())
+
+
+def _check_dense(m: Matrix, probes=()):
+    """dense_analysis of m is the tagged echelon's analysis, or None over Q
+    exactly when the kernel holds a fraction; boundary_analysis is the
+    tagged echelon's analysis either way.  Returns whether the route ran."""
+    ref = tagged_echelon_analysis(m)
+    got = dense_analysis(m)
+    if m.field.p:
+        assert got is not None
+    else:
+        assert (got is None) == _has_fraction(ref.kernel_basis)
+    if got is not None:
+        _same_analysis(got, ref, probes)
+    _same_analysis(boundary_analysis(m), ref, probes)
+    return got is not None
+
+
+@st.composite
+def dense_cases(draw):
+    """A field, an integer matrix that is mostly 0 and +-1 (so that many
+    kernels over Q are integral), and probe vectors."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 12))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -3])
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    probe = st.dictionaries(st.integers(0, max(rows - 1, 0)), st.integers(-3, 3), max_size=3)
+    probes = draw(st.lists(probe, max_size=3)) if rows else []
+    f = FieldTag(p)
+    m = Matrix(f, rows, cols, [{i: data[i][j] for i in range(rows)} for j in range(cols)])
+    return m, [f.vector(v) for v in probes]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dense_cases())
+def test_dense_route_equals_the_tagged_echelon(case):
+    m, probes = case
+    _check_dense(m, probes + [m.column(j) for j in range(m.cols)])
+
+
+def test_dense_route_on_empty_shapes():
+    for f in (QQ, FieldTag(2), FieldTag(5)):
+        for rows, cols in ((0, 0), (0, 3), (3, 0), (0, DENSE_MIN_COLS)):
+            m = Matrix.zeros(f, rows, cols)
+            assert _check_dense(m)
+            assert dense_analysis(m).kernel_basis == Matrix.identity(f, cols)
+
+
+def _panel_matrix(f, rng, rows, cols, rank):
+    """A rows x cols matrix of the given rank over f whose kernel over Q is
+    integral: rank columns of a unimodular matrix at random places, every
+    other column an integer combination of the columns before it."""
+    unimodular = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    for _ in range(3 * rows):
+        a, b = rng.sample(range(rows), 2)
+        unimodular[a] = [x + rng.choice((1, -1)) * y for x, y in zip(unimodular[a], unimodular[b])]
+    places = set(rng.sample(range(cols), rank))
+    columns, basis = [], iter(range(rows))
+    for j in range(cols):
+        if j in places:
+            b = next(basis)
+            columns.append([row[b] for row in unimodular])
+        else:
+            columns.append([0] * rows)
+            for k in rng.sample(range(j), min(j, 3)):
+                c = rng.randint(-2, 2)
+                columns[-1] = [x + c * y for x, y in zip(columns[-1], columns[k])]
+    return Matrix(f, rows, cols, [dict(enumerate(col)) for col in columns])
+
+
+def test_dense_route_spans_several_panels_at_the_largest_prime():
+    """Matrices with more pivots than a panel, over F_p at the largest prime
+    of the route (residues up to p - 1) and over Q: the float64 bounds hold
+    at every step."""
+    rng = random.Random(5)
+    rows, cols = PANEL + 9, 2 * PANEL + 30
+    f = FieldTag(DENSE_PRIME)
+    m = Matrix.from_rows(f, [[rng.randrange(DENSE_PRIME) if rng.random() < 0.7 else 0
+                              for _ in range(cols)] for _ in range(rows)])
+    assert _check_dense(m)
+    assert column_space_analysis(m).rank > PANEL
+    for field in (QQ, FieldTag(7)):
+        m = _panel_matrix(field, rng, rows, cols, rows - 4)
+        assert _check_dense(m)
+        assert column_space_analysis(m).rank == rows - 4
+
+
+def test_dense_route_bounds():
+    """Over Q the route runs while min(rows, cols) max |m| (p - 1)/2 is below
+    2^50, and falls back from there; over F_p it runs up to DENSE_PRIME."""
+    limit = (2 ** 50 - 1) // (DENSE_PRIME // 2)
+    for top, runs in ((limit, True), (limit + 1, False)):
+        m = Matrix(QQ, 1, 2, [{0: top}, {0: -top}])
+        assert (dense_analysis(m) is not None) == runs
+        _same_analysis(boundary_analysis(m), tagged_echelon_analysis(m))
+    m = Matrix.from_rows(FieldTag(DENSE_PRIME), [[DENSE_PRIME - 1, 1, 2]])
+    assert _check_dense(m)
+    above = 4194319  # the least prime above DENSE_PRIME
+    assert dense_analysis(Matrix.from_rows(FieldTag(above), [[1, 2]])) is None
+    assert dense_analysis(Matrix.from_rows(QQ, [[Fraction(1, 2), 1]])) is None
+
+
+def test_failed_check_falls_back_to_todays_code(monkeypatch):
+    """[[2, 1]] over Q has the kernel column e_1 - e_0 / 2: the integer check
+    fails, and boundary_analysis gives the tagged echelon's answer from
+    column_space_analysis, as does a matrix wide enough for the route."""
+    assert dense_analysis(Matrix.from_rows(QQ, [[2, 1]])) is None
+    wide = Matrix.from_rows(QQ, [[2] + [1] * (DENSE_MIN_COLS - 1), [0] * DENSE_MIN_COLS])
+    calls = []
+    orig = dense.column_space_analysis
+
+    def counting(m):
+        calls.append(m)
+        return orig(m)
+
+    monkeypatch.setattr(dense, "column_space_analysis", counting)
+    assert dense_analysis(wide) is None
+    a = boundary_analysis(wide)
+    assert calls == [wide]
+    _same_analysis(a, tagged_echelon_analysis(wide))
+    assert a.kernel_basis.column(0) == {0: Fraction(-1, 2), 1: 1}
+
+
+def test_dense_route_on_every_boundary_of_the_acceptance_suite(monkeypatch):
+    """Every boundary the acceptance criteria analyse: the route equals the
+    tagged echelon, whether the size rule sends the matrix to it or not."""
+    seen = {}
+    orig = chains.boundary_analysis
+
+    def recording(m):
+        seen[id(m)] = m
+        return orig(m)
+
+    monkeypatch.setattr(chains, "boundary_analysis", recording)
+    for number in sorted(CRITERIA):
+        assert CRITERIA[number](seed=0)["ok"]
+    monkeypatch.undo()
+    ran = sum(_check_dense(m) for m in seen.values())
+    assert len(seen) > 100 and ran > 100
+
+
+def test_checked_insert():
+    ech = Echelon(QQ, 6)
+    ech.insert({0: 1, 2: 3})
+    ech.insert({1: 1, 4: -1})
+    assert [prow for prow, _, _ in ech.pivots] == [2, 4]
+    assert ech.contains({0: 2, 2: 6, 1: 1, 4: -1})
+    for col in ({}, {2: 1}, {4: 1, 5: 1}, {0: 1, 3: 1, 2: 1}):
+        with pytest.raises(ConstructionBug):
+            ech.insert(col)
+    # an entry at no pivot row: a new pivot, as add would make it
+    ref = Echelon(QQ, 6)
+    for col in ({0: 1, 2: 3}, {1: 1, 4: -1}, {0: 1, 5: 2}):
+        ref.add(col)
+    ech.insert({0: 1, 5: 2})
+    assert ech.pivots == ref.pivots
