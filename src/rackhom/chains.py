@@ -207,24 +207,38 @@ def _boundary_keys(n: int, cubical: bool):
     return [(i,) for i in range(n + 1)]
 
 
-def _signed_column(targets, signs):
-    """The chain sum of the target rows with their integer signs, without
-    the dropped terms (row -1), as a dict of integers (a cancelled entry
-    stays as 0).  Matrix and Matrix.apply make the entries field elements."""
-    col = {}
-    for t, s in zip(targets, signs):
-        if t >= 0:
-            col[t] = col.get(t, 0) + s
-    return col
-
-
 def _signed_matrix(tables, signs, rows, f):
-    """The matrix with rows rows whose column j is _signed_column of the
+    """The matrix with rows rows whose column j is the chain sum of the
     rows tables[t][j], one table of target rows per term t (basis_rows or
-    pair_rows), with the integer signs[t]."""
-    cols = [_signed_column(targets, signs)
-            for targets in zip(*(np.asarray(t).tolist() for t in tables))]
-    return Matrix(f, rows, len(cols), cols)
+    pair_rows), with the integer signs[t], without the dropped terms (row
+    -1) and the entries that cancel.  A column's keys are its rows in the
+    order of their first terms.
+
+    The row range is checked once per table, on the array.  Each column is
+    summed in the field elements of the signs, and is canonical as built
+    unless two of its terms meet at one row or a sign is 0 in the field;
+    only such a column passes through field.vector, which reduces its sums
+    and drops its zeros, keeping the key order."""
+    tables = [np.asarray(t) for t in tables]
+    for t in tables:
+        if t.size and not (t.min() >= -1 and t.max() < rows):
+            raise ShapeError("row index out of range")
+    units = [f.of_int(s) for s in signs]
+    exact = all(units)
+    vector = f.vector
+    cols = []
+    for targets in zip(*(t.tolist() for t in tables)):
+        col = {}
+        met = not exact
+        for t, s in zip(targets, units):
+            if t >= 0:
+                if t in col:
+                    col[t] += s
+                    met = True
+                else:
+                    col[t] = s
+        cols.append(vector(col) if met else col)
+    return Matrix.trusted(f, rows, len(cols), cols)
 
 
 def build_complex(x, field: FieldTag, flavor: str = "normalized") -> ChainComplex:
@@ -717,7 +731,13 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section, retract,
     column has as its pivot row, and go through add.  Only the span of
     top_Q is read (homology), and it is the span of all the projections.
     Any other top image (an exhausted stream) has each projection added in
-    order."""
+    order.
+
+    proj[max_n] is the selection _quotient builds (column r the unit at
+    the quotient row of r, or zero for a subcomplex row), so a top-image
+    column is projected by renumbering its rows through that row map and
+    dropping the subcomplex rows: the entries, values and key order of
+    proj[max_n].apply, with no axpy per entry."""
     notes = list(notes)
     # projected first: built after the checks below, this echelon and its
     # neighbours left up to 1 MiB more resident for the next query
@@ -725,10 +745,11 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section, retract,
     if top_image is not None:
         top_Q = Echelon(field, Q.dim(max_n))
         handed = top_image.rank == T.dim(max_n) - T.analysis(max_n).rank
+        below = _row_map(proj[max_n])
         rest = []
         for prow, col, _ in top_image.pivots:
-            col = proj[max_n].apply(col)
-            if handed and proj[max_n].cols_data[prow]:
+            col = _renumbered(col, below)
+            if handed and below[prow] >= 0:
                 top_Q.insert(col)
             else:
                 rest.append(col)
@@ -805,6 +826,19 @@ def _selection(rows, n_rows: int, field: FieldTag) -> Matrix:
                           [{r: one} if r >= 0 else zero for r in rows.tolist()])
 
 
+def _row_map(sel: Matrix) -> list:
+    """The rows of a _selection, column by column: the row of its unit,
+    -1 for a zero column."""
+    return [next(iter(col), -1) for col in sel.cols_data]
+
+
+def _renumbered(col: dict, below) -> dict:
+    """The column with each row r renumbered below[r], without the rows
+    where below[r] is -1: _selection(below, ...).apply(col) for a column
+    without zeros, with its entries and key order."""
+    return {k: v for r, v in col.items() if (k := below[r]) >= 0}
+
+
 def _restriction(rows, n_rows: int, field: FieldTag) -> Matrix:
     """The 0/1 matrix that reads the entries rows[0], rows[1], ... off a
     vector of n_rows entries: a left inverse of _selection(rows, n_rows)."""
@@ -867,8 +901,7 @@ def _quotient(T: ChainComplex, sub):
         if n:
             d = T.d(n).cols_data
             bounds.append(Matrix.trusted(f, proj[n - 1].rows, len(rows), [
-                {k: v for r, v in d[j].items() if (k := below[r]) >= 0}
-                for j in rows.tolist()]))
+                _renumbered(d[j], below) for j in rows.tolist()]))
         below = at.tolist()
     Q = ChainComplex(f, labels, bounds)
     return Q, proj, section, retract
@@ -1020,28 +1053,40 @@ class _F2Rank:
     """Incremental rank over F_2 with columns as Python int bitmasks.  Its
     input is a batch of face rows and signs +-1, as for _ModRank: a
     column's bitmask sums the bits of its face rows mod 2, with no dense
-    block."""
+    block.
+
+    The stored columns sit in a table indexed by bit length: entry b holds
+    the stored column whose top bit is b - 1, and 0 where there is none
+    (entry 0, the bit length of the zero column, stays 0).  A new column is
+    reduced top bit by top bit: while it is nonzero, the entry at its bit
+    length is XORed into it, or, where that entry is 0, the column is
+    stored there and the rank counted.  These are the steps of a dict keyed
+    by top bit, against the same stored columns in the same order, so the
+    rank after every column, and with it the stream's processed count, are
+    those of that dict; a step costs one bit_length, one list index and one
+    XOR.  The table costs one reference per row; the dict cost an entry
+    and an int key per stored column, several times that, so the table is
+    the smaller once the rank passes a small fraction of dim."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.pivots = {}  # pivot bit position -> column bitmask
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+        self.table = [0] * (dim + 1)
+        self.rank = 0
 
     def add(self, faces, signs, bound: int) -> int:
         """As _ModRank.add, one column at a time."""
+        table = self.table
         for used, rows in enumerate(faces.tolist(), 1):
             v = 0
             for r in rows:
                 if r >= 0:
                     v ^= 1 << r
             while v:
-                top = v.bit_length() - 1
-                piv = self.pivots.get(top)
-                if piv is None:
-                    self.pivots[top] = v
+                b = v.bit_length()
+                piv = table[b]
+                if not piv:
+                    table[b] = v
+                    self.rank += 1
                     break
                 v ^= piv
             if self.rank == bound:

@@ -431,7 +431,7 @@ class Echelon:
         ConstructionBug on a column that would need reduction: an empty one,
         or one with an entry at a pivot row (its max key among them)."""
         order = self._order
-        if not col or any(r in order for r in col):
+        if not col or not order.keys().isdisjoint(col):
             from .cubical import ConstructionBug  # not at the top: cubical loads numpy
             raise ConstructionBug("inserted column is not reduced: %r" % (sorted(col)[:8],))
         prow = max(col)

@@ -28,6 +28,9 @@ product proj d_T section, as chains._quotient did before it re-indexed d_T.
 `added_top_images` builds a saturated top image and its projection to the
 quotient through `Echelon.add`, as chains did before it handed the kernel
 basis on through `Echelon.insert`.
+`signed_matrix_reference` sums each column of a signed table map with
+`signed_column` and canonicalises it in the `Matrix` constructor, as
+chains._signed_matrix did before it checked the row range on the arrays.
 `identity_perm`, `conjugacy_classes` and `is_trivial` are the identity
 permutation, the conjugacy classes of a group and the triviality of a
 rack, which only tests ask for.
@@ -489,6 +492,26 @@ def added_top_images(kernel: Matrix, proj: Matrix):
     for _, col, _ in image.pivots:
         top_q.add(proj.apply(col))
     return image, top_q
+
+
+def signed_column(targets, signs):
+    """The chain sum of the target rows with their integer signs, without
+    the dropped terms (row -1), as a dict of integers (a cancelled entry
+    stays as 0).  Matrix and Matrix.apply make the entries field elements."""
+    col = {}
+    for t, s in zip(targets, signs):
+        if t >= 0:
+            col[t] = col.get(t, 0) + s
+    return col
+
+
+def signed_matrix_reference(tables, signs, rows, f):
+    """chains._signed_matrix through the checking Matrix constructor: the
+    signed_column of each column's targets, range-checked and made
+    canonical entry by entry."""
+    cols = [signed_column(targets, signs)
+            for targets in zip(*(np.asarray(t).tolist() for t in tables))]
+    return Matrix(f, rows, len(cols), cols)
 
 
 class TupleSquareMatrix:

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackhom import chains, orbitcap
+from rackhom import chains, coalgebra, orbitcap
+from rackhom.acceptance import GROUP_PRESETS, RACK_PRESETS
+from rackhom.coalgebra import delta_halves
 from rackhom.chains import (
     TRACKER_BATCH,
     _certificate_tracker,
@@ -33,7 +35,7 @@ from rackhom.racks import conj_rack, preset, symmetric_group
 
 from cellref import (added_top_images, eta_section, gamma_les_reference,
                      lnerve_inclusion_labels, lrel_les_reference, product_quotient_boundaries,
-                     rack_conjugation_reference)
+                     rack_conjugation_reference, signed_column, signed_matrix_reference)
 
 
 def test_rack_z2_complex_trivial_boundary():
@@ -712,6 +714,7 @@ def test_selection_and_restriction(field):
     rows = np.array([4, -1, 0, 2])
     sel = chains._selection(rows, 5, field)
     assert sel == chains._signed_matrix([rows], [1], 5, field)
+    assert chains._row_map(sel) == rows.tolist()
     res = chains._restriction(np.array([4, 0, 2]), 5, field)
     assert res @ chains._selection([4, 0, 2], 5, field) == Matrix.identity(field, 3)
     assert chains._others([4, 0, 2], 5).tolist() == [1, 3]
@@ -827,6 +830,56 @@ def test_each_matrix_is_eliminated_once(monkeypatch):
         top = Counter(frozenset(col.items()) for col in T.d(max_n + 1).cols_data if col)
         assert Counter(frozenset(col.items()) for _, tag, col in calls
                        if tag is None and col) == top
+
+
+def _same_items(got: Matrix, ref: Matrix):
+    """Equal matrices whose columns also have the same keys in the same
+    order, with values of the same types."""
+    assert (got.field, got.rows, got.cols) == (ref.field, ref.rows, ref.cols)
+    assert [[(k, v, type(v)) for k, v in col.items()] for col in got.cols_data] == \
+        [[(k, v, type(v)) for k, v in col.items()] for col in ref.cols_data]
+
+
+@pytest.mark.parametrize("field", [QQ, FieldTag(2), FieldTag(3)])
+def test_signed_matrix_matches_the_checking_constructor(monkeypatch, field):
+    """_signed_matrix, range-checked on the arrays and canonical as built,
+    equals the signed_column sums through the Matrix constructor, key for
+    key, on the boundaries of every preset rack and bar nerve through
+    degree 3 and on the half-coproducts of conj:symmetric:3."""
+    calls = []
+    orig = chains._signed_matrix
+
+    def both(tables, signs, rows, f):
+        got = orig(tables, signs, rows, f)
+        _same_items(got, signed_matrix_reference(tables, signs, rows, f))
+        calls.append(got.cols)
+        return got
+
+    monkeypatch.setattr(chains, "_signed_matrix", both)
+    monkeypatch.setattr(coalgebra, "_signed_matrix", both)
+    for name in RACK_PRESETS:
+        build_complex(rack_nerve(preset(name), 3), field)
+    for name in GROUP_PRESETS:
+        build_complex(bar_nerve(preset(name), 3), field)
+    delta_halves(build_complex(rack_nerve(preset("conj:symmetric:3"), 3), field))
+    # d_1..d_3 of each complex built, and Delta_< and Delta_> in degrees 1..3
+    assert len(calls) == 3 * (len(RACK_PRESETS) + len(GROUP_PRESETS) + 1) + 3 * 2
+    assert sum(calls) > 2000
+
+
+@pytest.mark.parametrize("field", [QQ, FieldTag(2), FieldTag(3), FieldTag(5)])
+def test_signed_matrix_sums_meeting_terms_and_zero_signs(field):
+    """Terms that meet at one row are summed, cancelled entries dropped,
+    and a sign that is 0 in the field contributes nothing, each column
+    keeping the rows in the order of their first terms."""
+    tables = [np.array([0, 1, -1, 2, 3]), np.array([0, 2, 1, -1, -1]),
+              np.array([3, -1, 1, 2, -1])]
+    for signs in ([1, -1, 3], [1, 1, -2], [-1, 2, 1]):
+        _same_items(chains._signed_matrix(tables, signs, 4, field),
+                    signed_matrix_reference(tables, signs, 4, field))
+    for bad in ([4], [-2]):
+        with pytest.raises(chains.ShapeError):
+            chains._signed_matrix([np.array([0] + bad)], [1], 4, field)
 
 
 # -- the blocked certificate tracker against a plain Echelon, one column at a
@@ -952,6 +1005,28 @@ def test_f2_tracker_matches_echelon(batch, stream, data):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(column_streams())
+@pytest.mark.parametrize("batch", [1, TRACKER_BATCH])
+def test_f2_tracker_table_holds_the_leading_bits(batch, stream):
+    """After every batch each stored column sits at its bit length, and
+    their top bits are the pivot rows of an F_2 Echelon fed the same
+    columns: both are the leading positions of the span."""
+    dim, cols = stream
+    f = FieldTag(2)
+    tracker, ech = _F2Rank(dim), Echelon(f, dim)
+    assert tracker.table == [0] * (dim + 1)
+    for lo in range(0, len(cols), batch):
+        chunk = cols[lo:lo + batch]
+        assert tracker.add(*_batch(chunk), dim + 1) == len(chunk)
+        for col in chunk:
+            ech.add({r: f.of_int(v) for r, v in col.items()})
+        stored = {b: v for b, v in enumerate(tracker.table) if v}
+        assert all(v.bit_length() == b for b, v in stored.items())
+        assert {b - 1 for b in stored} == {prow for prow, _, _ in ech.pivots}
+        assert tracker.rank == ech.rank
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(column_streams(), st.sampled_from([1, 2, 3, 4, 6, 8, 15, 30, 210]))
 def test_q_tracker_rank_never_exceeds_rational_rank(stream, group_order):
     """Soundness of the Q certificate: the mod-p rank the tracker reports
@@ -976,7 +1051,7 @@ def test_q_tracker_rank_never_exceeds_rational_rank(stream, group_order):
     ("cyclic:3", QQ), ("symmetric:3", FieldTag(5)), ("cyclic:2x2", FieldTag(2))])
 def test_stream_batch_arrays_match_the_column_loop(name, field):
     """The stream's batch block and its d^2 check against the per-cell loop
-    they replace, _signed_column and then d_N.apply, on the genuine faces of
+    they replace, signed_column and then d_N.apply, on the genuine faces of
     streamed degree-3 cells and on the same faces with some rows replaced
     at random."""
     g = preset(name)
@@ -994,7 +1069,7 @@ def test_stream_batch_arrays_match_the_column_loop(name, field):
     for cells in (rows, broken):
         for lo in range(0, len(cells), TRACKER_BATCH):
             batch = cells[lo:lo + TRACKER_BATCH]
-            cols = [chains._signed_column(r, signs.tolist()) for r in batch.tolist()]
+            cols = [signed_column(r, signs.tolist()) for r in batch.tolist()]
             assert (chains._boundary_block(batch, signs, T.dim(2)) == _block(cols, T.dim(2))).all()
             vanishes = all(not dN.apply(field.vector(col)) for col in cols)
             assert chains._d_squared_vanishes(T, 2, batch, signs) == vanishes
@@ -1373,6 +1448,21 @@ def test_saturated_image_is_handed_on_with_the_same_spans(monkeypatch, name, fie
     _same_span(top_q, ref_q)
     inserted = sum(bool(proj.cols_data[max(col)]) for col in kernel.cols_data)
     assert 0 < inserted < kernel.cols
+
+
+@pytest.mark.parametrize("name,field,max_n", [("cyclic:3", QQ, 3),
+                                              ("quaternion:8", FieldTag(5), 2),
+                                              ("cyclic:2", FieldTag(2), 3)])
+def test_top_image_projection_is_a_renumbering(monkeypatch, name, field, max_n):
+    """The quotient's top image projects the handed kernel columns (cyclic:3
+    over Q, quaternion:8 over F_5) and the exhausted stream's added columns
+    (cyclic:2 over F_2) by renumbering rows, as proj.apply would."""
+    got = _assembled(monkeypatch, "lrel", name, field, max_n)
+    image, proj = got["tops"][id(got["T"])], got["proj"][max_n]
+    below = chains._row_map(proj)
+    assert image.rank
+    for _, col, _ in image.pivots:
+        assert list(chains._renumbered(col, below).items()) == list(proj.apply(col).items())
 
 
 def test_exhausted_stream_keeps_the_added_images(monkeypatch):

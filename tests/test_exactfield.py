@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -562,3 +563,15 @@ def test_checked_insert():
         ref.add(col)
     ech.insert({0: 1, 5: 2})
     assert ech.pivots == ref.pivots
+    # a column whose only pivot-row entry is at the first, a middle or the
+    # last stored pivot row, and the empty column: each is refused, and the
+    # message names its first rows
+    ech = Echelon(QQ, 8)
+    for col in ({0: 1, 2: 3}, {1: 1, 4: -1}, {3: 1, 6: 1}):
+        ech.insert(col)
+    assert [prow for prow, _, _ in ech.pivots] == [2, 4, 6]
+    for col in ({0: 1, 2: 1}, {3: 2, 4: 1, 7: 1}, {1: 1, 6: -1}, {}):
+        message = "inserted column is not reduced: %r" % (sorted(col)[:8],)
+        with pytest.raises(ConstructionBug, match="^%s$" % re.escape(message)):
+            ech.insert(col)
+        assert ech.rank == 3
