@@ -53,8 +53,9 @@ d_S = retract d_T incl, checked by incl d_S = d_T incl.  A top boundary
 that is not materialised enters as one Echelon of its image
 (stream_group_top_image); the quotient's top image is its projection.
 The stream hands its rank tracker batches of face rows, which the mod-p
-tracker scatters into one int64 block, and checks d^2 = 0 on each batch
-with one gathered product.  A saturated stream's image is ker d itself,
+tracker scatters into one block (float32 or int64, whichever the batch's
+written bound admits; _ModRank), and checks d^2 = 0 on each batch with
+one gathered product.  A saturated stream's image is ker d itself,
 handed on as the kernel basis of T's analysis (inserted unreduced, and
 projected to the quotient mostly the same way; see _les_assemble): the
 rack complex's top boundary is checked against the image only when the
@@ -82,7 +83,7 @@ from math import gcd
 import numpy as np
 
 from .cubical import ConstructionBug, CubSet, Labels, Picked, TruncationTooLow
-from .dense import boundary_analysis
+from .dense import _mod, boundary_analysis
 from .exactfield import (ColumnSpaceAnalysis, Echelon, FieldTag, Matrix, ShapeError,
                          column_space_analysis, least_prime_not_dividing)
 from .nerves import (BLOCK, DEFAULT_BUDGET, BudgetExceeded, GroupArith, bar_nerve,
@@ -764,10 +765,10 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section, retract,
             raise ConstructionBug("dim S + dim Q != dim T at degree %d" % n)
         # retract o incl = id makes incl injective; with proj o incl = 0, the
         # dimension count and proj surjective (below), im incl = ker proj
-        if retract[n] @ incl[n] != Matrix.identity(field, S.dim(n)):
+        if not _is_identity(retract[n] @ incl[n]):
             raise ConstructionBug("inclusion not injective at degree %d" % n)
         # proj o section = id also certifies that proj is surjective
-        if proj[n] @ section[n] != Matrix.identity(field, Q.dim(n)):
+        if not _is_identity(proj[n] @ section[n]):
             raise ConstructionBug("section does not split proj at degree %d" % n)
     hs_S = homology(S, max_n)
     hs_T = homology(T, max_n, top_image=top_image)
@@ -940,12 +941,36 @@ class _ModRank:
     clears the new pivot columns from the old rows with one product
     rows - rows[:, new] @ R.
 
-    Exactness: entries live in [0, p), so every dot product is a sum of at
-    most dim terms below (p-1)^2.  A product runs in float64 (BLAS) only
-    when dim * (p-1)^2 < 2^53, where every partial sum is an integer that
-    float64 represents exactly; otherwise it runs in int64, which
-    dim * p^2 < 2^63 (enforced, ValueError) keeps free of overflow.
-    Results are reduced mod p in int64.
+    Exactness.  A column of V sums F signed terms (F = faces.shape[1]),
+    so each entry of V is at most F in size; a residue is at most p - 1
+    in size.  Each clearing of the Gauss-Jordan step moves an entry of R by
+    at most (p-1)^2, once per new pivot, and resets the pivot's own row to
+    residues.  A batch of n columns takes one of two routes, chosen by
+    narrow(n, F):
+    - narrow, while n (p-1)^2 + p < 2^15 and dim F (p-1) < 2^22 (at
+      TRACKER_BATCH, p <= 31).  R is int16: it starts from residues and
+      takes at most n clearings, so every entry stays below
+      n (p-1)^2 + p < 2^15 in size.  V and the stored rows are float32,
+      and both products run in float32 (BLAS) and are reduced by
+      dense._mod.  The reduce-in subtracts from an entry of V a sum of
+      k < dim terms, each at most F (p-1) in size: every partial sum and
+      the result are at most dim F (p-1) < 2^22 in size.  The clearing
+      subtracts from a residue a sum of at most n terms, each at most
+      (p-1)^2: below n (p-1)^2 + p < 2^15.  Every partial sum and every
+      value reduced is thus an integer below 2^22 in size, exact in
+      float32 and in the range where dense._mod is exact.  The stored
+      rows hold residues of least size.
+    - wide, otherwise.  V and R are int64 with entries reduced into
+      [0, p), and the stored rows int64 residues, so every dot product is
+      a sum of at most dim terms at most (p-1)^2 in size.  A product runs
+      in float64 (BLAS) when dim (p-1)^2 < 2^53, where every partial sum
+      is an integer that float64 represents exactly, and in int64
+      otherwise, which dim p^2 < 2^63 (enforced, ValueError) keeps free
+      of overflow; R takes at most dim clearings and stays below dim p^2.
+      Results are reduced into [0, p) in int64.
+    Both routes compute the same residues, so the pivots, `used` and
+    reduced_columns() do not depend on the route, and the routes may
+    alternate from batch to batch.
 
     Stopping point: since the batch is echelonised in order, `add` knows
     which column brings the rank to the bound; it stops there and returns
@@ -969,18 +994,23 @@ class _ModRank:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def narrow(self, n: int, terms: int) -> bool:
+        """Whether a batch of n columns of `terms` terms each takes the
+        int16/float32 route (see the class docstring)."""
+        p = self.p
+        return (n * (p - 1) ** 2 + p < 2 ** 15
+                and max(self.dim, 1) * terms * (p - 1) < 2 ** 22)
+
     def _subtract_product(self, out, a, b):
-        """out -= a @ b in place for an int64 out with entries in [0, p):
-        exact (see the class docstring), each difference being an integer
-        below dim * p^2 in size, and without an int64 copy of a @ b."""
+        """out -= a @ b in place, reduced mod p, and returned: in float32
+        for a float32 out (the narrow route), else as the wide route runs
+        it, without an int64 copy of a @ b."""
+        if out.dtype == np.float32:
+            np.subtract(out, a @ b, out=out)
+            return _mod(out, self.p)
         if self.float_products:
             a, b = a.astype(np.float64), b.astype(np.float64)
         np.subtract(out, a @ b, out=out, casting="unsafe")
-
-    def _entries(self, block, cols):
-        """The entries of the block on the given columns, reduced into
-        [0, p)."""
-        out = np.take(block, cols, axis=1)
         out %= self.p
         return out
 
@@ -990,18 +1020,21 @@ class _ModRank:
         p = self.p
         k = len(self.pivots)
         n = len(faces)
-        block = _boundary_block(faces, signs, self.dim)
+        narrow = self.narrow(n, faces.shape[1])
+        # the dtype of the block and the stored rows
+        store = np.float32 if narrow else np.int64
+        block = _boundary_block(faces, signs, self.dim, store)
+        if not narrow:
+            block %= p  # the wide route multiplies residues
+        self.rows = self.rows.astype(store, copy=False)
         # the residuals are zero on the pivots: keep their free columns
-        R = self._entries(block, self.free)
-        if k:
-            self._subtract_product(R, self._entries(block, self.pivots), self.rows)
-            R %= p
+        R = self._subtract_product(np.take(block, self.free, axis=1),
+                                   np.take(block, self.pivots, axis=1), self.rows)
+        R = R.astype(np.int16 if narrow else np.int64, copy=False)
         # Gauss-Jordan on the batch in stream order: row i, reduced mod p,
         # is zero when the rows before it span it; otherwise it is scaled to
         # a unit at its first nonzero entry, its pivot, and cleared from
-        # every other row.  Entries are reduced lazily: a clearing moves one
-        # by less than (p-1)^2, at most dim times, so they stay below
-        # dim * p^2 in size
+        # every other row, with entries reduced lazily (class docstring)
         new, at = [], []
         used = n
         for i in range(n):
@@ -1025,15 +1058,14 @@ class _ModRank:
         if not m:
             return used
         R = R[at] % p  # fully reduced: the identity on new
-        if k:
-            self._subtract_product(self.rows, self.rows[:, new], R)
         # the rows without the new pivot columns, in one new array: the old
-        # rows reduced, then R
+        # rows with the new pivots cleared, then R
         keep = np.delete(np.arange(len(self.free)), new)
-        rows = np.empty((k + m, len(keep)), dtype=np.int64)
-        np.take(self.rows, keep, axis=1, out=rows[:k], mode="clip")
-        rows[:k] %= p
-        np.take(R, keep, axis=1, out=rows[k:], mode="clip")
+        rows = np.empty((k + m, len(keep)), dtype=store)
+        if k:
+            np.take(self.rows, keep, axis=1, out=rows[:k], mode="clip")
+            self._subtract_product(rows[:k], self.rows[:, new], R[:, keep].astype(store))
+        rows[k:] = R[:, keep]
         self.rows = rows
         self.pivots.extend(self.free[new].tolist())
         self.free = self.free[keep]
@@ -1044,6 +1076,7 @@ class _ModRank:
         for piv, rest in zip(self.pivots, self.rows):
             row = np.zeros(self.dim, dtype=np.int64)
             row[self.free] = rest
+            row %= self.p
             row[piv] = 1
             nz = np.flatnonzero(row)
             yield dict(zip(nz.tolist(), row[nz].tolist()))
@@ -1118,12 +1151,12 @@ def _stream_block(arith, order: int, top_degree: int, ks):
             arith.degenerate(rows, [face for (_, eps), face in zip(keys, faces) if eps == 0]))
 
 
-def _boundary_block(faces, signs, dim: int):
-    """The boundary columns of a batch of cells as the rows of an int64
-    block: faces[j, k] is the basis row of face k of cell j, -1 where it is
-    degenerate and dropped, and signs[k] its sign.  The block is a view
-    that leaves out one last column, where the dropped faces land."""
-    block = np.zeros((len(faces), dim + 1), dtype=np.int64)
+def _boundary_block(faces, signs, dim: int, dtype=np.int64):
+    """The boundary columns of a batch of cells as the rows of a block of
+    the given dtype: faces[j, k] is the basis row of face k of cell j, -1
+    where it is degenerate and dropped, and signs[k] its sign.  The block is
+    a view that leaves out one last column, where the dropped faces land."""
+    block = np.zeros((len(faces), dim + 1), dtype=dtype)
     np.add.at(block, (np.arange(len(faces))[:, None], faces), signs)
     return block[:, :dim]
 

@@ -48,7 +48,13 @@ def _mod(x, p: int):
     within |x| 2^-52 (1 + 2^-52) / p < 1/(4p) of x/p, a multiple of 1/p
     that is at least 1/(2p) from every half-integer for odd p (and exact
     for p = 2), so rint finds the integer nearest x/p, and x minus its
-    product with p, an exact float64 integer, is the residue."""
+    product with p, an exact float64 integer, is the residue.
+
+    A float32 array is reduced in float32 (1/p rounded to float32), exact
+    for integers below 2^22 in size by the same argument: the two
+    roundings leave x * (1/p) within |x| 2^-23 (1 + 2^-25) / p < 1/(2p) of
+    x/p, and the quotient times p, below 2^22 + p, is an exact float32
+    integer (chains._ModRank's narrow route)."""
     t = x * (1.0 / p)
     np.rint(t, out=t)
     t *= p

@@ -249,7 +249,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldTag, n: int) -> "Matrix":
-        return cls(field, n, n, [{i: field.one()} for i in range(n)])
+        one = field.one()
+        return cls.trusted(field, n, n, [{i: one} for i in range(n)])
 
     # -- basic queries -----------------------------------------------------
 

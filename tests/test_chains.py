@@ -885,8 +885,10 @@ def test_signed_matrix_sums_meeting_terms_and_zero_signs(field):
 # -- the blocked certificate tracker against a plain Echelon, one column at a
 # time, as the independent oracle --
 
+# 31 and 37 sit on both sides of the int16 bound at TRACKER_BATCH (37 still
+# takes int16 batches of up to 25 columns, so short batches mix the routes);
 # 100000007 forces int64 products at every test dim: (p - 1)^2 >= 2^53
-TRACKER_PRIMES = [3, 5, 7, 100_000_007]
+TRACKER_PRIMES = [3, 5, 7, 31, 37, 100_000_007]
 
 
 @st.composite
@@ -948,10 +950,85 @@ def _feed(tracker, cols, batch, bound):
 
 
 def test_tracker_product_route():
-    assert all(_ModRank(12, p).float_products for p in TRACKER_PRIMES[:-1])
-    assert not _ModRank(12, TRACKER_PRIMES[-1]).float_products
+    """A batch of TRACKER_BATCH columns of 6 terms (the degree-3 stream):
+    int16 entries and float32 products through p = 31, the wide route from
+    37, int64 products there once dim (p-1)^2 >= 2^53, and a ValueError
+    once dim p^2 >= 2^63."""
+    for p in TRACKER_PRIMES:
+        assert _ModRank(12, p).narrow(TRACKER_BATCH, 6) == (p <= 31)
+    assert _ModRank(12, 37).float_products
+    assert not _ModRank(12, 100_000_007).float_products
     with pytest.raises(ValueError):
         _ModRank(12, 2_147_483_647)
+
+
+def _assert_is_the_reduced_echelon(tracker, cols, p, dim):
+    """The tracker's rows are the reduced row echelon form of the span of
+    cols over F_p: unit pivots, zero on the other pivots, canonical values,
+    the oracle's rank, and every column in their span."""
+    reduced = list(tracker.reduced_columns())
+    for piv, col in zip(tracker.pivots, reduced):
+        assert min(col) == piv and col[piv] == 1
+        assert not set(col) & set(tracker.pivots) - {piv}
+        assert all(0 < v < p for v in col.values())
+    f = FieldTag(p)
+    image = Echelon(f, dim)
+    for col in reduced:
+        image.add({r: f.of_int(v) for r, v in col.items()})
+    assert tracker.rank == image.rank == _oracle_ranks(cols, dim, p)[-1]
+    assert all(image.contains({r: f.of_int(v) for r, v in col.items()}) for col in cols)
+
+
+def _clearing_batch(n):
+    """n columns over n + 1 rows in which entry n of the last column is
+    cleared by every other column: column j < n - 1 is e_j - e_n, the last
+    is (n - 1) e_n - e_0 - ... - e_{n-2}, their negated sum.  Each clearing
+    moves that entry by (p - 1)^2, from the residue of n - 1 of least
+    size, and the last column is dependent, so an entry wrapped past the
+    batch dtype shows as a rank one too high."""
+    cols = [{j: 1, n: -1} for j in range(n - 1)]
+    cols.append({**{j: -1 for j in range(n - 1)}, n: n - 1})
+    return cols
+
+
+@pytest.mark.parametrize("p", [31, 37])
+def test_tracker_int16_bound(p):
+    """At the int16 bound n (p-1)^2 + p < 2^15: at TRACKER_BATCH a batch
+    is narrow at p = 31, where one entry takes 31 clearings of 30^2 and
+    reaches -27900, and wide at p = 37, where the same 31 clearings of
+    36^2 would pass -2^15.  At p = 37 the bound falls between 25 and 26
+    columns, and at p = 2 between 32765 and 32766."""
+    n = TRACKER_BATCH
+    cols = _clearing_batch(n)
+    faces, signs = _batch(cols)
+    tracker = _ModRank(n + 1, p)
+    assert tracker.narrow(n, faces.shape[1]) == (p == 31)
+    assert tracker.add(faces, signs, n + 2) == n
+    assert tracker.rank == n - 1
+    _assert_is_the_reduced_echelon(tracker, cols, p, n + 1)
+    assert _ModRank(n + 1, 37).narrow(25, 6) and not _ModRank(n + 1, 37).narrow(26, 6)
+    assert _ModRank(4, 2).narrow(32765, 6) and not _ModRank(4, 2).narrow(32766, 6)
+
+
+def test_tracker_float32_bound():
+    """At the float32 bound dim F (p-1) < 2^22, F the terms per column:
+    at p = 17, dim 512 with F = 512 is 2^22 exactly and takes the wide
+    route, dim 511 or F = 511 the narrow one.  A batch of F = 512 is fed
+    after a first batch of small columns, so the reduce-in product runs on
+    each side, and both sides equal the oracle."""
+    p = 17
+    assert not _ModRank(512, p).narrow(1, 512)
+    assert _ModRank(511, p).narrow(1, 512) and _ModRank(512, p).narrow(1, 511)
+    first = [{j: 1, j + 200: -1} for j in range(0, 300, 3)]
+    big = [{5: 253, 300: 3}, {0: 1, 200: -1, 7: 2}, {1: -4, 400: 5}]
+    for dim in (511, 512):
+        tracker = _ModRank(dim, p)
+        for batch in (first, big):
+            faces, signs = _batch(batch)
+            assert faces.shape[1] == (512 if batch is big else 4)
+            assert tracker.narrow(len(faces), faces.shape[1]) == (batch is first or dim == 511)
+            assert tracker.add(faces, signs, dim + 1) == len(batch)
+        _assert_is_the_reduced_echelon(tracker, first + big, p, dim)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -966,21 +1043,10 @@ def test_blocked_tracker_matches_echelon(batch, stream, p, data):
     assert used == len(cols)
     assert all(rank == oracle[k] for k, rank in ranks)
     # the rows are the reduced row echelon form, whatever the batch size
-    reduced = list(tracker.reduced_columns())
-    for piv, col in zip(tracker.pivots, reduced):
-        assert min(col) == piv and col[piv] == 1
-        assert not set(col) & set(tracker.pivots) - {piv}
-        assert all(0 < v < p for v in col.values())
+    _assert_is_the_reduced_echelon(tracker, cols, p, dim)
     single = _ModRank(dim, p)
     _feed(single, cols, 1, dim + 1)
-    assert list(single.reduced_columns()) == reduced
-    # the exhausted image spans the same space as the oracle
-    f = FieldTag(p)
-    image = Echelon(f, dim)
-    for col in reduced:
-        image.add({r: f.of_int(v) for r, v in col.items()})
-    assert image.rank == oracle[-1]
-    assert all(image.contains({r: f.of_int(v) for r, v in col.items()}) for col in cols)
+    assert list(single.reduced_columns()) == list(tracker.reduced_columns())
     # with a bound, the tracker stops at the first prefix reaching it
     if oracle[-1]:
         bound = data.draw(st.integers(1, oracle[-1]))

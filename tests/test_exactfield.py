@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -507,6 +508,20 @@ def test_dense_route_bounds():
     above = 4194319  # the least prime above DENSE_PRIME
     assert dense_analysis(Matrix.from_rows(FieldTag(above), [[1, 2]])) is None
     assert dense_analysis(Matrix.from_rows(QQ, [[Fraction(1, 2), 1]])) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 31, 37, 4093])
+def test_mod_is_exact_in_float32_below_2_to_22(p):
+    """dense._mod reduces a float32 array in float32 to the residues of
+    least size for every integer below 2^22 in size: the ends of the range
+    and a sample between."""
+    ends = np.arange(2 ** 22 - 5000, 2 ** 22)
+    xs = np.concatenate((ends, -ends, np.arange(-5000, 5000),
+                         np.random.default_rng(p).integers(-2 ** 22 + 1, 2 ** 22, 20000)))
+    r = dense._mod(xs.astype(np.float32), p)
+    assert r.dtype == np.float32
+    assert ((xs - r.astype(np.int64)) % p == 0).all()
+    assert (np.abs(r) <= max(p // 2, 1)).all()
 
 
 def test_failed_check_falls_back_to_todays_code(monkeypatch):
