@@ -60,8 +60,7 @@ handed on as the kernel basis of T's analysis (inserted unreduced, and
 projected to the quotient mostly the same way; see _les_assemble): the
 rack complex's top boundary is checked against the image only when the
 stream is exhausted.  Every analysis of a boundary is
-dense.boundary_analysis: a verified dense row reduction mod p where the
-size rule admits it, the tagged Echelon otherwise, with the same answer.
+dense.boundary_analysis (dense_analysis gives its argument).
 homology stops its representative search once the image and the
 representatives reach the rank of ker d_n, and does not start it at
 H_n = 0.  The top degree of a rack complex with Inn X not trivial, over a
@@ -143,19 +142,8 @@ class ChainComplex:
 
     def analysis(self, n: int) -> ColumnSpaceAnalysis:
         """The one elimination of d_n: rank, ker d_n and im d_n all come
-        from it.  Callers read it and never add to its echelon.
-
-        It is dense.boundary_analysis, which equals column_space_analysis
-        entry for entry.  A boundary with 200 columns to 2^21 entries (one
-        float64 copy, 16 MiB at most) is row-reduced densely mod p: the
-        field's p, or over Q a prime below 2^22, whose answer is checked
-        over Z, m[:, P] R = m[:, not P] for the pivot columns P and the
-        reduced form R.  P is independent mod p, so over Q, and the check
-        writes each other column as an integer combination of the pivots
-        before it, so P are the greedy pivots and R gives today's kernel
-        columns.  A failed check (a kernel with fractions), an entry that is
-        not an int, or a boundary outside the size rule takes
-        column_space_analysis."""
+        from it.  Callers read it and never add to its image.  It is
+        dense.boundary_analysis (dense_analysis gives its argument)."""
         owner = self.shares.get(n, self)
         if n not in owner._analyses:
             owner._analyses[n] = boundary_analysis(owner.d(n))
@@ -566,7 +554,7 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
         kernel = cx.analysis(n).kernel_basis
         w = orbit_words(cx, n) if n == up_to and top_image is None else None
         if w is None:
-            ech = (cx.analysis(n + 1).echelon if n < up_to else
+            ech = (cx.analysis(n + 1).image if n < up_to else
                    cx.image(n + 1) if top_image is None else top_image)
             missing = kernel.cols - ech.rank
             if missing < 0:

@@ -165,9 +165,9 @@ def dense_analysis(m: Matrix) -> Optional[ColumnSpaceAnalysis]:
     Q-combination of the pivot columns before j.  So rank_Q m = |P|, the
     greedy pivots over Q are P, and the lifted columns are the kernel
     column_space_analysis reads (its dependency of column j on the earlier
-    pivot columns is unique), entry for entry.  The image echelon gets only
-    the pivot columns, tagged, as there: a dependent tagged column stores
-    nothing, so its pivots, reduced columns and combos are the same.
+    pivot columns is unique), entry for entry.  The untagged image echelon
+    gets only the pivot columns: a dependent column stores nothing there,
+    so its pivots and reduced columns are the same.
 
     None when an entry is not an int (a Fraction over Q), when p is above
     DENSE_PRIME (the float64 reduction could round), when the check could
@@ -222,7 +222,7 @@ def dense_analysis(m: Matrix) -> Optional[ColumnSpaceAnalysis]:
     del c, at_pivots
     ech = Echelon(f, m.rows)
     for j in pivots:
-        if not ech.add(m.column(j), tag=j):
+        if not ech.add(m.cols_data[j]):
             raise ConstructionBug("dense pivot column %d of a %dx%d matrix is dependent"
                                   % (j, m.rows, m.cols))
     return ColumnSpaceAnalysis(ech.rank, Matrix.trusted(f, m.cols, len(kernel_cols),
@@ -235,9 +235,10 @@ def boundary_analysis(m: Matrix) -> ColumnSpaceAnalysis:
     None, or outside that range, column_space_analysis.  The size rule
     bounds the one dense float64 copy of m by 16 MiB (d_5 of
     conj:symmetric:3, 625 x 3125, is 15.6 MB; its d_6, 3125 x 15625, would
-    be 390 MB and keeps the Echelon).  Below DENSE_MIN_COLS columns the
-    fixed cost of the dense route outweighs what it saves (measured: 25 x
-    125 and 5 x 109 ran slower dense, 5 x 205 and 7 x 497 faster)."""
+    be 390 MB and takes column_space_analysis).  Below DENSE_MIN_COLS
+    columns the fixed cost of the dense route outweighs what it saves
+    (measured: 25 x 125 and 5 x 109 ran slower dense, 5 x 205 and 7 x 497
+    faster)."""
     if DENSE_MIN_COLS <= m.cols and m.rows * m.cols <= DENSE_ENTRIES:
         a = dense_analysis(m)
         if a is not None:

@@ -16,22 +16,14 @@ integral Fraction into an int) and drops the entries that cancel, and every
 chain sum with integer coefficients is accumulated in plain ints and
 converted once by `FieldTag.vector`.  No other code adds sparse vectors.
 
-One echelon per matrix: `column_space_analysis` eliminates a matrix once,
-and its rank, kernel and image are read from that `Echelon`.
-Tagged columns are tracked as combinations of the tagged inputs; untagged
-columns are reduced but not tracked, so coordinates are read modulo their span.
-A boundary of a chain complex gets the same analysis, entry for entry, from
-dense.boundary_analysis: a dense row reduction mod p (the field's p, or a
-prime below 2^22 over Q) gives the pivot columns P and the reduced form R,
-and over Q the check m[:, P] R = m[:, not P] exactly over Z proves that P
-is the greedy pivot set over Q and R the kernel's coefficients (P is
-independent mod p, hence over Q, and each non-pivot column is an integer
-combination of the pivots before it).  Only the pivot columns then enter
-the tagged echelon, which stores nothing for a dependent column.  A failed
-check, an entry that is not an int, and a matrix outside the size rule
-(fewer than 200 columns, or more than 2^21 entries: 16 MiB of float64)
-take column_space_analysis.  A column already reduced against an echelon
-enters it by `Echelon.insert`, checked, with no sweep.
+One elimination per matrix: `column_space_analysis` eliminates a matrix
+once, and its rank, kernel and untagged image echelon are read from it.
+An `Echelon` tracks each tagged column as a combination of the tagged
+inputs; untagged columns are reduced but not tracked, so coordinates are
+read modulo their span.  A boundary of a chain complex gets the same
+analysis from dense.boundary_analysis (dense_analysis gives its argument).
+A column already reduced against an echelon enters it by `Echelon.insert`,
+checked, with no sweep.
 """
 
 from __future__ import annotations
@@ -462,24 +454,26 @@ class Echelon:
 @dataclass
 class ColumnSpaceAnalysis:
     """The one elimination of a matrix: its rank, kernel and image.  The
-    echelon tags column j of m as j, so its coordinates of v solve
-    m @ x == v."""
+    image is an untagged Echelon of the pivot columns, with no combos, so
+    solving m @ x == v needs a tagged Echelon of its own."""
 
     rank: int
     kernel_basis: Matrix
-    echelon: Echelon
+    image: Echelon
 
 
 def column_space_analysis(m: Matrix) -> ColumnSpaceAnalysis:
     """Rank, exact kernel basis and image echelon of m, from one elimination.
 
     rank + kernel dimension == cols; m @ kernel_basis == 0 entrywise.
+    Column j is tagged j while it is reduced, so a dependent column's combo
+    is its kernel column; the image keeps none of the combos.
     """
     f = m.field
     ech = Echelon(f, m.rows)
     kernel_cols = []
-    for j in range(m.cols):
-        if not ech.add(m.column(j), tag=j):
+    for j, col in enumerate(m.cols_data):
+        if not ech.add(col, j):
             kernel_cols.append(ech.last_combo)
     kernel = Matrix(f, m.cols, len(kernel_cols), kernel_cols)
-    return ColumnSpaceAnalysis(ech.rank, kernel, ech)
+    return ColumnSpaceAnalysis(ech.rank, kernel, ech.untracked_copy())

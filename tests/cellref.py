@@ -21,8 +21,9 @@ as chains did before the rack complex became the subcomplex.
 gamma_functor_with_projection over a nerve with cells through max_n + 2, as
 chains did before it wrote down that Gamma of a group's nerve is a point.
 `tagged_echelon_analysis` is the analysis of a matrix as
-exactfield.column_space_analysis computes it, every column into one tagged
-`Echelon`: the oracle of the dense route (dense.dense_analysis).
+exactfield.column_space_analysis computed it before its image dropped the
+combos, every column into one tagged `Echelon`, kept as the image: the
+oracle of the dense route (dense.dense_analysis).
 `product_quotient_boundaries` gives the quotient's boundaries as the
 product proj d_T section, as chains._quotient did before it re-indexed d_T.
 `added_top_images` builds a saturated top image and its projection to the

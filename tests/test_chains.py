@@ -800,12 +800,12 @@ def test_each_matrix_is_eliminated_once(monkeypatch):
     assert sum(k for _, k in seen.values()) == _les_analyses(3)
     c = build_complex(rack_nerve(conj_rack(symmetric_group(3)), 4), QQ)
     hs = homology(c, up_to=3)
-    cached = copy.deepcopy([c.analysis(n).echelon.pivots for n in range(1, 4)])
+    cached = copy.deepcopy([c.analysis(n).image.pivots for n in range(1, 4)])
     for n in range(4):
         hs.projection(n)
     assert hs.dims == [1, 2, 4, 8]
     # completing the projections wrote nothing into the cached echelons
-    assert [c.analysis(n).echelon.pivots for n in range(1, 4)] == cached
+    assert [c.analysis(n).image.pivots for n in range(1, 4)] == cached
     twice = [(m, k) for m, k in seen.values() if k > 1]
     assert not twice, twice
     analysed = {id(m) for m, _ in seen.values()}
@@ -1149,7 +1149,7 @@ def _homology_by_search(cx, up_to, top_image=None):
     dims, reps, echs = [], [], []
     for n in range(up_to + 1):
         if n < up_to:
-            ech = cx.analysis(n + 1).echelon.untracked_copy()
+            ech = cx.analysis(n + 1).image.untracked_copy()
         elif top_image is not None:
             ech = top_image.untracked_copy()
         else:

@@ -71,9 +71,13 @@ def test_rank_one_kernel_span():
 
 
 def _solve(m, v):
-    """A sparse x with m @ x == v, read off m's one elimination (its echelon
-    tags column j as j); None when v is outside the image of m."""
-    return column_space_analysis(m).echelon.coordinates(m.field.vector(v))
+    """A sparse x with m @ x == v, read off an Echelon of the columns of m,
+    column j tagged j, as project_vec solves; None when v is outside the
+    image of m."""
+    ech = Echelon(m.field, m.rows)
+    for j in range(m.cols):
+        ech.add(m.column(j), tag=j)
+    return ech.coordinates(m.field.vector(v))
 
 
 def test_solve_identity():
@@ -134,10 +138,10 @@ def test_kernel_is_exact_kernel():
         a = column_space_analysis(m)
         assert a.rank + a.kernel_basis.cols == m.cols
         assert (m @ a.kernel_basis).is_zero()
-        # the echelon spans the image: every column reduces to zero against it
-        assert a.echelon.rank == a.rank
+        # the image spans im m: every column reduces to zero against it
+        assert a.image.rank == a.rank
         for j in range(m.cols):
-            assert a.echelon.contains(m.column(j))
+            assert a.image.contains(m.column(j))
 
 
 def test_fp_rank_agrees_with_rational_rank_on_unimodular_pivots():
@@ -387,21 +391,28 @@ def test_heap_echelon_equals_full_scan(data):
     full = FullScanEchelon(f, dim)
     kernel = [full.last_combo for j in range(m.cols) if not full.add(m.column(j), j)]
     a = column_space_analysis(m)
-    assert a.echelon.pivots == full.pivots
+    assert _reduced(a.image) == _reduced(full)
     assert a.kernel_basis == Matrix(f, m.cols, len(kernel), kernel)
+    for col in probes:
+        assert a.image.contains(col) == full.contains(col)
 
 
 # -- the dense route of boundary analyses against the tagged echelon ----------
 
 
+def _reduced(ech):
+    """The (pivot row, reduced column) pairs of an echelon, in order."""
+    return [(prow, pcol) for prow, pcol, _ in ech.pivots]
+
+
 def _same_analysis(a, ref, probes=()):
-    """a is ref: rank, pivots, kernel entry for entry, echelon pivots and
-    combos, and the coordinates of the probes."""
-    assert a.rank == ref.rank
+    """a is ref: rank, kernel entry for entry, the pivot rows and reduced
+    columns of the image, and membership of the probes in it."""
+    assert a.rank == ref.rank == a.image.rank
     assert a.kernel_basis == ref.kernel_basis
-    assert a.echelon.pivots == ref.echelon.pivots
+    assert _reduced(a.image) == _reduced(ref.image)
     for v in probes:
-        assert a.echelon.coordinates(v) == ref.echelon.coordinates(v)
+        assert a.image.contains(v) == ref.image.contains(v)
 
 
 def _has_fraction(m: Matrix) -> bool:
@@ -543,6 +554,55 @@ def test_failed_check_falls_back_to_todays_code(monkeypatch):
     assert calls == [wide]
     _same_analysis(a, tagged_echelon_analysis(wide))
     assert a.kernel_basis.column(0) == {0: Fraction(-1, 2), 1: 1}
+
+
+def _holds_no_combo(a):
+    return a.image.rank == a.rank and all(combo is None for _, _, combo in a.image.pivots)
+
+
+def test_no_analysis_holds_a_combo(monkeypatch):
+    """The image of an analysis is untagged on every route: the sparse
+    elimination, the dense route over F_p and over Q, and the analyses a
+    Gamma subcomplex shares with its total complex."""
+    m = Matrix.from_rows(QQ, [[1, 2, 0, 1], [0, 0, 1, 1], [1, 2, 1, 2]])
+    assert _holds_no_combo(column_space_analysis(m))
+    for f in (FieldTag(3), QQ):
+        d = build_complex(rack_nerve(preset("conj:symmetric:3"), 3), f).d(3)
+        a = dense_analysis(d)
+        assert a is not None and a.rank > 0 and _holds_no_combo(a)
+    assembled = []
+    orig = chains._les_assemble
+
+    def recording(kind, field, max_n, S, T, *rest):
+        assembled.append((S, T))
+        return orig(kind, field, max_n, S, T, *rest)
+
+    monkeypatch.setattr(chains, "_les_assemble", recording)
+    assert chains.les_for_group("gamma", preset("cyclic:2"), QQ, 2).all_exact
+    (S, T), = assembled
+    assert S.shares and all(S.analysis(n) is T.analysis(n) for n in S.shares)
+    for cx in (S, T):
+        for n in range(1, cx.max_degree + 1):
+            assert _holds_no_combo(cx.analysis(n))
+
+
+def test_dependent_dense_pivot_is_a_construction_bug(monkeypatch):
+    """A reduction that reports a dependent column as a pivot is caught when
+    the pivot columns enter the image: column 1 of [[1, 2, 0], [0, 0, 1]]
+    is twice column 0."""
+    orig = dense._rref_mod
+
+    def lying(r, p):
+        pivots, rows = orig(r, p)
+        assert pivots == [0, 2]
+        return [0, 1, 2], [rows[0], rows[0], rows[1]]
+
+    monkeypatch.setattr(dense, "_rref_mod", lying)
+    for f in (QQ, FieldTag(5)):
+        m = Matrix.from_rows(f, [[1, 2, 0], [0, 0, 1]])
+        message = "dense pivot column 1 of a 2x3 matrix is dependent"
+        with pytest.raises(ConstructionBug, match="^%s$" % re.escape(message)):
+            dense_analysis(m)
 
 
 def test_dense_route_on_every_boundary_of_the_acceptance_suite(monkeypatch):
