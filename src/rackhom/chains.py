@@ -61,13 +61,14 @@ projected to the quotient mostly the same way; see _les_assemble): the
 rack complex's top boundary is checked against the image only when the
 stream is exhausted.  Every analysis of a boundary is
 dense.boundary_analysis (dense_analysis gives its argument).
-homology stops its representative search once the image and the
-representatives reach the rank of ker d_n, and does not start it at
-H_n = 0.  The top degree of a rack complex with Inn X not trivial, over a
-field whose characteristic does not divide |Inn X|, is read off the
-Inn(X)-orbit complex and the orbit-indicator cocycles of Etingof and Grana
-(JPAA 177, 2003), and its top boundary is not reduced (orbitcap; see
-homology).  The Gamma subcomplex shares T's boundaries above degree 1, and
+homology reads its representatives off the pivot rows of the image's
+echelon, which are unit rows of ker d_n (every pivot sits at its column's
+max key), and a projection off a chain's remainder against that echelon:
+neither eliminates (see homology).  The top degree of a rack complex with
+Inn X not trivial, over a field whose characteristic does not divide
+|Inn X|, is read off the Inn(X)-orbit complex and the orbit-indicator
+cocycles of Etingof and Grana (JPAA 177, 2003), and its top boundary is
+not reduced (orbitcap; see homology).  The Gamma subcomplex shares T's boundaries above degree 1, and
 their eliminations (ChainComplex.shares).
 """
 
@@ -427,18 +428,21 @@ def _differing_columns(lhs: Matrix, rhs: Matrix) -> list:
 class HomologySummary:
     """Per-degree dimensions, representative cycles and exact projections.
 
-    echelons[n] holds the degree-n boundaries (untagged), then the
-    representatives (tagged ("r", j)); the first projection completes it
-    with unit vectors tagged ("a", i).  projection(n) therefore kills
-    boundaries and the chosen complement of the cycles, and is the identity
-    on the stored representatives, so projection o inclusion = id.
+    At a degree read off the image (see homology), echelons[n] is the
+    echelon of the degree-n boundaries that homology read, untouched, and
+    the representatives are the kernel columns K_j whose unit row j is no
+    pivot row of it.  project_vec reads a chain's remainder against that
+    echelon at the representatives' unit rows.  The matrix kills the
+    boundaries (remainder 0) and the pivot units e_p of d_n (p is no
+    kernel unit row, and so no pivot row of the image either), and fixes
+    each representative, which has no entry at a pivot row; these span the
+    chains, so projection o inclusion = id.
 
     At a degree in words (a rack top read off its orbit cocycles, see
-    homology), echelons[n] holds Phi of the representatives instead, a
-    basis of k^#words, and a chain v is read out as Phi of its kernel part,
-    the sum of v_i K_i over the non-pivot columns i of d_n (K_i the kernel
-    column with its unit at i): the same matrix, since the unit complement
-    above is the pivot columns of d_n.
+    homology), echelons[n] holds Phi of the representatives, tagged by
+    their index, a basis of k^#words, and a chain v is read out as Phi of
+    its kernel part, the sum of v_i K_i over the non-pivot columns i of d_n:
+    the same matrix, since that part kills the pivot units of d_n too.
     """
 
     def __init__(self, cx: ChainComplex, up_to: int, dims, reps, echelons, words=None):
@@ -448,6 +452,8 @@ class HomologySummary:
         self.reps = reps
         self.echelons = echelons
         self.words = words or {}
+        # each representative is a kernel column K_j, whose max key is its unit row j
+        self._rep_at = [{max(r): k for k, r in enumerate(rs)} for rs in reps]
         self._readouts = {}
         self._projections = {}
 
@@ -466,19 +472,12 @@ class HomologySummary:
 
     def project_vec(self, n: int, vec: dict) -> dict:
         """Homology coordinates of a chain (sparse dict in, sparse dict out)."""
-        f = self.complex.field
         if self.dims[n] == 0:
             return {}
-        ech = self.echelons[n]
         if n in self.words:
-            vec = self._readout(n).apply(vec)
-        elif ech.rank < ech.rows:
-            for i in range(ech.rows):
-                ech.add({i: f.one()}, tag=("a", i))
-        coords = ech.coordinates(vec)
-        if coords is None:
-            raise ConstructionBug("projection echelon does not span the chain space")
-        return {tag[1]: v for tag, v in coords.items() if tag[0] == "r"}
+            return self.echelons[n].coordinates(self._readout(n).apply(vec))
+        at = self._rep_at[n]
+        return {at[r]: v for r, v in self.echelons[n].remainder(vec).items() if r in at}
 
     def projection(self, n: int) -> Matrix:
         """The matrix of project_vec at degree n, built once."""
@@ -496,28 +495,32 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     the image of d_{up_to+1} is cx.image, reduced untracked, since only
     its span is needed.
 
-    The representative search stops once dim ker d_n - rank(image)
-    representatives are found: the image lies in ker d_n, so the image and
-    the representatives then span ker d_n, and every later kernel column
-    would reduce to zero without changing the echelon.  At a degree with
-    H_n = 0 it does not start, and the summary keeps the image's own
-    echelon, which project_vec never reads there.  The image lies in
-    the kernel for every echelon the search would receive.  An analysis of
-    d_{n+1}, or cx.image of the top boundary, spans im d_{n+1}, and
-    d_n d_{n+1} = 0 is checked when a ChainComplex
-    is built (a tensor square's holds by the Koszul sign, and a homology
+    The representatives are read off the image, with no elimination.  The
+    kernel column K_j of a non-pivot column j of d_n has its unit at j and
+    its other entries at pivot columns before j, so its unit row j is its
+    max key.  A cycle is the sum of its entry at each unit row j times K_j,
+    so a nonzero one has its max key at a unit row, and the pivot rows of
+    an echelon of im d_{n+1}, inside ker d_n, are unit rows (an Echelon
+    stores each column with its pivot at its max key).  A search feeding
+    the K_j in order to that echelon keeps K_j exactly when j is no pivot
+    row (a cycle with max key j is a multiple of K_j plus earlier K_i).
+    So the representatives are the K_j, in order, whose unit row is no
+    pivot row, dim ker d_n - rank(image) of them, and the echelon is
+    neither copied nor written.  An image pivot row that is no unit row
+    raises ConstructionBug, and an image of rank above dim ker d_n has one.
+
+    The image lies in the kernel for every echelon homology receives.  An
+    analysis of d_{n+1}, or cx.image of the top boundary, spans
+    im d_{n+1}, and d_n d_{n+1} = 0 is checked when a ChainComplex is
+    built (a tensor square's holds by the Koszul sign, and a homology
     complex has zero differentials).  A supplied top image must lie in
     ker d_n as well; its one supplier is _les_assemble.  The total
     complex's is stream_group_top_image's: ker d_n itself when the stream
-    saturates, and otherwise the span of streamed columns each checked to
-    be killed by d_n.  The quotient's is its projection, and proj is a
-    chain map (d_Q proj = proj d_T, as the subcomplex's inclusion is a
-    certified chain map), so it lands in ker d_n of the quotient.  An
-    image of rank above dim ker d_n breaks this and raises
-    ConstructionBug.  A saturated image is the kernel basis of
-    cx.analysis(n), handed on: its columns were inserted unreduced (each
-    has its unit at its own non-pivot row), and the search reads only its
-    span and rank, which equal dim ker d_n, so the search does not start.
+    saturates (its kernel columns inserted unreduced, each with its pivot
+    at its unit row), and otherwise the span of streamed columns each
+    checked to be killed by d_n.  The quotient's is its projection, and
+    proj is a chain map (d_Q proj = proj d_T, as the subcomplex's inclusion
+    is a certified chain map), so it lands in ker d_n of the quotient.
 
     The top degree n of a rack complex is read off the orbit cocycles, and
     d_{n+1} is never reduced, when orbitcap.orbit_words returns the orbit
@@ -529,13 +532,12 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     Then Phi = (phi_w)_w is an isomorphism H_n -> k^#words that kills the
     boundaries, so a kernel column is independent of im d_{n+1} and of the
     earlier representatives exactly when its Phi-vector is independent of
-    theirs: the search, run in a #words-dimensional echelon, picks the
-    columns the search against the image would pick.  b_n <= dim ker d_n
-    (rank d_{n+1} = dim ker d_n - b_n) and b_n representatives found are
-    checked (ConstructionBug).  project_vec gives the same matrix as the
-    unit completion: that completion is the pivot columns of d_n, the
-    greedy complement of ker d_n, which it sends to 0, and at any other
-    column i, e_i is the kernel column K_i minus pivot columns, sent to
+    theirs: a search in a #words-dimensional echelon, stopped once b_n
+    representatives are found, picks the representatives above.
+    b_n <= dim ker d_n (rank d_{n+1} = dim ker d_n - b_n) and b_n
+    representatives found are checked (ConstructionBug).  project_vec gives
+    the same matrix as on the image: both kill the pivot units of d_n, and
+    at any other column i, e_i is K_i minus pivot units, sent to
     (Phi R)^-1 Phi(K_i), R the representatives.  When a guard fails every
     column of d_{n+1} is reduced, as for every other complex."""
     if up_to is None:
@@ -556,24 +558,23 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
         if w is None:
             ech = (cx.analysis(n + 1).image if n < up_to else
                    cx.image(n + 1) if top_image is None else top_image)
-            missing = kernel.cols - ech.rank
-            if missing < 0:
-                raise ConstructionBug("boundary image above dim ker d_%d" % n)
-            if missing:
-                ech = ech.untracked_copy()  # not to write into a shared echelon
+            pivots = {prow for prow, _, _ in ech.pivots}
+            myreps = [dict(col) for col in kernel.cols_data if max(col) not in pivots]
+            # the unit rows are distinct, so a shortfall is a pivot row off them
+            if len(myreps) + ech.rank != kernel.cols:
+                raise ConstructionBug("an image pivot row is no unit row of ker d_%d" % n)
         else:
             words[n] = w
             missing = max(w, default=-1) + 1
             if missing > kernel.cols:
                 raise ConstructionBug("orbit Betti number above dim ker d_%d" % n)
             ech = Echelon(f, missing)
-        myreps = []
-        if missing:
+            myreps = []
             for col in kernel.cols_data:
-                if ech.add(col if w is None else phi(w, f, col), tag=("r", len(myreps))):
+                if len(myreps) == missing:
+                    break
+                if ech.add(phi(w, f, col), tag=len(myreps)):
                     myreps.append(dict(col))
-                    if len(myreps) == missing:
-                        break
             if len(myreps) < missing:
                 raise ConstructionBug("%d of %d representatives found at degree %d"
                                       % (len(myreps), missing, n))

@@ -473,19 +473,17 @@ def primitive_analysis(g: GradedCoalgebra, max_degree: int) -> PrimitiveAnalysis
 
 
 def _complement_projection(f, dim, span_cols):
-    """A matrix whose kernel is exactly the span of span_cols: the
-    coordinates on the unit vectors that complete it to a basis, in the
-    order they were chosen."""
+    """A matrix whose kernel is exactly the span of span_cols: a vector's
+    remainder against an echelon of the span, read at the rows that are no
+    pivot row, in increasing order.  Those rows' unit vectors complete the
+    span to a basis, and the remainder is zero exactly on the span."""
     ech = Echelon(f, dim)
     for col in span_cols:
         ech.add(col)
-    comp = 0
-    for i in range(dim):
-        if ech.add({i: f.one()}, tag=("a", comp)):
-            comp += 1
-    cols = [{k: v for (_, k), v in ech.coordinates({i: f.one()}).items()}
-            for i in range(dim)]
-    return Matrix(f, comp, dim, cols)
+    pivots = {prow for prow, _, _ in ech.pivots}
+    at = {i: k for k, i in enumerate(i for i in range(dim) if i not in pivots)}
+    cols = [{at[r]: v for r, v in ech.remainder({i: f.one()}).items()} for i in range(dim)]
+    return Matrix(f, len(at), dim, cols)
 
 
 # -- tensor-coalgebra reference model ---------------------------------------------

@@ -391,8 +391,13 @@ class Echelon:
                 axpy(combo, pcombo, factor)
         return col, combo
 
+    def remainder(self, col: dict) -> dict:
+        """col reduced against the stored columns: col minus the one vector
+        of the span that leaves it no entry at any pivot row."""
+        return self._reduce(col, None)[0]
+
     def contains(self, col: dict) -> bool:
-        return not self._reduce(col, None)[0]
+        return not self.remainder(col)
 
     def add(self, col: dict, tag=None) -> bool:
         """Add a column; returns True iff it enlarged the span.

@@ -54,11 +54,6 @@ class FiniteGroup:
         n = self.order
         return all(self.mul[a][b] == self.mul[b][a] for a in range(n) for b in range(n))
 
-    def to_json(self) -> str:
-        return json.dumps({"elements": [repr(e) for e in self.elements],
-                           "mul": [list(r) for r in self.mul],
-                           "unit": self.unit}, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class PointedRack:
@@ -70,11 +65,6 @@ class PointedRack:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def to_json(self) -> str:
-        return json.dumps({"elements": [repr(e) for e in self.elements],
-                           "op": [list(r) for r in self.op],
-                           "basepoint": self.basepoint}, sort_keys=True)
 
 
 @dataclass

@@ -24,6 +24,13 @@ chains did before it wrote down that Gamma of a group's nerve is a point.
 exactfield.column_space_analysis computed it before its image dropped the
 combos, every column into one tagged `Echelon`, kept as the image: the
 oracle of the dense route (dense.dense_analysis).
+`homology_by_search` finds the representatives as chains.homology did
+before it read them off the image's pivot rows: each kernel column, tagged
+("r", k), is added to a copy of the image's echelon and kept when it
+enlarges it, at every degree, and `SearchHomology` projects by completing
+that echelon with unit vectors, tagged ("a", i), and solving in it.
+`complement_projection_reference` is coalgebra._complement_projection by
+the same unit completion and solve.
 `product_quotient_boundaries` gives the quotient's boundaries as the
 product proj d_T section, as chains._quotient did before it re-indexed d_T.
 `added_top_images` builds a saturated top image and its projection to the
@@ -32,9 +39,10 @@ basis on through `Echelon.insert`.
 `signed_matrix_reference` sums each column of a signed table map with
 `signed_column` and canonicalises it in the `Matrix` constructor, as
 chains._signed_matrix did before it checked the row range on the arrays.
-`identity_perm`, `conjugacy_classes` and `is_trivial` are the identity
-permutation, the conjugacy classes of a group and the triviality of a
-rack, which only tests ask for.
+`identity_perm`, `conjugacy_classes`, `is_trivial` and `rack_to_json` are
+the identity permutation, the conjugacy classes of a group, the triviality
+of a rack and a rack as the JSON text racks.rack_from_json reads, which
+only tests ask for.
 `morphism_normal_form`, `find_isomorphism` and `eta_section` have no
 caller in the package: the surjection-then-injection factorization of a
 cube-category morphism, a backtracking search for a cubical isomorphism
@@ -42,14 +50,15 @@ between small cubical sets, and the section of the normalization quotient
 of a cubical set's chains.
 """
 
+import json
 from functools import partial
 from itertools import permutations, product
 from math import gcd
 
 import numpy as np
 
-from rackhom.chains import (GradedMap, _les_assemble, _others, _quotient, _restriction,
-                            _selection, _subcomplex, build_complex)
+from rackhom.chains import (GradedMap, HomologySummary, _les_assemble, _others, _quotient,
+                            _restriction, _selection, _subcomplex, build_complex)
 from rackhom.cubical import (ConstructionBug, Labels, Picked, QuotientIllDefined,
                              TruncationTooLow, gamma_functor_with_projection,
                              l_functor_with_inclusion)
@@ -476,6 +485,67 @@ def tagged_echelon_analysis(m: Matrix) -> ColumnSpaceAnalysis:
     return ColumnSpaceAnalysis(ech.rank, Matrix(m.field, m.cols, len(kernel), kernel), ech)
 
 
+class SearchHomology(HomologySummary):
+    """A HomologySummary whose projection completes the degree's echelon
+    (the image, then the representatives tagged ("r", k)) by every unit
+    vector that enlarges it, tagged ("a", i), and solves in it, keeping the
+    coordinates on the representatives."""
+
+    def project_vec(self, n, vec):
+        f = self.complex.field
+        if self.dims[n] == 0:
+            return {}
+        ech = self.echelons[n]
+        if ech.rank < ech.rows:
+            for i in range(ech.rows):
+                ech.add({i: f.one()}, tag=("a", i))
+        coords = ech.coordinates(vec)
+        if coords is None:
+            raise ConstructionBug("projection echelon does not span the chain space")
+        return {tag[1]: v for tag, v in coords.items() if tag[0] == "r"}
+
+
+def homology_by_search(cx, up_to, top_image=None):
+    """Homology through up_to with no orbit route and no early stop: every
+    kernel column of d_n, in order, is added tagged ("r", k) to a copy of
+    an echelon of im d_{n+1} (d_{up_to+1} reduced column by column unless
+    top_image is given) and is a representative when it enlarges it."""
+    dims, reps, echs = [], [], []
+    for n in range(up_to + 1):
+        if n < up_to:
+            ech = cx.analysis(n + 1).image.untracked_copy()
+        elif top_image is not None:
+            ech = top_image.untracked_copy()
+        else:
+            ech = Echelon(cx.field, cx.dim(n))
+            for col in cx.d(n + 1).cols_data:
+                ech.add(col)
+        myreps = []
+        for col in cx.analysis(n).kernel_basis.cols_data:
+            if ech.add(col, tag=("r", len(myreps))):
+                myreps.append(dict(col))
+        dims.append(len(myreps))
+        reps.append(myreps)
+        echs.append(ech)
+    return SearchHomology(cx, up_to, dims, reps, echs)
+
+
+def complement_projection_reference(f, dim, span_cols):
+    """A matrix whose kernel is the span of span_cols: the span's echelon
+    completed by each unit vector that enlarges it, tagged ("a", k) in
+    order, and each unit vector's coordinates on those, solved in it."""
+    ech = Echelon(f, dim)
+    for col in span_cols:
+        ech.add(col)
+    comp = 0
+    for i in range(dim):
+        if ech.add({i: f.one()}, tag=("a", comp)):
+            comp += 1
+    cols = [{k: v for (_, k), v in ech.coordinates({i: f.one()}).items()}
+            for i in range(dim)]
+    return Matrix(f, comp, dim, cols)
+
+
 def product_quotient_boundaries(T, proj, section):
     """d_Q(n) = proj[n-1] d_T(n) section[n] for n = 1 .. T.max_degree, by
     two matrix products."""
@@ -851,6 +921,12 @@ def conjugacy_classes(g):
 def is_trivial(rack) -> bool:
     n = rack.order
     return all(rack.op[a][b] == a for a in range(n) for b in range(n))
+
+
+def rack_to_json(rack) -> str:
+    return json.dumps({"elements": [repr(e) for e in rack.elements],
+                       "op": [list(r) for r in rack.op],
+                       "basepoint": rack.basepoint}, sort_keys=True)
 
 
 def morphism_normal_form(f, m: int):

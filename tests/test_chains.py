@@ -33,7 +33,7 @@ from rackhom.nerves import (GroupArith, bar_nerve, cell_digits, cell_numbers, gr
                             rack_nerve)
 from rackhom.racks import conj_rack, preset, symmetric_group
 
-from cellref import (added_top_images, eta_section, gamma_les_reference,
+from cellref import (added_top_images, eta_section, gamma_les_reference, homology_by_search,
                      lnerve_inclusion_labels, lrel_les_reference, product_quotient_boundaries,
                      rack_conjugation_reference, signed_column, signed_matrix_reference)
 
@@ -804,7 +804,7 @@ def test_each_matrix_is_eliminated_once(monkeypatch):
     for n in range(4):
         hs.projection(n)
     assert hs.dims == [1, 2, 4, 8]
-    # completing the projections wrote nothing into the cached echelons
+    # the projections wrote nothing into the cached echelons
     assert [c.analysis(n).image.pivots for n in range(1, 4)] == cached
     twice = [(m, k) for m, k in seen.values() if k > 1]
     assert not twice, twice
@@ -1143,29 +1143,6 @@ def test_stream_batch_arrays_match_the_column_loop(name, field):
     assert (True, True) in seen and (False, False) in seen
 
 
-def _homology_by_search(cx, up_to, top_image=None):
-    """homology() with its representative search run at every degree, the
-    H_n = 0 shortcut left out: the reference the shortcut must match."""
-    dims, reps, echs = [], [], []
-    for n in range(up_to + 1):
-        if n < up_to:
-            ech = cx.analysis(n + 1).image.untracked_copy()
-        elif top_image is not None:
-            ech = top_image.untracked_copy()
-        else:
-            ech = Echelon(cx.field, cx.dim(n))
-            for col in cx.d(n + 1).cols_data:
-                ech.add(col)
-        myreps = []
-        for col in cx.analysis(n).kernel_basis.cols_data:
-            if ech.add(col, tag=("r", len(myreps))):
-                myreps.append(dict(col))
-        dims.append(len(myreps))
-        reps.append(myreps)
-        echs.append(ech)
-    return chains.HomologySummary(cx, up_to, dims, reps, echs)
-
-
 def _acceptance_complexes():
     """(complex, up_to, top image) from the acceptance criteria: the L^n
     and cube models, rack and bar nerves, and the total complex of the
@@ -1197,27 +1174,51 @@ def _echelon_adds(monkeypatch):
     return calls
 
 
+def _echelon_writes(monkeypatch):
+    """Every Echelon.add and Echelon.insert call from now on, as (echelon,
+    tag, column), in order (insert records the tag None)."""
+    calls = _echelon_adds(monkeypatch)
+    insert = Echelon.insert
+
+    def recording(self, col):
+        calls.append((self, None, col))
+        return insert(self, col)
+
+    monkeypatch.setattr(Echelon, "insert", recording)
+    return calls
+
+
+def _writes_into_images(calls, hs):
+    """The recorded calls into an echelon hs read as an image."""
+    read = {id(e) for n, e in enumerate(hs.echelons) if n not in hs.words}
+    return [call for call in calls if id(call[0]) in read]
+
+
 def test_homology_shortcut_at_vanishing_degrees_matches_the_search(monkeypatch):
-    """The search stops once dim ker d_n - rank(image) representatives are
-    found, and does not start at H_n = 0; the full search, run at every
-    degree, must give the same dims, reps and projections."""
-    shortcuts = stops = 0
+    """The representatives are the kernel columns whose unit row is no
+    pivot row of the image, none where H_n = 0; the search, run at every
+    degree with no early stop, and its unit-completion projection must give
+    the same dims, reps and projections.  With the analyses and the top
+    image built, homology and every projection eliminate nothing off the
+    orbit route (taken at the top of conj:symmetric:3), and write into no
+    echelon they read."""
+    shortcuts = 0
     for cx, up_to, top_image in _acceptance_complexes():
-        calls = _echelon_adds(monkeypatch)
+        ref = homology_by_search(cx, up_to, top_image)
+        if top_image is None:
+            cx.image(up_to + 1)
+        calls = _echelon_writes(monkeypatch)
         hs = homology(cx, up_to, top_image=top_image)
+        for n in range(up_to + 1):
+            hs.projection(n)
         monkeypatch.undo()
-        ref = _homology_by_search(cx, up_to, top_image)
+        assert not calls or up_to in hs.words
+        assert not _writes_into_images(calls, hs)
         assert hs.dims == ref.dims and hs.reps == ref.reps
-        # the kernel columns each search read: it tags them ("r", k)
-        read = iter(Counter(id(e) for e, tag, _ in calls
-                            if isinstance(tag, tuple) and tag[0] == "r").values())
         for n in range(up_to + 1):
             assert hs.projection(n) == ref.projection(n)
-            kernel = cx.dim(n) - cx.analysis(n).rank
-            shortcuts += hs.dims[n] == 0 < kernel
-            if hs.dims[n]:
-                stops += next(read) < kernel
-    assert shortcuts >= 5 and stops >= 5
+            shortcuts += hs.dims[n] == 0 < cx.dim(n) - cx.analysis(n).rank
+    assert shortcuts >= 5
 
 
 # rack complexes with the degree of their homology.  The top homology is
@@ -1253,7 +1254,15 @@ def test_capped_top_image_matches_the_full_reduce(name, up_to, monkeypatch):
     monkeypatch.undo()
     assert (up_to in hs.words) == capped
     assert any(id(col) in top for _, _, col in calls) != capped
-    _assert_same_homology(hs, _homology_by_search(c, up_to))
+    # once every analysis and image is cached, only the orbit route eliminates
+    calls = _echelon_writes(monkeypatch)
+    again = homology(c, up_to)
+    for n in range(up_to + 1):
+        again.projection(n)
+    monkeypatch.undo()
+    assert not calls or capped
+    assert not _writes_into_images(calls, again)
+    _assert_same_homology(hs, homology_by_search(c, up_to))
 
 
 def test_failed_orbit_guard_falls_back_to_the_full_reduce(monkeypatch):
@@ -1273,7 +1282,7 @@ def test_failed_orbit_guard_falls_back_to_the_full_reduce(monkeypatch):
         monkeypatch.undo()
         assert hs.dims == dims and not hs.words
         assert sum(id(col) in top for _, _, col in calls) == c.dim(4)
-        _assert_same_homology(hs, _homology_by_search(c, 3))
+        _assert_same_homology(hs, homology_by_search(c, 3))
     assert len(orbitcap.inn_group(nerve)) == 6
 
 
@@ -1323,7 +1332,7 @@ def test_orbit_betti_numbers_equal_the_full_complex(name, top):
     for field in fields:
         c = build_complex(nerve, field)
         inn = orbitcap.inn_group(c.source)
-        ref = _homology_by_search(c, top)
+        ref = homology_by_search(c, top)
         assert [orbitcap.orbit_betti(c, inn, n) for n in range(1, top + 1)] == ref.dims[1:]
         hs = homology(c, top)
         assert (top in hs.words) == (len(inn) > 1)
@@ -1345,7 +1354,7 @@ def test_orbit_complex_departs_when_p_divides_inn(name, p, orbit, full):
     assert orbitcap.orbit_words(c, 3) is None
     hs = homology(c, 3)
     assert hs.dims == [1] + full and not hs.words
-    _assert_same_homology(hs, _homology_by_search(c, 3))
+    _assert_same_homology(hs, homology_by_search(c, 3))
 
 
 @pytest.mark.parametrize("name,top", ORBIT_ORACLE)
@@ -1396,8 +1405,23 @@ def test_top_image_of_rank_above_dim_ker_is_a_construction_bug():
     for i in range(c.dim(2)):
         everything.add({i: 1})
     assert c.dim(2) - c.analysis(2).rank < everything.rank
-    with pytest.raises(chains.ConstructionBug, match="image above dim ker d_2"):
+    with pytest.raises(chains.ConstructionBug, match="image pivot row is no unit row of ker d_2"):
         homology(c, up_to=2, top_image=everything)
+
+
+def test_top_image_outside_ker_is_a_construction_bug():
+    """The unit vector at pivot column 1 of d_2 is no cycle, and its rank, 1,
+    is within dim ker d_2 = 22: its pivot row is no unit row of ker d_2.
+    Read as an image, it would give H_2 = 21 where H_2 is 4."""
+    c = build_complex(rack_nerve(conj_rack(symmetric_group(3)), 2), QQ)
+    assert 1 not in {max(col) for col in c.analysis(2).kernel_basis.cols_data}
+    stray = Echelon(QQ, c.dim(2))
+    stray.add({1: 1})
+    assert c.dim(2) - c.analysis(2).rank == 22
+    with pytest.raises(chains.ConstructionBug, match="image pivot row is no unit row of ker d_2"):
+        homology(c, up_to=2, top_image=stray)
+    assert homology(build_complex(rack_nerve(conj_rack(symmetric_group(3)), 3), QQ), 2).dims == \
+        [1, 2, 4]
 
 
 def test_stream_note_is_independent_of_batch_size(monkeypatch):

@@ -39,6 +39,7 @@ from cellref import (
     bar_aw_coproduct_reference,
     bar_shuffle_product_reference,
     check_laws_reference,
+    complement_projection_reference,
     coproduct_reference,
     induced_coproduct_reference,
 )
@@ -448,12 +449,15 @@ def spans(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(spans(), st.sampled_from([0, 3]))
+@given(spans(), st.sampled_from([0, 2, 3]))
 def test_complement_projection_kills_span_and_reads_complement(case, p):
+    """The remainder reading equals the unit completion and solve, and its
+    kernel is the span."""
     f = FieldTag(p)
     dim, rows = case
-    span = [{i: f.of_int(v) for i, v in enumerate(r) if v} for r in rows]
+    span = [{i: f.of_int(v) for i, v in enumerate(r) if f.of_int(v)} for r in rows]
     proj = _complement_projection(f, dim, span)
+    assert proj == complement_projection_reference(f, dim, span)
 
     def rank(cols):
         return column_space_analysis(Matrix(f, dim, len(cols), cols)).rank
