@@ -151,9 +151,9 @@ class ChainComplex:
         return owner._analyses[n]
 
     def image(self, n: int) -> Echelon:
-        """An echelon of im d_n, its columns reduced once and untracked:
-        the top image homology reads, where ker d_n is not needed.  Callers
-        never add to it."""
+        """An echelon of im d_n alone, its columns reduced once: the top
+        image homology reads, where ker d_n is not needed.  Callers never
+        add to it."""
         owner = self.shares.get(n, self)
         if n not in owner._images:
             ech = Echelon(owner.field, owner.dim(n - 1))
@@ -439,10 +439,10 @@ class HomologySummary:
     chains, so projection o inclusion = id.
 
     At a degree in words (a rack top read off its orbit cocycles, see
-    homology), echelons[n] holds Phi of the representatives, tagged by
-    their index, a basis of k^#words, and a chain v is read out as Phi of
-    its kernel part, the sum of v_i K_i over the non-pivot columns i of d_n:
-    the same matrix, since that part kills the pivot units of d_n too.
+    homology), echelons[n] is None, and a chain v is read out as Phi of its
+    kernel part, the sum of v_i K_i over the non-pivot columns i of d_n,
+    then by (Phi R)^-1, R the representatives: the same matrix, since that
+    part kills the pivot units of d_n too.
     """
 
     def __init__(self, cx: ChainComplex, up_to: int, dims, reps, echelons, words=None):
@@ -460,14 +460,19 @@ class HomologySummary:
     def rep_matrix(self, n: int) -> Matrix:
         return Matrix(self.complex.field, self.complex.dim(n), self.dims[n], self.reps[n])
 
-    def _readout(self, n: int) -> Matrix:
-        """The matrix of v -> Phi(kernel part of v) at a degree in words."""
+    def _readout(self, n: int):
+        """The matrix of v -> Phi(kernel part of v) at a degree in words, and (Phi R)^-1,
+        read off the kernel columns e_{b+k} - (Phi R)^-1 e_k of [Phi R | I], b = dims[n]."""
         if n not in self._readouts:
-            f, words = self.complex.field, self.words[n]
+            f, words, b = self.complex.field, self.words[n], self.dims[n]
             cols = [{}] * self.complex.dim(n)
             for col in self.complex.analysis(n).kernel_basis.cols_data:
                 cols[max(col)] = phi(words, f, col)
-            self._readouts[n] = Matrix.trusted(f, self.echelons[n].rows, len(cols), cols)
+            aug = [phi(words, f, col) for col in self.reps[n]] + [{k: f.one()} for k in range(b)]
+            kernel = column_space_analysis(Matrix.trusted(f, b, 2 * b, aug)).kernel_basis
+            inverse = [{i: f.neg(v) for i, v in col.items() if i < b} for col in kernel.cols_data]
+            self._readouts[n] = (Matrix.trusted(f, b, len(cols), cols),
+                                 Matrix.trusted(f, b, b, inverse))
         return self._readouts[n]
 
     def project_vec(self, n: int, vec: dict) -> dict:
@@ -475,7 +480,8 @@ class HomologySummary:
         if self.dims[n] == 0:
             return {}
         if n in self.words:
-            return self.echelons[n].coordinates(self._readout(n).apply(vec))
+            readout, inverse = self._readout(n)
+            return inverse.apply(readout.apply(vec))
         at = self._rep_at[n]
         return {at[r]: v for r, v in self.echelons[n].remainder(vec).items() if r in at}
 
@@ -492,8 +498,8 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
     """Homology through degree up_to; boundaries must exist through
     up_to + 1, or an echelon of the image of the top boundary is supplied.
     Kernels and images come from the cached analyses of d_1 .. d_up_to;
-    the image of d_{up_to+1} is cx.image, reduced untracked, since only
-    its span is needed.
+    the image of d_{up_to+1} is cx.image, with no kernel, since only its
+    span is needed.
 
     The representatives are read off the image, with no elimination.  The
     kernel column K_j of a non-pivot column j of d_n has its unit at j and
@@ -558,7 +564,7 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
         if w is None:
             ech = (cx.analysis(n + 1).image if n < up_to else
                    cx.image(n + 1) if top_image is None else top_image)
-            pivots = {prow for prow, _, _ in ech.pivots}
+            pivots = {prow for prow, _ in ech.pivots}
             myreps = [dict(col) for col in kernel.cols_data if max(col) not in pivots]
             # the unit rows are distinct, so a shortfall is a pivot row off them
             if len(myreps) + ech.rank != kernel.cols:
@@ -573,14 +579,14 @@ def homology(cx: ChainComplex, up_to=None, top_image: Echelon = None) -> Homolog
             for col in kernel.cols_data:
                 if len(myreps) == missing:
                     break
-                if ech.add(phi(w, f, col), tag=len(myreps)):
+                if ech.add(phi(w, f, col)):
                     myreps.append(dict(col))
             if len(myreps) < missing:
                 raise ConstructionBug("%d of %d representatives found at degree %d"
                                       % (len(myreps), missing, n))
         dims.append(len(myreps))
         reps.append(myreps)
-        echs.append(ech)
+        echs.append(ech if w is None else None)
     return HomologySummary(cx, up_to, dims, reps, echs, words)
 
 
@@ -737,7 +743,7 @@ def _les_assemble(kind, field, max_n, S, T, Q, incl, proj, section, retract,
         handed = top_image.rank == T.dim(max_n) - T.analysis(max_n).rank
         below = _row_map(proj[max_n])
         rest = []
-        for prow, col, _ in top_image.pivots:
+        for prow, col in top_image.pivots:
             col = _renumbered(col, below)
             if handed and below[prow] >= 0:
                 top_Q.insert(col)

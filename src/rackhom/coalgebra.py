@@ -480,7 +480,7 @@ def _complement_projection(f, dim, span_cols):
     ech = Echelon(f, dim)
     for col in span_cols:
         ech.add(col)
-    pivots = {prow for prow, _, _ in ech.pivots}
+    pivots = {prow for prow, _ in ech.pivots}
     at = {i: k for k, i in enumerate(i for i in range(dim) if i not in pivots)}
     cols = [{at[r]: v for r, v in ech.remainder({i: f.one()}).items()} for i in range(dim)]
     return Matrix(f, len(at), dim, cols)

@@ -165,9 +165,9 @@ def dense_analysis(m: Matrix) -> Optional[ColumnSpaceAnalysis]:
     Q-combination of the pivot columns before j.  So rank_Q m = |P|, the
     greedy pivots over Q are P, and the lifted columns are the kernel
     column_space_analysis reads (its dependency of column j on the earlier
-    pivot columns is unique), entry for entry.  The untagged image echelon
-    gets only the pivot columns: a dependent column stores nothing there,
-    so its pivots and reduced columns are the same.
+    pivot columns is unique), entry for entry.  The image echelon gets
+    only the pivot columns: a dependent column stores nothing there, so
+    its pivots and reduced columns are the same.
 
     None when an entry is not an int (a Fraction over Q), when p is above
     DENSE_PRIME (the float64 reduction could round), when the check could

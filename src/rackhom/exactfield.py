@@ -17,13 +17,12 @@ chain sum with integer coefficients is accumulated in plain ints and
 converted once by `FieldTag.vector`.  No other code adds sparse vectors.
 
 One elimination per matrix: `column_space_analysis` eliminates a matrix
-once, and its rank, kernel and untagged image echelon are read from it.
-An `Echelon` tracks each tagged column as a combination of the tagged
-inputs; untagged columns are reduced but not tracked, so coordinates are
-read modulo their span.  A boundary of a chain complex gets the same
-analysis from dense.boundary_analysis (dense_analysis gives its argument).
-A column already reduced against an echelon enters it by `Echelon.insert`,
-checked, with no sweep.
+once, and its rank, kernel and image echelon are read from it; the
+kernel rides on keys below 0 inside that elimination, and an `Echelon`
+holds a span and nothing else.  A boundary of a chain complex gets the
+same analysis from dense.boundary_analysis (dense_analysis gives its
+argument).  A column already reduced against an echelon enters it by
+`Echelon.insert`, checked, with no sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 # heapq's C core: the pure-Python layer of the heapq module, unused here,
 # adds 128 KiB to the peak RSS of a process that imports it.
@@ -342,7 +341,7 @@ class Matrix:
 
 
 class Echelon:
-    """Incremental column echelon with per-column combination tracking.
+    """Incremental column echelon of a span, and nothing else.
 
     Pivots are kept in insertion order: each stored column is fully reduced
     against the earlier ones, so its pivot row is untouched by them and a
@@ -359,15 +358,16 @@ class Echelon:
     def __init__(self, field: FieldTag, rows: int):
         self.field = field
         self.rows = rows
-        self.pivots: list = []  # (pivot_row, reduced_col, combo or None), insertion order
+        self.pivots: list = []  # (pivot_row, reduced_col), insertion order
         self._order: dict = {}  # pivot_row -> its index in self.pivots
-        self.last_combo: Optional[dict] = None
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, col: dict, combo: Optional[dict]):
+    def remainder(self, col: dict) -> dict:
+        """col reduced against the stored columns: col minus the one vector
+        of the span that leaves it no entry at any pivot row."""
         div, axpy = self.field.div, self.field.axpy
         pivots, order = self.pivots, self._order
         col = {r: v for r, v in col.items() if v}
@@ -379,88 +379,53 @@ class Echelon:
             if i == last:  # pushed again after its row cancelled and came back
                 continue
             last = i
-            prow, pcol, pcombo = pivots[i]
+            prow, pcol = pivots[i]
             if prow not in col:
                 continue
             for r in pcol:
                 if r not in col and r in order:
                     heappush(heap, order[r])
-            factor = -div(col[prow], pcol[prow])
-            axpy(col, pcol, factor)
-            if combo is not None and pcombo is not None:
-                axpy(combo, pcombo, factor)
-        return col, combo
-
-    def remainder(self, col: dict) -> dict:
-        """col reduced against the stored columns: col minus the one vector
-        of the span that leaves it no entry at any pivot row."""
-        return self._reduce(col, None)[0]
+            axpy(col, pcol, -div(col[prow], pcol[prow]))
+        return col
 
     def contains(self, col: dict) -> bool:
         return not self.remainder(col)
 
-    def add(self, col: dict, tag=None) -> bool:
-        """Add a column; returns True iff it enlarged the span.
-
-        For a tagged column the invariant  reduced == sum combo[t] * column(t)
-        over the tagged columns holds modulo the untagged ones; for a
-        dependent tagged column the dependency lands in self.last_combo.
-        """
-        combo = None if tag is None else {tag: self.field.one()}
-        col, combo = self._reduce(col, combo)
+    def add(self, col: dict) -> bool:
+        """Add a column; returns True iff it enlarged the span."""
+        col = self.remainder(col)
         if not col:
-            self.last_combo = combo
             return False
-        self.last_combo = None
         # max-index pivots: kernel-basis columns (unit vector + small tail at
         # early pivot columns) then get disjoint pivot rows, avoiding fill-in
         prow = max(col)
         self._order[prow] = len(self.pivots)
-        self.pivots.append((prow, col, combo))
+        self.pivots.append((prow, col))
         return True
 
     def insert(self, col: dict) -> None:
-        """Add an untagged column that is reduced already: one with no entry
-        at a pivot row.  Its max key becomes its pivot row, with no sweep.
-        Such a column is outside the span, since a nonzero vector of the
-        span has an entry at the pivot row of the earliest stored column in
-        its combination, and the invariant holds as for add.  The column is
-        stored as given (no echelon writes a stored column).  Raises
-        ConstructionBug on a column that would need reduction: an empty one,
-        or one with an entry at a pivot row (its max key among them)."""
+        """Add a column that is reduced already: one with no entry at a
+        pivot row.  Its max key becomes its pivot row, with no sweep.  Such
+        a column is outside the span, since a nonzero vector of the span has
+        an entry at the pivot row of the earliest stored column in its
+        combination.  The column is stored as given (no echelon handed out
+        writes a stored column).  Raises ConstructionBug on a column that
+        would need reduction: an empty one, or one with an entry at a pivot
+        row (its max key among them)."""
         order = self._order
         if not col or not order.keys().isdisjoint(col):
             from .cubical import ConstructionBug  # not at the top: cubical loads numpy
             raise ConstructionBug("inserted column is not reduced: %r" % (sorted(col)[:8],))
         prow = max(col)
         order[prow] = len(self.pivots)
-        self.pivots.append((prow, col, None))
-
-    def coordinates(self, col: dict) -> Optional[dict]:
-        """The tagged combination equal to col modulo the untagged columns,
-        as tag -> coefficient; None when col is outside the span."""
-        f = self.field
-        rem, combo = self._reduce(col, {})
-        if rem:
-            return None
-        return {t: f.neg(c) for t, c in combo.items()}
-
-    def untracked_copy(self) -> "Echelon":
-        """A new echelon over the same span whose columns are untagged.  It
-        shares the reduced columns, which no echelon writes after insertion,
-        and copies the row order, which the copy extends when columns are
-        added to it."""
-        ech = Echelon(self.field, self.rows)
-        ech.pivots = [(prow, pcol, None) for prow, pcol, _ in self.pivots]
-        ech._order = dict(self._order)
-        return ech
+        self.pivots.append((prow, col))
 
 
 @dataclass
 class ColumnSpaceAnalysis:
     """The one elimination of a matrix: its rank, kernel and image.  The
-    image is an untagged Echelon of the pivot columns, with no combos, so
-    solving m @ x == v needs a tagged Echelon of its own."""
+    analysis of [m | v] solves m @ x == v: v's column is no pivot exactly
+    when x exists, and its kernel column is then the unit at v minus x."""
 
     rank: int
     kernel_basis: Matrix
@@ -471,14 +436,27 @@ def column_space_analysis(m: Matrix) -> ColumnSpaceAnalysis:
     """Rank, exact kernel basis and image echelon of m, from one elimination.
 
     rank + kernel dimension == cols; m @ kernel_basis == 0 entrywise.
-    Column j is tagged j while it is reduced, so a dependent column's combo
-    is its kernel column; the image keeps none of the combos.
+    Column j enters with the unit at key ~j (= -1 - j) beside its rows, so
+    a column the echelon holds or reduces is m @ x on its rows and x_k at
+    ~k.  No pivot sits at a negative key (never the max while a row is
+    present), so column j keeps its unit; a remainder with negative keys
+    only is its kernel column, each ~k read as k, in the values and key
+    order of a combination tracked beside it (the same axpy steps).  The
+    image is the echelon with its negative keys deleted, in place.
     """
     f = m.field
     ech = Echelon(f, m.rows)
-    kernel_cols = []
+    one = f.one()
+    kernel = []
     for j, col in enumerate(m.cols_data):
-        if not ech.add(col, j):
-            kernel_cols.append(ech.last_combo)
-    kernel = Matrix(f, m.cols, len(kernel_cols), kernel_cols)
-    return ColumnSpaceAnalysis(ech.rank, kernel, ech.untracked_copy())
+        col = ech.remainder({**col, ~j: one})
+        prow = max(col)
+        if prow < 0:
+            kernel.append({~k: v for k, v in col.items()})
+        else:
+            ech._order[prow] = len(ech.pivots)
+            ech.pivots.append((prow, col))
+    for _, pcol in ech.pivots:
+        for r in [r for r in pcol if r < 0]:
+            del pcol[r]
+    return ColumnSpaceAnalysis(ech.rank, Matrix.trusted(f, m.cols, len(kernel), kernel), ech)

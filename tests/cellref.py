@@ -20,17 +20,21 @@ as chains did before the rack complex became the subcomplex.
 `gamma_les_reference` builds the Gamma long exact sequence by running
 gamma_functor_with_projection over a nerve with cells through max_n + 2, as
 chains did before it wrote down that Gamma of a group's nerve is a point.
+`TaggedEchelon` is a full-scan echelon that tracks each tagged column as a
+combination of the tagged inputs, as exactfield.Echelon did before it held
+a span and nothing else; the oracles below are the ones that need tags.
 `tagged_echelon_analysis` is the analysis of a matrix as
-exactfield.column_space_analysis computed it before its image dropped the
-combos, every column into one tagged `Echelon`, kept as the image: the
-oracle of the dense route (dense.dense_analysis).
+exactfield.column_space_analysis computed it before its combinations rode
+on negative keys, every column into one `TaggedEchelon`, tagged by its
+index, kept as the image: the oracle of column_space_analysis, entry for
+entry and in key order, and of the dense route (dense.dense_analysis).
 `homology_by_search` finds the representatives as chains.homology did
 before it read them off the image's pivot rows: each kernel column, tagged
-("r", k), is added to a copy of the image's echelon and kept when it
-enlarges it, at every degree, and `SearchHomology` projects by completing
-that echelon with unit vectors, tagged ("a", i), and solving in it.
-`complement_projection_reference` is coalgebra._complement_projection by
-the same unit completion and solve.
+("r", k), is added to a `TaggedEchelon` on the image's span and kept when
+it enlarges it, at every degree, and `SearchHomology` projects by
+completing that echelon with unit vectors, tagged ("a", i), and solving
+in it.  `complement_projection_reference` is
+coalgebra._complement_projection by the same unit completion and solve.
 `product_quotient_boundaries` gives the quotient's boundaries as the
 product proj d_T section, as chains._quotient did before it re-indexed d_T.
 `added_top_images` builds a saturated top image and its projection to the
@@ -459,10 +463,35 @@ class FullScanEchelon(Echelon):
     """An `Echelon` whose sweep tests every stored pivot, in insertion
     order, for its row in the column."""
 
+    def remainder(self, col):
+        f = self.field
+        col = {r: v for r, v in col.items() if v}
+        for prow, pcol in self.pivots:
+            if prow in col:
+                f.axpy(col, pcol, -f.div(col[prow], pcol[prow]))
+        return col
+
+
+class TaggedEchelon(Echelon):
+    """A full-scan `Echelon` that tracks each tagged column as a
+    combination of the tagged inputs, as exactfield.Echelon did before its
+    combinations moved onto negative keys: an untagged column is reduced
+    but not tracked, so coordinates are read modulo the span of the
+    untagged ones.  span, when given, is an untagged echelon whose pivots
+    it starts from, shared."""
+
+    def __init__(self, field, rows, span=None):
+        super().__init__(field, rows)
+        if span is not None:
+            self.pivots = list(span.pivots)
+            self._order = dict(span._order)
+        self.combos = [None] * self.rank  # the tracked combination of each pivot
+        self.last_combo = None
+
     def _reduce(self, col, combo):
         f = self.field
         col = {r: v for r, v in col.items() if v}
-        for prow, pcol, pcombo in self.pivots:
+        for (prow, pcol), pcombo in zip(self.pivots, self.combos):
             if prow in col:
                 factor = -f.div(col[prow], pcol[prow])
                 f.axpy(col, pcol, factor)
@@ -470,17 +499,32 @@ class FullScanEchelon(Echelon):
                     f.axpy(combo, pcombo, factor)
         return col, combo
 
-    def untracked_copy(self):
-        ech = FullScanEchelon(self.field, self.rows)
-        ech.pivots = [(prow, pcol, None) for prow, pcol, _ in self.pivots]
-        return ech
+    def remainder(self, col):
+        return self._reduce(col, None)[0]
+
+    def add(self, col, tag=None):
+        """Echelon.add; for a dependent tagged column the dependency lands
+        in last_combo."""
+        col, combo = self._reduce(col, None if tag is None else {tag: self.field.one()})
+        self.last_combo = None if col else combo
+        if col:
+            self._order[max(col)] = self.rank
+            self.pivots.append((max(col), col))
+            self.combos.append(combo)
+        return bool(col)
+
+    def coordinates(self, col):
+        """The tagged combination equal to col modulo the untagged columns,
+        as tag -> coefficient; None when col is outside the span."""
+        rem, combo = self._reduce(col, {})
+        return None if rem else {t: self.field.neg(c) for t, c in combo.items()}
 
 
 def tagged_echelon_analysis(m: Matrix) -> ColumnSpaceAnalysis:
     """Rank, kernel basis and image echelon of m from every column, tagged
-    by its index, added to one Echelon in order; a dependent column's
+    by its index, added to one TaggedEchelon in order; a dependent column's
     combination is its kernel column."""
-    ech = Echelon(m.field, m.rows)
+    ech = TaggedEchelon(m.field, m.rows)
     kernel = [ech.last_combo for j in range(m.cols) if not ech.add(m.column(j), tag=j)]
     return ColumnSpaceAnalysis(ech.rank, Matrix(m.field, m.cols, len(kernel), kernel), ech)
 
@@ -507,19 +551,21 @@ class SearchHomology(HomologySummary):
 
 def homology_by_search(cx, up_to, top_image=None):
     """Homology through up_to with no orbit route and no early stop: every
-    kernel column of d_n, in order, is added tagged ("r", k) to a copy of
-    an echelon of im d_{n+1} (d_{up_to+1} reduced column by column unless
-    top_image is given) and is a representative when it enlarges it."""
+    kernel column of d_n, in order, is added tagged ("r", k) to a
+    TaggedEchelon on the span of an echelon of im d_{n+1} (d_{up_to+1}
+    reduced column by column unless top_image is given) and is a
+    representative when it enlarges it."""
     dims, reps, echs = [], [], []
     for n in range(up_to + 1):
         if n < up_to:
-            ech = cx.analysis(n + 1).image.untracked_copy()
+            image = cx.analysis(n + 1).image
         elif top_image is not None:
-            ech = top_image.untracked_copy()
+            image = top_image
         else:
-            ech = Echelon(cx.field, cx.dim(n))
+            image = Echelon(cx.field, cx.dim(n))
             for col in cx.d(n + 1).cols_data:
-                ech.add(col)
+                image.add(col)
+        ech = TaggedEchelon(cx.field, cx.dim(n), span=image)
         myreps = []
         for col in cx.analysis(n).kernel_basis.cols_data:
             if ech.add(col, tag=("r", len(myreps))):
@@ -534,7 +580,7 @@ def complement_projection_reference(f, dim, span_cols):
     """A matrix whose kernel is the span of span_cols: the span's echelon
     completed by each unit vector that enlarges it, tagged ("a", k) in
     order, and each unit vector's coordinates on those, solved in it."""
-    ech = Echelon(f, dim)
+    ech = TaggedEchelon(f, dim)
     for col in span_cols:
         ech.add(col)
     comp = 0
@@ -560,7 +606,7 @@ def added_top_images(kernel: Matrix, proj: Matrix):
     for col in kernel.cols_data:
         image.add(col)
     top_q = Echelon(kernel.field, proj.rows)
-    for _, col, _ in image.pivots:
+    for _, col in image.pivots:
         top_q.add(proj.apply(col))
     return image, top_q
 

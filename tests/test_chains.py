@@ -828,8 +828,7 @@ def test_each_matrix_is_eliminated_once(monkeypatch):
         for n in range(1, max_n + 1):
             assert sum(k for m, k in seen.values() if m == T.d(n)) == 1, n
         top = Counter(frozenset(col.items()) for col in T.d(max_n + 1).cols_data if col)
-        assert Counter(frozenset(col.items()) for _, tag, col in calls
-                       if tag is None and col) == top
+        assert Counter(frozenset(col.items()) for _, col in calls if col) == top
 
 
 def _same_items(got: Matrix, ref: Matrix):
@@ -1088,7 +1087,7 @@ def test_f2_tracker_table_holds_the_leading_bits(batch, stream):
             ech.add({r: f.of_int(v) for r, v in col.items()})
         stored = {b: v for b, v in enumerate(tracker.table) if v}
         assert all(v.bit_length() == b for b, v in stored.items())
-        assert {b - 1 for b in stored} == {prow for prow, _, _ in ech.pivots}
+        assert {b - 1 for b in stored} == {prow for prow, _ in ech.pivots}
         assert tracker.rank == ech.rank
 
 
@@ -1161,14 +1160,13 @@ def _acceptance_complexes():
 
 
 def _echelon_adds(monkeypatch):
-    """Every Echelon.add call from now on, as (echelon, tag, column), in
-    order."""
+    """Every Echelon.add call from now on, as (echelon, column), in order."""
     calls = []
     add = Echelon.add
 
-    def recording(self, col, tag=None):
-        calls.append((self, tag, col))
-        return add(self, col, tag)
+    def recording(self, col):
+        calls.append((self, col))
+        return add(self, col)
 
     monkeypatch.setattr(Echelon, "add", recording)
     return calls
@@ -1176,12 +1174,12 @@ def _echelon_adds(monkeypatch):
 
 def _echelon_writes(monkeypatch):
     """Every Echelon.add and Echelon.insert call from now on, as (echelon,
-    tag, column), in order (insert records the tag None)."""
+    column), in order."""
     calls = _echelon_adds(monkeypatch)
     insert = Echelon.insert
 
     def recording(self, col):
-        calls.append((self, None, col))
+        calls.append((self, col))
         return insert(self, col)
 
     monkeypatch.setattr(Echelon, "insert", recording)
@@ -1190,7 +1188,7 @@ def _echelon_writes(monkeypatch):
 
 def _writes_into_images(calls, hs):
     """The recorded calls into an echelon hs read as an image."""
-    read = {id(e) for n, e in enumerate(hs.echelons) if n not in hs.words}
+    read = {id(e) for e in hs.echelons if e is not None}
     return [call for call in calls if id(call[0]) in read]
 
 
@@ -1253,7 +1251,7 @@ def test_capped_top_image_matches_the_full_reduce(name, up_to, monkeypatch):
         hs.projection(n)
     monkeypatch.undo()
     assert (up_to in hs.words) == capped
-    assert any(id(col) in top for _, _, col in calls) != capped
+    assert any(id(col) in top for _, col in calls) != capped
     # once every analysis and image is cached, only the orbit route eliminates
     calls = _echelon_writes(monkeypatch)
     again = homology(c, up_to)
@@ -1281,22 +1279,24 @@ def test_failed_orbit_guard_falls_back_to_the_full_reduce(monkeypatch):
         hs = homology(c, 3)
         monkeypatch.undo()
         assert hs.dims == dims and not hs.words
-        assert sum(id(col) in top for _, _, col in calls) == c.dim(4)
+        assert sum(id(col) in top for _, col in calls) == c.dim(4)
         _assert_same_homology(hs, homology_by_search(c, 3))
     assert len(orbitcap.inn_group(nerve)) == 6
 
 
 def test_top_boundary_of_q8_is_not_reduced(monkeypatch):
     """conj:quaternion:8 over Q at degree 3: d_4 has 2401 columns and rank
-    249, and no echelon receives any of them; the analyses tag their
-    columns, the search its representatives' Phi-vectors."""
+    249, and no echelon receives any of them.  The columns echelons do
+    receive are the Phi-vectors of the search for representatives, and
+    the pivot columns of the dense analyses below the top; the sparse
+    analyses eliminate with no add."""
     c = build_complex(rack_nerve(preset("conj:quaternion:8"), 4), QQ)
     top = {id(col) for col in c.d(4).cols_data}
     calls = _echelon_adds(monkeypatch)
     hs = homology(c, 3)
     assert hs.dims == [1, 4, 16, 64] and c.dim(4) == 2401
     assert c.dim(3) - c.analysis(3).rank - hs.dims[3] == 249
-    received = sum(e.field == QQ and id(col) in top for e, _, col in calls)
+    received = sum(e.field == QQ and id(col) in top for e, col in calls)
     assert received == 0
 
 
@@ -1514,8 +1514,8 @@ def test_quotient_reindexes_the_product(monkeypatch, kind, name, field, max_n):
 
 def _same_span(a: Echelon, b: Echelon):
     assert a.rank == b.rank
-    assert all(a.contains(col) for _, col, _ in b.pivots)
-    assert all(b.contains(col) for _, col, _ in a.pivots)
+    assert all(a.contains(col) for _, col in b.pivots)
+    assert all(b.contains(col) for _, col in a.pivots)
 
 
 @pytest.mark.parametrize("name,field,max_n", [("cyclic:3", QQ, 3),
@@ -1531,8 +1531,8 @@ def test_saturated_image_is_handed_on_with_the_same_spans(monkeypatch, name, fie
     kernel = T.analysis(max_n).kernel_basis
     assert image.rank == kernel.cols
     # the kernel columns themselves, shared and unreduced, each at its max key
-    assert all(col is kcol for (_, col, _), kcol in zip(image.pivots, kernel.cols_data))
-    assert [prow for prow, _, _ in image.pivots] == [max(col) for col in kernel.cols_data]
+    assert all(col is kcol for (_, col), kcol in zip(image.pivots, kernel.cols_data))
+    assert [prow for prow, _ in image.pivots] == [max(col) for col in kernel.cols_data]
     ref_image, ref_q = added_top_images(kernel, proj)
     _same_span(image, ref_image)
     _same_span(top_q, ref_q)
@@ -1551,7 +1551,7 @@ def test_top_image_projection_is_a_renumbering(monkeypatch, name, field, max_n):
     image, proj = got["tops"][id(got["T"])], got["proj"][max_n]
     below = chains._row_map(proj)
     assert image.rank
-    for _, col, _ in image.pivots:
+    for _, col in image.pivots:
         assert list(chains._renumbered(col, below).items()) == list(proj.apply(col).items())
 
 
@@ -1563,6 +1563,6 @@ def test_exhausted_stream_keeps_the_added_images(monkeypatch):
     image, top_q = got["tops"][id(T)], got["tops"][id(Q)]
     assert image.rank < T.dim(3) - T.analysis(3).rank
     ref = Echelon(FieldTag(2), Q.dim(3))
-    for _, col, _ in image.pivots:
+    for _, col in image.pivots:
         ref.add(proj.apply(col))
     assert top_q.pivots == ref.pivots

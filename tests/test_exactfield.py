@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellref import FullScanEchelon, tagged_echelon_analysis
@@ -71,13 +71,17 @@ def test_rank_one_kernel_span():
 
 
 def _solve(m, v):
-    """A sparse x with m @ x == v, read off an Echelon of the columns of m,
-    column j tagged j, as project_vec solves; None when v is outside the
-    image of m."""
-    ech = Echelon(m.field, m.rows)
-    for j in range(m.cols):
-        ech.add(m.column(j), tag=j)
-    return ech.coordinates(m.field.vector(v))
+    """A sparse x with m @ x == v, read off column_space_analysis of
+    [m | v], as project_vec reads (Phi R)^-1: None when v's column is a
+    pivot (v is outside the image of m), and otherwise minus v's kernel
+    column without its unit.  That column is the last kernel column, since
+    v's column is the last, and its unit at v's column is its max key."""
+    f = m.field
+    kernel = column_space_analysis(
+        Matrix(f, m.rows, m.cols + 1, list(m.cols_data) + [v])).kernel_basis.cols_data
+    if not kernel or m.cols not in kernel[-1]:
+        return None
+    return {k: f.neg(c) for k, c in kernel[-1].items() if k != m.cols}
 
 
 def test_solve_identity():
@@ -329,12 +333,12 @@ def test_q_boundaries_and_kernels_are_canonical():
 @st.composite
 def echelon_streams(draw):
     """A field, a row count, and a stream of sparse columns with entries
-    that are mostly not +-1, each tagged or not, plus probe vectors."""
+    that are mostly not +-1, plus probe vectors."""
     p = draw(st.sampled_from([0, 2, 3, 5, 7]))
     dim = draw(st.integers(1, 9))
     col = st.dictionaries(st.integers(0, dim - 1),
                           st.integers(-7, 7).filter(bool), max_size=5)
-    stream = draw(st.lists(st.tuples(col, st.booleans()), max_size=24))
+    stream = draw(st.lists(col, max_size=24))
     probes = draw(st.lists(col, max_size=6))
     return FieldTag(p), dim, stream, probes
 
@@ -353,56 +357,66 @@ def _logging_field(p):
     return f, log
 
 
-def _pinned_equal(ech, ref, cols):
-    """ech and ref hold identical pivots and read identical coordinates and
-    memberships on cols."""
-    assert ech.pivots == ref.pivots
-    for col in cols:
-        assert ech.coordinates(col) == ref.coordinates(col)
-        assert ech.contains(col) == ref.contains(col)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(echelon_streams())
 def test_heap_echelon_equals_full_scan(data):
     f, dim, stream, probes = data
-    cols = [f.vector(col) for col, _ in stream]
+    cols = [f.vector(col) for col in stream]
     probes = [f.vector(col) for col in probes] + cols
     (fe, steps), (fr, ref_steps) = _logging_field(f.p), _logging_field(f.p)
     ech, ref = Echelon(fe, dim), FullScanEchelon(fr, dim)
-    for j, (col, (_, tagged)) in enumerate(zip(cols, stream)):
-        tag = j if tagged else None
-        assert ech.add(col, tag) == ref.add(col, tag)
-        assert ech.last_combo == ref.last_combo
-    _pinned_equal(ech, ref, probes)
-    # an untracked copy, extended by tagged columns, leaves the original as it was
-    pivots = list(ech.pivots)
-    ech2, ref2 = ech.untracked_copy(), ref.untracked_copy()
-    for j, col in enumerate(probes):
-        assert ech2.add(col, ("p", j)) == ref2.add(col, ("p", j))
-        assert ech2.last_combo == ref2.last_combo
-    _pinned_equal(ech2, ref2, probes)
-    assert ech.pivots == pivots
-    _pinned_equal(ech, ref, probes)
+    for col in cols:
+        assert ech.add(col) == ref.add(col)
+    assert ech.pivots == ref.pivots
+    for col in probes:
+        assert ech.remainder(col) == ref.remainder(col)
+        assert ech.contains(col) == ref.contains(col)
     # the same pivot steps, with the same factors, in the same order
     assert steps == ref_steps
-    # column_space_analysis reads the same kernel basis as the full scan
+    # column_space_analysis reads the same kernel basis and image as the
+    # tagged full-scan echelon
     m = Matrix(f, dim, len(cols), cols)
-    full = FullScanEchelon(f, dim)
-    kernel = [full.last_combo for j in range(m.cols) if not full.add(m.column(j), j)]
-    a = column_space_analysis(m)
-    assert _reduced(a.image) == _reduced(full)
-    assert a.kernel_basis == Matrix(f, m.cols, len(kernel), kernel)
-    for col in probes:
-        assert a.image.contains(col) == full.contains(col)
+    _same_analysis(column_space_analysis(m), tagged_echelon_analysis(m), probes)
+
+
+def _items(cols):
+    """The entries of each column as a list, in key order."""
+    return [list(col.items()) for col in cols]
+
+
+@st.composite
+def analysis_cases(draw):
+    """A matrix over Q, F2 or F3 with 0 to 6 rows and 0 to 9 columns,
+    mostly 0 and +-1, with halves over Q."""
+    p = draw(st.sampled_from([0, 2, 3]))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 9))
+    values = [0, 0, 0, 1, -1, 1, -1, 2, -3] + ([Fraction(1, 2)] if p == 0 else [])
+    entry = st.sampled_from(values)
+    data = draw(st.lists(st.lists(entry, min_size=rows, max_size=rows),
+                         min_size=cols, max_size=cols))
+    return Matrix(FieldTag(p), rows, cols, [dict(enumerate(col)) for col in data])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(analysis_cases())
+@example(Matrix.zeros(QQ, 0, 3))
+@example(Matrix.zeros(FieldTag(2), 3, 0))
+@example(Matrix.zeros(FieldTag(3), 0, 0))
+def test_column_space_analysis_equals_the_tagged_echelon_in_key_order(m):
+    """The kernel and image of the one elimination, whose combinations
+    ride on negative keys, are the tagged echelon's entry for entry and in
+    key order, with canonical values, and no image column holds a
+    negative key."""
+    a, ref = column_space_analysis(m), tagged_echelon_analysis(m)
+    assert a.rank == ref.rank == a.image.rank
+    assert _items(a.kernel_basis.cols_data) == _items(ref.kernel_basis.cols_data)
+    assert [prow for prow, _ in a.image.pivots] == [prow for prow, _ in ref.image.pivots]
+    assert _items(col for _, col in a.image.pivots) == _items(col for _, col in ref.image.pivots)
+    assert all(r >= 0 for _, col in a.image.pivots for r in col)
+    assert all(_canonical(m.field, v) for col in a.kernel_basis.cols_data for v in col.values())
 
 
 # -- the dense route of boundary analyses against the tagged echelon ----------
-
-
-def _reduced(ech):
-    """The (pivot row, reduced column) pairs of an echelon, in order."""
-    return [(prow, pcol) for prow, pcol, _ in ech.pivots]
 
 
 def _same_analysis(a, ref, probes=()):
@@ -410,7 +424,7 @@ def _same_analysis(a, ref, probes=()):
     columns of the image, and membership of the probes in it."""
     assert a.rank == ref.rank == a.image.rank
     assert a.kernel_basis == ref.kernel_basis
-    assert _reduced(a.image) == _reduced(ref.image)
+    assert a.image.pivots == ref.image.pivots
     for v in probes:
         assert a.image.contains(v) == ref.image.contains(v)
 
@@ -556,20 +570,20 @@ def test_failed_check_falls_back_to_todays_code(monkeypatch):
     assert a.kernel_basis.column(0) == {0: Fraction(-1, 2), 1: 1}
 
 
-def _holds_no_combo(a):
-    return a.image.rank == a.rank and all(combo is None for _, _, combo in a.image.pivots)
+def _image_of_rank(a):
+    return a.image.rank == a.rank
 
 
-def test_no_analysis_holds_a_combo(monkeypatch):
-    """The image of an analysis is untagged on every route: the sparse
-    elimination, the dense route over F_p and over Q, and the analyses a
-    Gamma subcomplex shares with its total complex."""
+def test_every_analysis_image_has_its_rank(monkeypatch):
+    """The image of an analysis has the analysis's rank on every route:
+    the sparse elimination, the dense route over F_p and over Q, and the
+    analyses a Gamma subcomplex shares with its total complex."""
     m = Matrix.from_rows(QQ, [[1, 2, 0, 1], [0, 0, 1, 1], [1, 2, 1, 2]])
-    assert _holds_no_combo(column_space_analysis(m))
+    assert _image_of_rank(column_space_analysis(m))
     for f in (FieldTag(3), QQ):
         d = build_complex(rack_nerve(preset("conj:symmetric:3"), 3), f).d(3)
         a = dense_analysis(d)
-        assert a is not None and a.rank > 0 and _holds_no_combo(a)
+        assert a is not None and a.rank > 0 and _image_of_rank(a)
     assembled = []
     orig = chains._les_assemble
 
@@ -583,7 +597,7 @@ def test_no_analysis_holds_a_combo(monkeypatch):
     assert S.shares and all(S.analysis(n) is T.analysis(n) for n in S.shares)
     for cx in (S, T):
         for n in range(1, cx.max_degree + 1):
-            assert _holds_no_combo(cx.analysis(n))
+            assert _image_of_rank(cx.analysis(n))
 
 
 def test_dependent_dense_pivot_is_a_construction_bug(monkeypatch):
@@ -627,7 +641,7 @@ def test_checked_insert():
     ech = Echelon(QQ, 6)
     ech.insert({0: 1, 2: 3})
     ech.insert({1: 1, 4: -1})
-    assert [prow for prow, _, _ in ech.pivots] == [2, 4]
+    assert [prow for prow, _ in ech.pivots] == [2, 4]
     assert ech.contains({0: 2, 2: 6, 1: 1, 4: -1})
     for col in ({}, {2: 1}, {4: 1, 5: 1}, {0: 1, 3: 1, 2: 1}):
         with pytest.raises(ConstructionBug):
@@ -644,7 +658,7 @@ def test_checked_insert():
     ech = Echelon(QQ, 8)
     for col in ({0: 1, 2: 3}, {1: 1, 4: -1}, {3: 1, 6: 1}):
         ech.insert(col)
-    assert [prow for prow, _, _ in ech.pivots] == [2, 4, 6]
+    assert [prow for prow, _ in ech.pivots] == [2, 4, 6]
     for col in ({0: 1, 2: 1}, {3: 2, 4: 1, 7: 1}, {1: 1, 6: -1}, {}):
         message = "inserted column is not reduced: %r" % (sorted(col)[:8],)
         with pytest.raises(ConstructionBug, match="^%s$" % re.escape(message)):
